@@ -23,7 +23,6 @@ import subprocess
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.experiment import SystemVariant, paper_cross_domain_variants
 from repro.analysis.metrics import PerformanceSummary
 from repro.analysis.reporting import (
     format_mobile_table,
@@ -52,7 +51,6 @@ __all__ = [
     "load_bench_baseline",
     "load_bench_history",
     "write_bench_results",
-    "paper_cross_domain_variants",
 ]
 
 #: Concurrent-client counts used to sweep each throughput/latency curve.
@@ -320,11 +318,6 @@ def _base_config(
     ).with_overrides(seed=seed)
 
 
-def _for_variant(base: Scenario, variant: SystemVariant) -> Scenario:
-    series = ((variant.label, variant.engine, variant.contention_override),)
-    return registry.series_scenarios(base, series)[variant.label]
-
-
 def _timed_checked_run(scenario: Scenario):
     """Execute one scenario, timing the simulation alone.
 
@@ -346,18 +339,12 @@ def _timed_checked_run(scenario: Scenario):
     return run, events_per_sec
 
 
-def run_once(
-    scenario: Scenario,
-    variant: Optional[SystemVariant] = None,
-    figure: Optional[str] = None,
-) -> PerformanceSummary:
-    """Run one scenario (optionally specialised to a system variant) once.
+def run_once(scenario: Scenario, figure: Optional[str] = None) -> PerformanceSummary:
+    """Run one scenario once.
 
     With ``figure`` given, the run's headline numbers — including the
     simulator's real-time event rate — are recorded for ``BENCH_results.json``.
     """
-    if variant is not None:
-        scenario = _for_variant(scenario, variant)
     run, events_per_sec = _timed_checked_run(scenario)
     assert run.summary is not None
     if figure is not None:
@@ -375,7 +362,6 @@ def cross_domain_figure(
     cross_domain_ratio: float,
     failure_model: FailureModel,
     latency_profile: str = "nearby-eu",
-    variants: Optional[List[SystemVariant]] = None,
     load_levels: Sequence[int] = LOAD_LEVELS,
     faults: int = 1,
     figure: Optional[str] = None,
@@ -384,10 +370,7 @@ def cross_domain_figure(
     base = _base_config(
         failure_model, latency_profile, cross_domain_ratio, faults=faults
     )
-    if variants is not None:
-        scenarios = {v.label: _for_variant(base, v) for v in variants}
-    else:
-        scenarios = registry.series_scenarios(base)
+    scenarios = registry.series_scenarios(base)
     series: Dict[str, List[LoadPoint]] = {}
     for label, scenario in scenarios.items():
         sweep = _RUNNER.sweep(scenario, over="num_clients", values=load_levels)

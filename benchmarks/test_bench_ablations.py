@@ -12,30 +12,29 @@
 
 import pytest
 
-from repro.analysis.experiment import (
+from repro.common.types import FailureModel
+from repro.scenarios import (
     BASELINE_AHL,
-    ExperimentConfig,
-    ExperimentRunner,
     SAGUARO_COORDINATOR,
     SAGUARO_OPTIMISTIC,
-    SystemVariant,
+    Scenario,
+    ScenarioRunner,
+    registry,
 )
-from repro.common.types import FailureModel
+
+
+def _summary(scenario: Scenario):
+    return ScenarioRunner().run(scenario)[0].summary
 
 
 def test_ablation_lca_vs_single_coordinator(benchmark):
     def run():
-        config = ExperimentConfig(
-            latency_profile="nearby-eu",
-            failure_model=FailureModel.CRASH,
-            num_transactions=144,
-            num_clients=32,
-            cross_domain_ratio=1.0,
-            round_interval_ms=10.0,
+        base = registry.figure_base(
+            "ablation-lca", FailureModel.CRASH, "nearby-eu",
+            cross_domain_ratio=1.0, num_clients=32,
         )
-        runner = ExperimentRunner(config)
-        saguaro = runner.run(SystemVariant("LCA coordinators", SAGUARO_COORDINATOR))
-        single = runner.run(SystemVariant("single committee", BASELINE_AHL))
+        saguaro = _summary(base.with_engine(SAGUARO_COORDINATOR))
+        single = _summary(base.with_engine(BASELINE_AHL))
         return saguaro, single
 
     saguaro, single = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -53,22 +52,14 @@ def test_ablation_round_interval_vs_aborts(benchmark, intervals):
     short_interval, long_interval = intervals
 
     def run():
-        results = {}
-        for interval in (short_interval, long_interval):
-            config = ExperimentConfig(
-                latency_profile="nearby-eu",
-                failure_model=FailureModel.CRASH,
-                num_transactions=144,
-                num_clients=24,
-                cross_domain_ratio=0.8,
-                contention_ratio=0.9,
-                round_interval_ms=interval,
-            )
-            runner = ExperimentRunner(config)
-            results[interval] = runner.run(
-                SystemVariant("Optimistic", SAGUARO_OPTIMISTIC, contention_override=0.9)
-            )
-        return results
+        base = registry.figure_base(
+            "ablation-rounds", FailureModel.CRASH, "nearby-eu",
+            cross_domain_ratio=0.8, num_clients=24,
+        ).with_overrides(engine=SAGUARO_OPTIMISTIC, contention_ratio=0.9)
+        return {
+            interval: _summary(base.with_overrides(round_interval_ms=interval))
+            for interval in (short_interval, long_interval)
+        }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     short, long = results[short_interval], results[long_interval]

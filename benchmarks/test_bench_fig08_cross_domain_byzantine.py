@@ -31,16 +31,14 @@ def test_figure8_cross_domain_byzantine(benchmark, cross_ratio, label):
 def test_figure8_byzantine_costs_more_than_crash(benchmark):
     """§8.1: Byzantine domains show lower throughput / higher latency than CFT."""
     from figure_common import run_once, _base_config  # type: ignore
-    from repro.analysis.experiment import SystemVariant, SAGUARO_COORDINATOR
 
+    # figure_base scenarios run the coordinator engine.
     def run():
         crash = run_once(
-            _base_config(FailureModel.CRASH, "nearby-eu", 0.2).with_clients(24),
-            SystemVariant("Coordinator", SAGUARO_COORDINATOR),
+            _base_config(FailureModel.CRASH, "nearby-eu", 0.2).with_clients(24)
         )
         byzantine = run_once(
-            _base_config(FailureModel.BYZANTINE, "nearby-eu", 0.2).with_clients(24),
-            SystemVariant("Coordinator", SAGUARO_COORDINATOR),
+            _base_config(FailureModel.BYZANTINE, "nearby-eu", 0.2).with_clients(24)
         )
         return crash, byzantine
 

@@ -35,7 +35,6 @@ from repro.common import (
 )
 from repro.core import SaguaroDeployment
 from repro.scenarios import (
-    FaultEvent,
     ResultSet,
     RunResult,
     Scenario,
@@ -68,7 +67,6 @@ __all__ = [
     "ResultSet",
     "TopologySpec",
     "WorkloadSpec",
-    "FaultEvent",
     "MicropaymentApplication",
     "RidesharingApplication",
     "Workload",

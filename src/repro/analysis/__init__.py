@@ -1,57 +1,31 @@
-"""Metrics, experiment harness, and reporting utilities.
+"""Metrics and reporting utilities.
 
-Only the metrics primitives are re-exported eagerly; the experiment runner and
-reporting helpers live in :mod:`repro.analysis.experiment` and
-:mod:`repro.analysis.reporting` and are imported lazily on attribute access to
-avoid a circular import with :mod:`repro.core` (core nodes record metrics, and
-the experiment runner builds core deployments).
+Only the metrics primitives are re-exported eagerly; the reporting helpers
+live in :mod:`repro.analysis.reporting` and are imported lazily on attribute
+access to avoid a circular import with :mod:`repro.core` (core nodes record
+metrics, and reporting formats the scenario runner's results).
 """
 
 from repro.analysis.metrics import MetricsCollector, PerformanceSummary, TransactionRecord
+
+_REPORTING_NAMES = (
+    "format_load_series",
+    "format_mobile_table",
+    "format_series_table",
+    "format_summary_row",
+    "latency_at_peak",
+    "peak_throughput",
+)
 
 __all__ = [
     "MetricsCollector",
     "PerformanceSummary",
     "TransactionRecord",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "LoadPoint",
-    "SystemVariant",
-    "paper_cross_domain_variants",
-    "format_load_series",
-    "format_mobile_table",
-    "format_series_table",
-    "format_summary_row",
-    "latency_at_peak",
-    "peak_throughput",
+    *_REPORTING_NAMES,
 ]
-
-_EXPERIMENT_NAMES = {
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "LoadPoint",
-    "SystemVariant",
-    "SAGUARO_COORDINATOR",
-    "SAGUARO_OPTIMISTIC",
-    "BASELINE_AHL",
-    "BASELINE_SHARPER",
-    "paper_cross_domain_variants",
-}
-_REPORTING_NAMES = {
-    "format_load_series",
-    "format_mobile_table",
-    "format_series_table",
-    "format_summary_row",
-    "latency_at_peak",
-    "peak_throughput",
-}
 
 
 def __getattr__(name):
-    if name in _EXPERIMENT_NAMES:
-        from repro.analysis import experiment
-
-        return getattr(experiment, name)
     if name in _REPORTING_NAMES:
         from repro.analysis import reporting
 

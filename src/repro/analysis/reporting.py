@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-from repro.analysis.experiment import LoadPoint
 from repro.analysis.metrics import PerformanceSummary
+from repro.scenarios.runner import LoadPoint
 
 __all__ = [
     "format_load_series",

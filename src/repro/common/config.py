@@ -9,12 +9,14 @@ configurations validate themselves on construction and raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+import operator
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Mapping, Optional
 
 from repro.common.types import CrossDomainProtocol, FailureModel
 from repro.control.policy import ControlPolicy
 from repro.errors import ConfigurationError
+from repro.sim.latency import PROFILE_NAMES
 
 __all__ = [
     "NodeCostModel",
@@ -22,7 +24,11 @@ __all__ = [
     "RoundConfig",
     "DomainSpec",
     "HierarchySpec",
+    "knob",
+    "check_knobs",
+    "EngineKnobs",
     "DeploymentConfig",
+    "WorkloadMix",
     "WorkloadConfig",
     "DEFAULT_CRASH_COSTS",
     "DEFAULT_BYZANTINE_COSTS",
@@ -187,9 +193,65 @@ class HierarchySpec:
         return self.per_domain.get(domain_name, self.default_spec)
 
 
-@dataclass(frozen=True)
-class DeploymentConfig:
-    """Everything needed to build and run one Saguaro deployment.
+def knob(default: Any, **bound: float) -> Any:
+    """A knob field that carries its own bound.
+
+    ``ge=x`` admits values ``>= x``, ``gt=x`` values ``> x``, ``le=x`` values
+    ``<= x``; :func:`check_knobs` enforces it together with the field's
+    declared type, so a knob is declared — default, type, bound — on one line.
+    """
+    return field(default=default, metadata=bound)
+
+
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<=")}
+
+
+def check_knobs(spec: Any) -> None:
+    """Type- and range-check every ``int``/``float``/``bool`` field of ``spec``
+    (``Optional[...]`` ones when set).
+
+    Strict on purpose: a ``bool`` is not an ``int``, ``2.5`` is not an ``int``,
+    and ``nan``/``inf`` are not numbers a simulation can run on.  Reads the
+    declared types as strings, so the declaring module needs
+    ``from __future__ import annotations``.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        if value is None and kind != f.type:
+            continue
+        if kind == "bool":
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be a bool, got {value!r}")
+            continue
+        if kind not in ("int", "float"):
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int if kind == "int" else (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            expected = "an integer" if kind == "int" else "a finite number"
+            raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
+        for key, bound in f.metadata.items():
+            holds, symbol = _BOUNDS[key]
+            if not holds(value, bound):
+                raise ConfigurationError(
+                    f"{f.name} must be {symbol} {bound}, got {value!r}"
+                )
+
+
+@dataclass(frozen=True, kw_only=True)
+class EngineKnobs:
+    """The engine knobs a scenario declares and a deployment runs with.
+
+    :class:`DeploymentConfig` and :class:`~repro.scenarios.spec.Scenario` both
+    inherit this block, so each knob — field, default, bound — exists exactly
+    once and reaches ``node.config`` without being restated on the way.
+
+    ``latency_profile`` names the inter-region latency matrix
+    (:data:`~repro.sim.latency.PROFILE_NAMES`); ``timers`` are the protocol
+    timers.
 
     ``batch_size`` / ``batch_timeout_ms`` configure the consensus engines'
     request batcher: primaries accumulate up to ``batch_size`` submitted
@@ -214,13 +276,6 @@ class DeploymentConfig:
     = max over lanes).  ``state_shards=1, execution_lanes=1`` is
     bit-identical to the unsharded, free-execution model.
 
-    ``control`` is the self-tuning control-plane spec
-    (:class:`~repro.control.policy.ControlPolicy`): with the default
-    ``policy="static"`` no telemetry bus or controller is built and the
-    deployment is bit-identical to one predating the control plane; with
-    ``policy="adaptive"`` every node runs the feedback loop resizing the
-    batcher, the 2PC grouping, and the shard -> lane map online.
-
     ``speculation`` arms speculative out-of-order execution with in-order
     commit: while a decided slot is still undelivered (a delivery gap), the
     engine speculatively applies later decided slots whose batch shard
@@ -243,53 +298,61 @@ class DeploymentConfig:
     peers, and rejoins consensus without ever contradicting a WAL-covered
     vote.  ``durability=False`` (the default) builds none of this and is
     bit-identical to the pre-durability deployment.
+
+    ``control`` is the self-tuning control-plane spec
+    (:class:`~repro.control.policy.ControlPolicy`, or its dict form): with
+    the default ``policy="static"`` no telemetry bus or controller is built
+    and the deployment is bit-identical to one predating the control plane;
+    with ``policy="adaptive"`` every node runs the feedback loop resizing the
+    batcher, the 2PC grouping, and the shard -> lane map online.
     """
 
-    hierarchy: HierarchySpec = field(default_factory=HierarchySpec)
-    protocol: CrossDomainProtocol = CrossDomainProtocol.COORDINATOR
-    timers: TimerConfig = field(default_factory=TimerConfig)
-    rounds: RoundConfig = field(default_factory=RoundConfig)
-    crash_costs: NodeCostModel = DEFAULT_CRASH_COSTS
-    byzantine_costs: NodeCostModel = DEFAULT_BYZANTINE_COSTS
     latency_profile: str = "nearby-eu"
-    seed: int = 2023
-    batch_size: int = 1
-    batch_timeout_ms: float = 5.0
-    xdomain_batch_size: int = 1
-    xdomain_batch_timeout_ms: float = 10.0
-    state_shards: int = 1
-    execution_lanes: int = 1
+    timers: TimerConfig = field(default_factory=TimerConfig)
+    batch_size: int = knob(1, ge=1)
+    batch_timeout_ms: float = knob(5.0, gt=0)
+    xdomain_batch_size: int = knob(1, ge=1)
+    xdomain_batch_timeout_ms: float = knob(10.0, gt=0)
+    state_shards: int = knob(1, ge=1)
+    execution_lanes: int = knob(1, ge=1)
     speculation: bool = False
     durability: bool = False
-    wal_sync_ms: float = 0.05
-    checkpoint_interval: int = 32
+    wal_sync_ms: float = knob(0.05, ge=0)
+    checkpoint_interval: int = knob(32, ge=1)
     control: ControlPolicy = field(default_factory=ControlPolicy)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_timeout_ms <= 0:
-            raise ConfigurationError("batch_timeout_ms must be positive")
-        if self.xdomain_batch_size < 1:
-            raise ConfigurationError("xdomain_batch_size must be >= 1")
-        if self.xdomain_batch_timeout_ms <= 0:
-            raise ConfigurationError("xdomain_batch_timeout_ms must be positive")
-        if self.state_shards < 1:
-            raise ConfigurationError("state_shards must be >= 1")
-        if self.execution_lanes < 1:
-            raise ConfigurationError("execution_lanes must be >= 1")
-        if not isinstance(self.speculation, bool):
-            raise ConfigurationError("speculation must be a bool")
-        if not isinstance(self.durability, bool):
-            raise ConfigurationError("durability must be a bool")
-        if self.wal_sync_ms < 0:
-            raise ConfigurationError("wal_sync_ms must be non-negative")
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
+        check_knobs(self)
+        if self.latency_profile not in PROFILE_NAMES:
+            raise ConfigurationError(
+                f"unknown latency profile {self.latency_profile!r}; "
+                f"known: {PROFILE_NAMES}"
+            )
+        if not isinstance(self.timers, TimerConfig):
+            raise ConfigurationError(
+                f"timers must be a TimerConfig, got {type(self.timers).__name__}"
+            )
+        if isinstance(self.control, Mapping):
+            object.__setattr__(self, "control", ControlPolicy.from_dict(self.control))
         if not isinstance(self.control, ControlPolicy):
             raise ConfigurationError(
-                f"control must be a ControlPolicy, got {type(self.control).__name__}"
+                "control must be a ControlPolicy (or its dict form), got "
+                f"{type(self.control).__name__}"
             )
+
+
+@dataclass(frozen=True)
+class DeploymentConfig(EngineKnobs):
+    """Everything needed to build and run one Saguaro deployment: the shape of
+    the tree, the cross-domain protocol, the cost models, and the
+    :class:`EngineKnobs` block."""
+
+    hierarchy: HierarchySpec = field(default_factory=HierarchySpec)
+    protocol: CrossDomainProtocol = CrossDomainProtocol.COORDINATOR
+    rounds: RoundConfig = field(default_factory=RoundConfig)
+    crash_costs: NodeCostModel = DEFAULT_CRASH_COSTS
+    byzantine_costs: NodeCostModel = DEFAULT_BYZANTINE_COSTS
+    seed: int = 2023
 
     def costs_for(self, model: FailureModel) -> NodeCostModel:
         if model is FailureModel.CRASH:
@@ -297,9 +360,10 @@ class DeploymentConfig:
         return self.byzantine_costs
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Workload mix used by the generator and the experiment harness.
+@dataclass(frozen=True, kw_only=True)
+class WorkloadMix:
+    """The workload mix (the knobs of §8), shared by
+    :class:`WorkloadConfig` and :class:`~repro.scenarios.spec.WorkloadSpec`.
 
     ``cross_domain_ratio`` — fraction of transactions that touch two height-1
     domains; ``contention_ratio`` — fraction of transactions that read/write a
@@ -313,38 +377,27 @@ class WorkloadConfig:
     default) keeps the historical hot-set model bit-identical.
     """
 
-    num_transactions: int = 400
-    cross_domain_ratio: float = 0.0
-    contention_ratio: float = 0.1
-    mobile_ratio: float = 0.0
+    num_transactions: int = knob(400, ge=1)
+    cross_domain_ratio: float = knob(0.0, ge=0, le=1)
+    contention_ratio: float = knob(0.1, ge=0, le=1)
+    mobile_ratio: float = knob(0.0, ge=0, le=1)
     hot_accounts_per_domain: int = 4
     accounts_per_domain: int = 256
-    mobile_txns_per_excursion: int = 10
-    involved_domains: int = 2
-    initial_balance: int = 1_000_000
-    zipf_skew: float = 0.0
-    seed: int = 7
+    mobile_txns_per_excursion: int = knob(10, ge=1)
+    involved_domains: int = knob(2, ge=2)
+    initial_balance: int = knob(1_000_000, ge=0)
+    zipf_skew: float = knob(0.0, ge=0)
 
     def __post_init__(self) -> None:
-        ratios: Tuple[Tuple[str, float], ...] = (
-            ("cross_domain_ratio", self.cross_domain_ratio),
-            ("contention_ratio", self.contention_ratio),
-            ("mobile_ratio", self.mobile_ratio),
-        )
-        for name, value in ratios:
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be within [0, 1]")
-        if self.num_transactions < 1:
-            raise ConfigurationError("num_transactions must be >= 1")
-        if self.involved_domains < 2:
-            raise ConfigurationError("cross-domain transactions involve >= 2 domains")
+        check_knobs(self)
         if self.accounts_per_domain < self.hot_accounts_per_domain:
             raise ConfigurationError(
                 "accounts_per_domain must be >= hot_accounts_per_domain"
             )
-        if self.mobile_txns_per_excursion < 1:
-            raise ConfigurationError("mobile_txns_per_excursion must be >= 1")
-        if self.initial_balance < 0:
-            raise ConfigurationError("initial_balance must be non-negative")
-        if self.zipf_skew < 0 or not math.isfinite(self.zipf_skew):
-            raise ConfigurationError("zipf_skew must be non-negative and finite")
+
+
+@dataclass(frozen=True)
+class WorkloadConfig(WorkloadMix):
+    """The :class:`WorkloadMix` the generator draws, plus the seed it draws with."""
+
+    seed: int = 7

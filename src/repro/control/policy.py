@@ -41,10 +41,11 @@ adaptive policy):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
+from repro.serde import DictSerializable
 
 __all__ = ["CONTROL_POLICIES", "ControlPolicy"]
 
@@ -53,17 +54,8 @@ __all__ = ["CONTROL_POLICIES", "ControlPolicy"]
 CONTROL_POLICIES: Tuple[str, ...] = ("static", "adaptive")
 
 
-def _check_known_keys(data: Mapping[str, Any], known: Iterable[str]) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown ControlPolicy field(s): {sorted(unknown)}; "
-            f"known: {sorted(known)}"
-        )
-
-
 @dataclass(frozen=True)
-class ControlPolicy:
+class ControlPolicy(DictSerializable):
     """Per-deployment spec of the self-tuning control plane (all times ms)."""
 
     policy: str = "static"
@@ -149,11 +141,3 @@ class ControlPolicy:
     def enabled(self) -> bool:
         """Whether any controller runs at all (``static`` means none do)."""
         return self.policy != "static"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControlPolicy":
-        _check_known_keys(data, [f.name for f in fields(cls)])
-        return cls(**dict(data))

@@ -49,12 +49,12 @@ Example::
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.types import DomainId
 from repro.errors import ConfigurationError, UnknownDomainError
+from repro.serde import DictSerializable
 
 __all__ = ["FAULT_KINDS", "BYZANTINE_KINDS", "FaultAction", "FaultPlan"]
 
@@ -88,7 +88,7 @@ def _parse_domain(name: str, what: str) -> DomainId:
 
 
 @dataclass(frozen=True)
-class FaultAction:
+class FaultAction(DictSerializable):
     """One scheduled fault-plan step."""
 
     kind: str
@@ -116,8 +116,15 @@ class FaultAction:
                 f"{self.kind}: until_ms ({self.until_ms}) must be after "
                 f"at_ms ({self.at_ms})"
             )
-        if self.node is not None and self.node < 0:
-            raise ConfigurationError(f"{self.kind}: node index must be non-negative")
+        if self.node is not None:
+            if isinstance(self.node, bool) or not isinstance(self.node, int):
+                raise ConfigurationError(
+                    f"{self.kind}: node index must be an int or None, got {self.node!r}"
+                )
+            if self.node < 0:
+                raise ConfigurationError(
+                    f"{self.kind}: node index must be non-negative"
+                )
         if self.kind in _NODE_KINDS:
             if self.domain is None:
                 raise ConfigurationError(f"{self.kind}: a target domain is required")
@@ -158,20 +165,6 @@ class FaultAction:
         assert self.peer_domain is not None
         return _parse_domain(self.peer_domain, self.kind)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultAction":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FaultAction field(s): {sorted(unknown)}; "
-                f"known: {sorted(names)}"
-            )
-        return cls(**dict(data))
-
 
 def _as_action(value: Any) -> FaultAction:
     if isinstance(value, FaultAction):
@@ -184,7 +177,7 @@ def _as_action(value: Any) -> FaultAction:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(DictSerializable):
     """An ordered, serialisable set of fault actions for one scenario."""
 
     actions: Tuple[FaultAction, ...] = ()
@@ -249,7 +242,7 @@ class FaultPlan:
             ) from exc
         if action.node is None:
             return deployment.primary_node_of(domain_id)
-        if action.node >= len(nodes):
+        if not 0 <= action.node < len(nodes):
             raise ConfigurationError(
                 f"{action.kind}: node {action.node} out of range — "
                 f"{action.domain} has only {len(nodes)} nodes"
@@ -416,7 +409,10 @@ class FaultPlan:
         faulty: Dict[str, set] = {}
         open_partitions: set = set()
         permanent_loss = False
-        for action in self.actions:
+        # Replay in time order, not list order: a recover listed before its own
+        # crash must still cancel it.  sorted() is stable, so actions at the
+        # same instant keep their plan order.
+        for action in sorted(self.actions, key=lambda a: a.at_ms):
             target = (action.domain, action.node)
             if action.kind in ("crash", "wipe", "silence", "equivocate"):
                 if action.until_ms is None and action.kind != "equivocate":
@@ -450,34 +446,6 @@ class FaultPlan:
             if len(targets) > domain.faults:
                 return False
         return True
-
-    # ------------------------------------------------------------------ serialisation
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "actions": [action.to_dict() for action in self.actions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {"name", "actions"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FaultPlan field(s): {sorted(unknown)}"
-            )
-        return cls(
-            name=data.get("name", ""),
-            actions=tuple(_as_action(a) for a in data.get("actions", ())),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------ description
 

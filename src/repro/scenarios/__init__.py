@@ -2,7 +2,7 @@
 any Saguaro experiment.
 
 * :class:`Scenario` — frozen, JSON round-trippable description of one
-  experiment (engine + topology + application + workload + fault schedule +
+  experiment (engine + topology + application + workload + fault plan +
   seeds); build one fluently with ``Scenario.build()...finish()``.
 * :class:`ScenarioRunner` — executes a spec (or a sweep grid) and returns
   structured :class:`RunResult` / :class:`ResultSet` records.
@@ -29,7 +29,6 @@ from repro.scenarios.spec import (
     ApplicationSpec,
     DomainOverride,
     FaultAction,
-    FaultEvent,
     FaultPlan,
     Scenario,
     TopologySpec,
@@ -50,7 +49,6 @@ __all__ = [
     "ApplicationSpec",
     "WorkloadSpec",
     "DomainOverride",
-    "FaultEvent",
     "FaultAction",
     "FaultPlan",
     "SAGUARO_COORDINATOR",

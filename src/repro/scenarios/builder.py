@@ -30,7 +30,6 @@ from repro.control.policy import ControlPolicy
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import (
     ApplicationSpec,
-    FaultEvent,
     Scenario,
     TopologySpec,
     WorkloadSpec,
@@ -46,15 +45,28 @@ class ScenarioBuilder:
         self._fields: Dict[str, Any] = {}
         self._replicate: Optional[Union[int, Sequence[int]]] = None
 
+    def _set(self, **values: Any) -> "ScenarioBuilder":
+        """Record the given scenario fields; ``None`` means "leave the default"."""
+        self._fields.update(
+            {key: value for key, value in values.items() if value is not None}
+        )
+        return self
+
+    def _spec(self, key: str, cls: type, spec: Any, kwargs: Dict[str, Any]) -> "ScenarioBuilder":
+        """Record a nested spec given either ready-made or as its kwargs."""
+        if spec is not None and kwargs:
+            raise ConfigurationError(
+                f"pass either a ready {cls.__name__} or its kwargs, not both"
+            )
+        return self._set(**{key: spec if spec is not None else cls(**kwargs)})
+
     # ------------------------------------------------------------------ identity
 
     def name(self, name: str) -> "ScenarioBuilder":
-        self._fields["name"] = name
-        return self
+        return self._set(name=name)
 
     def engine(self, engine: str) -> "ScenarioBuilder":
-        self._fields["engine"] = engine
-        return self
+        return self._set(engine=engine)
 
     # ------------------------------------------------------------------ structure
 
@@ -62,81 +74,52 @@ class ScenarioBuilder:
         self, spec: Optional[TopologySpec] = None, **kwargs: Any
     ) -> "ScenarioBuilder":
         """Set the topology, either as a spec or as :class:`TopologySpec` kwargs."""
-        if spec is not None and kwargs:
-            raise ConfigurationError("pass either a TopologySpec or kwargs, not both")
-        self._fields["topology"] = spec if spec is not None else TopologySpec(**kwargs)
-        return self
+        return self._spec("topology", TopologySpec, spec, kwargs)
 
     def application(
         self, kind_or_spec: Union[str, ApplicationSpec] = "micropayment", **kwargs: Any
     ) -> "ScenarioBuilder":
         if isinstance(kind_or_spec, ApplicationSpec):
-            if kwargs:
-                raise ConfigurationError(
-                    "pass either an ApplicationSpec or kwargs, not both"
-                )
-            self._fields["application"] = kind_or_spec
-        else:
-            self._fields["application"] = ApplicationSpec(kind=kind_or_spec, **kwargs)
-        return self
+            return self._spec("application", ApplicationSpec, kind_or_spec, kwargs)
+        return self._set(application=ApplicationSpec(kind=kind_or_spec, **kwargs))
 
     def workload(
         self, spec: Optional[WorkloadSpec] = None, **kwargs: Any
     ) -> "ScenarioBuilder":
         """Set the workload, either as a spec or as :class:`WorkloadSpec` kwargs."""
-        if spec is not None and kwargs:
-            raise ConfigurationError("pass either a WorkloadSpec or kwargs, not both")
-        self._fields["workload"] = spec if spec is not None else WorkloadSpec(**kwargs)
-        return self
-
-    def faults(self, *events: Union[FaultEvent, Dict[str, Any]]) -> "ScenarioBuilder":
-        """Set the fault schedule (``FaultEvent`` instances or their dicts)."""
-        self._fields["fault_schedule"] = tuple(
-            e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e) for e in events
-        )
-        return self
+        return self._spec("workload", WorkloadSpec, spec, kwargs)
 
     # ------------------------------------------------------------------ load & timing
 
     def clients(self, num_clients: int) -> "ScenarioBuilder":
-        self._fields["num_clients"] = num_clients
-        return self
+        return self._set(num_clients=num_clients)
 
     def latency(self, profile: str) -> "ScenarioBuilder":
-        self._fields["latency_profile"] = profile
-        return self
+        return self._set(latency_profile=profile)
 
     def rounds(self, interval_ms: float) -> "ScenarioBuilder":
-        self._fields["round_interval_ms"] = interval_ms
-        return self
+        return self._set(round_interval_ms=interval_ms)
 
     def timers(self, timers: Optional[TimerConfig] = None, **kwargs: Any) -> "ScenarioBuilder":
-        if timers is not None and kwargs:
-            raise ConfigurationError("pass either a TimerConfig or kwargs, not both")
-        self._fields["timers"] = timers if timers is not None else TimerConfig(**kwargs)
-        return self
+        return self._spec("timers", TimerConfig, timers, kwargs)
 
     def think_time(self, think_time_ms: float) -> "ScenarioBuilder":
-        self._fields["think_time_ms"] = think_time_ms
-        return self
+        return self._set(think_time_ms=think_time_ms)
 
     def batching(
         self, batch_size: int, batch_timeout_ms: Optional[float] = None
     ) -> "ScenarioBuilder":
         """Configure consensus request batching (``batch_size=1`` disables)."""
-        self._fields["batch_size"] = batch_size
-        if batch_timeout_ms is not None:
-            self._fields["batch_timeout_ms"] = batch_timeout_ms
-        return self
+        return self._set(batch_size=batch_size, batch_timeout_ms=batch_timeout_ms)
 
     def xdomain_batching(
         self, xdomain_batch_size: int, xdomain_batch_timeout_ms: Optional[float] = None
     ) -> "ScenarioBuilder":
         """Configure grouped cross-domain 2PC (``xdomain_batch_size=1`` disables)."""
-        self._fields["xdomain_batch_size"] = xdomain_batch_size
-        if xdomain_batch_timeout_ms is not None:
-            self._fields["xdomain_batch_timeout_ms"] = xdomain_batch_timeout_ms
-        return self
+        return self._set(
+            xdomain_batch_size=xdomain_batch_size,
+            xdomain_batch_timeout_ms=xdomain_batch_timeout_ms,
+        )
 
     def sharding(
         self, state_shards: int, execution_lanes: Optional[int] = None
@@ -147,11 +130,12 @@ class ScenarioBuilder:
         its own lane; ``sharding(1)`` disables both (bit-identical to the
         unsharded, free-execution model).
         """
-        self._fields["state_shards"] = state_shards
-        self._fields["execution_lanes"] = (
-            execution_lanes if execution_lanes is not None else state_shards
+        return self._set(
+            state_shards=state_shards,
+            execution_lanes=(
+                execution_lanes if execution_lanes is not None else state_shards
+            ),
         )
-        return self
 
     def speculation(self, enabled: bool = True) -> "ScenarioBuilder":
         """Arm speculative out-of-order execution with in-order commit.
@@ -159,8 +143,7 @@ class ScenarioBuilder:
         ``speculation()`` turns it on; ``speculation(False)`` is the inert
         default (bit-identical to the pre-speculation engine).
         """
-        self._fields["speculation"] = enabled
-        return self
+        return self._set(speculation=enabled)
 
     def durability(
         self,
@@ -174,12 +157,11 @@ class ScenarioBuilder:
         checkpoint cadence; ``durability(False)`` is the inert default
         (bit-identical to the pre-durability deployment).
         """
-        self._fields["durability"] = enabled
-        if wal_sync_ms is not None:
-            self._fields["wal_sync_ms"] = wal_sync_ms
-        if checkpoint_interval is not None:
-            self._fields["checkpoint_interval"] = checkpoint_interval
-        return self
+        return self._set(
+            durability=enabled,
+            wal_sync_ms=wal_sync_ms,
+            checkpoint_interval=checkpoint_interval,
+        )
 
     def control(
         self,
@@ -194,35 +176,23 @@ class ScenarioBuilder:
         tunes them, ``.control("static")`` is the inert default.
         """
         if isinstance(policy_or_spec, ControlPolicy):
-            if kwargs:
-                raise ConfigurationError(
-                    "pass either a ControlPolicy or kwargs, not both"
-                )
-            self._fields["control"] = policy_or_spec
-        else:
-            self._fields["control"] = ControlPolicy(policy=policy_or_spec, **kwargs)
-        return self
+            return self._spec("control", ControlPolicy, policy_or_spec, kwargs)
+        return self._set(control=ControlPolicy(policy=policy_or_spec, **kwargs))
 
     def limits(
         self,
         max_simulated_ms: Optional[float] = None,
         drain_ms: Optional[float] = None,
     ) -> "ScenarioBuilder":
-        if max_simulated_ms is not None:
-            self._fields["max_simulated_ms"] = max_simulated_ms
-        if drain_ms is not None:
-            self._fields["drain_ms"] = drain_ms
-        return self
+        return self._set(max_simulated_ms=max_simulated_ms, drain_ms=drain_ms)
 
     # ------------------------------------------------------------------ replication
 
     def seed(self, seed: int) -> "ScenarioBuilder":
-        self._fields["seeds"] = (seed,)
-        return self
+        return self._set(seeds=(seed,))
 
     def seeds(self, seeds: Sequence[int]) -> "ScenarioBuilder":
-        self._fields["seeds"] = tuple(seeds)
-        return self
+        return self._set(seeds=tuple(seeds))
 
     def replicate(self, seeds: Union[int, Sequence[int]] = 5) -> "ScenarioBuilder":
         """Replicate over seeds (int = that many consecutive seeds)."""

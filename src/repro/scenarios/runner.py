@@ -2,7 +2,7 @@
 
 The runner is the only place where a :class:`~repro.scenarios.spec.Scenario`
 meets live objects: it builds the hierarchy, application, workload, and
-deployment for one seed, schedules the fault events, runs the workload, and
+deployment for one seed, arms the fault plan, runs the workload, and
 wraps the outcome in serialisable :class:`RunResult` / :class:`ResultSet`
 records.  Grid sweeps reuse the same machinery — every (override, seed) cell
 is an independent, reproducible run.
@@ -14,15 +14,11 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import PerformanceSummary
-from repro.errors import ConfigurationError, ExperimentError, UnknownDomainError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.faults.invariants import InvariantChecker, InvariantReport
 from repro.faults.trace import TraceRecorder
-from repro.scenarios.spec import (
-    BASELINE_AHL,
-    Scenario,
-    _check_known_keys,
-    parse_domain_name,
-)
+from repro.scenarios.spec import BASELINE_AHL, Scenario
+from repro.serde import check_known_keys
 from repro.workloads.generator import Workload, WorkloadGenerator
 
 __all__ = ["LoadPoint", "RunResult", "ResultSet", "ScenarioRun", "ScenarioRunner"]
@@ -98,7 +94,7 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
-        _check_known_keys(data, [f.name for f in fields(cls)], "RunResult")
+        check_known_keys(data, [f.name for f in fields(cls)], "RunResult")
         return cls(
             scenario=data["scenario"],
             engine=data["engine"],
@@ -198,7 +194,7 @@ class ResultSet:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ResultSet":
-        _check_known_keys(data, ("results",), "ResultSet")
+        check_known_keys(data, ("results",), "ResultSet")
         return cls([RunResult.from_dict(entry) for entry in data.get("results", ())])
 
 
@@ -233,24 +229,7 @@ class ScenarioRun:
 
     def expect_liveness(self) -> bool:
         """Whether bounded liveness should hold for this scenario's faults."""
-        if not self.scenario.fault_plan.within_tolerance(self.deployment.hierarchy):
-            return False
-        # Replay the schedule in time order, not list order: a recover listed
-        # before its own crash must still cancel it.  sorted() is stable, so
-        # events at the same time keep their schedule order.
-        ordered = sorted(self.scenario.fault_schedule, key=lambda e: e.at_ms)
-        crashed: Dict[str, set] = {}
-        for event in ordered:
-            target = (event.domain, event.node)
-            if event.action == "crash":
-                crashed.setdefault(event.domain, set()).add(target)
-            else:
-                crashed.get(event.domain, set()).discard(target)
-        for name, targets in crashed.items():
-            domain = self.deployment.hierarchy.domain(parse_domain_name(name))
-            if len(targets) > domain.faults:
-                return False
-        return True
+        return self.scenario.fault_plan.within_tolerance(self.deployment.hierarchy)
 
     def check_invariants(
         self, expect_liveness: Optional[bool] = None
@@ -342,42 +321,10 @@ def materialize(scenario: Scenario, seed: Optional[int] = None) -> ScenarioRun:
         deployment = SaguaroDeployment(
             config=config, application=application, hierarchy=hierarchy
         )
-    _schedule_faults(scenario, deployment)
     scenario.fault_plan.arm(deployment)
     return ScenarioRun(
         scenario=scenario, seed=seed, deployment=deployment, workload=workload
     )
-
-
-def _schedule_faults(scenario: Scenario, deployment: Any) -> None:
-    """Arm the scenario's fault schedule on the deployment's simulator."""
-    for event in scenario.fault_schedule:
-        domain_id = event.domain_id()
-        try:
-            nodes = deployment.nodes_of(domain_id)
-        except UnknownDomainError as exc:
-            raise ConfigurationError(
-                f"fault event targets unknown domain {event.domain!r}"
-            ) from exc
-        if event.node is None:
-            target = deployment.primary_node_of(domain_id)
-        elif event.node < 0:
-            # Without this guard a negative index would silently target a
-            # node from the end of the list via Python indexing.
-            raise ConfigurationError(
-                f"fault event node index must be non-negative, got {event.node}"
-            )
-        elif event.node < len(nodes):
-            target = nodes[event.node]
-        else:
-            raise ConfigurationError(
-                f"fault event targets node {event.node} but {event.domain} "
-                f"has only {len(nodes)} nodes"
-            )
-        action = target.crash if event.action == "crash" else target.recover
-        deployment.simulator.schedule_at(
-            event.at_ms, action, label=f"fault:{event.action}:{target.address}"
-        )
 
 
 # ---------------------------------------------------------------------------

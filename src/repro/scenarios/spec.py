@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a frozen, fully serialisable description of one Saguaro
 experiment: which system runs (``engine``), over which topology, with which
-application, under which workload mix, with which fault schedule, and for
+application, under which workload mix, under which fault plan, and for
 which replication seeds.  Because a scenario is plain data, experiments can be
 stored as JSON, diffed, swept, and replayed bit-for-bit:
 
@@ -16,26 +16,25 @@ no RNG state.  :mod:`repro.scenarios.runner` materialises and executes them.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import (
     DEFAULT_BYZANTINE_COSTS,
     DEFAULT_CRASH_COSTS,
     DeploymentConfig,
     DomainSpec,
+    EngineKnobs,
     HierarchySpec,
     RoundConfig,
-    TimerConfig,
     WorkloadConfig,
+    WorkloadMix,
+    knob,
 )
 from repro.common.types import CrossDomainProtocol, DomainId, FailureModel
-from repro.control.policy import ControlPolicy
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.sim.latency import PROFILE_NAMES
+from repro.serde import DictSerializable
 from repro.workloads.generator import WORKLOAD_STYLES
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "TopologySpec",
     "ApplicationSpec",
     "WorkloadSpec",
-    "FaultEvent",
     "FaultAction",
     "FaultPlan",
     "Scenario",
@@ -63,8 +61,7 @@ __all__ = [
 # Engine identifiers
 # ---------------------------------------------------------------------------
 
-#: The four systems the paper evaluates.  ``analysis.experiment`` re-exports
-#: these names for backwards compatibility.
+#: The four systems the paper evaluates.
 SAGUARO_COORDINATOR = "saguaro-coordinator"
 SAGUARO_OPTIMISTIC = "saguaro-optimistic"
 BASELINE_AHL = "baseline-ahl"
@@ -81,7 +78,6 @@ BASELINE_ENGINES: Tuple[str, ...] = (BASELINE_AHL, BASELINE_SHARPER)
 APPLICATION_KINDS: Tuple[str, ...] = ("micropayment", "ridesharing", "keyvalue")
 
 TOPOLOGY_KINDS: Tuple[str, ...] = ("auto", "tree", "flat")
-FAULT_ACTIONS: Tuple[str, ...] = ("crash", "recover")
 
 
 def parse_domain_name(name: str) -> DomainId:
@@ -102,27 +98,13 @@ def _as_tuple(value: Any) -> Tuple[Any, ...]:
     return (value,)
 
 
-def _check_known_keys(data: Mapping[str, Any], known: Iterable[str], what: str) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} field(s): {sorted(unknown)}; known: {sorted(known)}"
-        )
-
-
-def _dataclass_from_dict(cls, data: Mapping[str, Any], what: str):
-    names = [f.name for f in fields(cls)]
-    _check_known_keys(data, names, what)
-    return cls(**dict(data))
-
-
 # ---------------------------------------------------------------------------
 # Topology
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DomainOverride:
+class DomainOverride(DictSerializable):
     """Per-domain deviation from the topology's default failure model/size."""
 
     domain: str
@@ -137,23 +119,9 @@ class DomainOverride:
         if self.faults is not None and self.faults < 0:
             raise ConfigurationError("faults must be non-negative")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "failure_model": (
-                self.failure_model.value if self.failure_model is not None else None
-            ),
-            "faults": self.faults,
-            "region": self.region,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DomainOverride":
-        return _dataclass_from_dict(cls, data, "DomainOverride")
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(DictSerializable):
     """Shape of the domain tree (or flat shard set for the baselines).
 
     ``kind`` is ``"tree"`` (Saguaro's hierarchy), ``"flat"`` (the baselines'
@@ -224,22 +192,6 @@ class TopologySpec:
             return self.num_domains
         return self.hierarchy_spec().num_height1_domains
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "levels": self.levels,
-            "branching": self.branching,
-            "clients_per_leaf": self.clients_per_leaf,
-            "failure_model": self.failure_model.value,
-            "faults": self.faults,
-            "num_domains": self.num_domains,
-            "per_domain": [o.to_dict() for o in self.per_domain],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        return _dataclass_from_dict(cls, data, "TopologySpec")
-
 
 # ---------------------------------------------------------------------------
 # Application
@@ -247,7 +199,7 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class ApplicationSpec:
+class ApplicationSpec(DictSerializable):
     """Which application executes transactions, and its knobs.
 
     ``accounts_per_domain`` defaults to the workload's value so the two stay
@@ -283,17 +235,6 @@ class ApplicationSpec:
 
         return KeyValueApplication()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "accounts_per_domain": self.accounts_per_domain,
-            "hour_cap": self.hour_cap,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ApplicationSpec":
-        return _dataclass_from_dict(cls, data, "ApplicationSpec")
-
 
 # ---------------------------------------------------------------------------
 # Workload
@@ -301,8 +242,8 @@ class ApplicationSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """Workload mix (the knobs of §8) plus the payload style.
+class WorkloadSpec(DictSerializable, WorkloadMix):
+    """The :class:`~repro.common.config.WorkloadMix` plus the payload style.
 
     ``style`` selects what the generated transactions *do*: ``"transfer"``
     produces micropayment transfers, ``"rides"`` produces ridesharing rides
@@ -312,164 +253,57 @@ class WorkloadSpec:
     """
 
     style: str = "transfer"
-    num_transactions: int = 400
-    cross_domain_ratio: float = 0.0
-    contention_ratio: float = 0.1
-    mobile_ratio: float = 0.0
-    hot_accounts_per_domain: int = 4
-    accounts_per_domain: int = 256
-    mobile_txns_per_excursion: int = 10
-    involved_domains: int = 2
-    initial_balance: int = 1_000_000
-    zipf_skew: float = 0.0
-    ride_hours: float = 0.5
-    ride_fare: float = 10.0
+    ride_hours: float = knob(0.5, gt=0)
+    ride_fare: float = knob(10.0, ge=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.style not in WORKLOAD_STYLES:
             raise ConfigurationError(
                 f"unknown workload style {self.style!r}; known: {WORKLOAD_STYLES}"
             )
-        if self.ride_hours <= 0 or self.ride_fare < 0:
-            raise ConfigurationError("ride_hours must be positive and ride_fare >= 0")
-        # Reuse the config layer's range validation for the shared knobs.
-        self.to_workload_config(seed=0)
 
     def to_workload_config(self, seed: int) -> WorkloadConfig:
-        return WorkloadConfig(
-            num_transactions=self.num_transactions,
-            cross_domain_ratio=self.cross_domain_ratio,
-            contention_ratio=self.contention_ratio,
-            mobile_ratio=self.mobile_ratio,
-            hot_accounts_per_domain=self.hot_accounts_per_domain,
-            accounts_per_domain=self.accounts_per_domain,
-            mobile_txns_per_excursion=self.mobile_txns_per_excursion,
-            involved_domains=self.involved_domains,
-            initial_balance=self.initial_balance,
-            zipf_skew=self.zipf_skew,
-            seed=seed,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        return _dataclass_from_dict(cls, data, "WorkloadSpec")
-
-
-# ---------------------------------------------------------------------------
-# Fault schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault: crash (or recover) a node at a simulated time.
-
-    ``node`` indexes into the domain's node list; ``None`` targets the
-    domain's initial primary.
-    """
-
-    at_ms: float
-    domain: str
-    node: Optional[int] = None
-    action: str = "crash"
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise ConfigurationError("fault events cannot be scheduled in the past")
-        parse_domain_name(self.domain)
-        if self.node is not None:
-            if isinstance(self.node, bool) or not isinstance(self.node, int):
-                raise ConfigurationError(
-                    f"node index must be an int or None, got {self.node!r}"
-                )
-            if self.node < 0:
-                raise ConfigurationError("node index must be non-negative")
-        if self.action not in FAULT_ACTIONS:
-            raise ConfigurationError(
-                f"unknown fault action {self.action!r}; known: {FAULT_ACTIONS}"
-            )
-
-    def domain_id(self) -> DomainId:
-        return parse_domain_name(self.domain)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at_ms": self.at_ms,
-            "domain": self.domain,
-            "node": self.node,
-            "action": self.action,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        return _dataclass_from_dict(cls, data, "FaultEvent")
+        mix = {f.name: getattr(self, f.name) for f in fields(WorkloadMix)}
+        return WorkloadConfig(**mix, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Scenario
 # ---------------------------------------------------------------------------
 
+
 @dataclass(frozen=True)
-class Scenario:
-    """One fully described Saguaro experiment."""
+class Scenario(DictSerializable, EngineKnobs):
+    """One fully described Saguaro experiment.
+
+    The engine knobs (batching, grouping, sharding, speculation, durability,
+    control, timers, latency profile) are the inherited
+    :class:`~repro.common.config.EngineKnobs` block — declared, documented
+    and bounded there, and handed to the deployment as-is.
+    """
 
     name: str = "scenario"
     engine: str = SAGUARO_COORDINATOR
     topology: TopologySpec = field(default_factory=TopologySpec)
     application: ApplicationSpec = field(default_factory=ApplicationSpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    fault_schedule: Tuple[FaultEvent, ...] = ()
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
-    num_clients: int = 8
+    num_clients: int = knob(8, ge=1)
     seeds: Tuple[int, ...] = (2023,)
-    latency_profile: str = "nearby-eu"
-    round_interval_ms: float = 25.0
-    timers: TimerConfig = field(default_factory=TimerConfig)
-    think_time_ms: float = 0.5
-    max_simulated_ms: float = 600_000.0
-    drain_ms: Optional[float] = None
-    batch_size: int = 1
-    batch_timeout_ms: float = 5.0
-    xdomain_batch_size: int = 1
-    xdomain_batch_timeout_ms: float = 10.0
-    state_shards: int = 1
-    execution_lanes: int = 1
+    round_interval_ms: float = knob(25.0, gt=0)
+    think_time_ms: float = knob(0.5, ge=0)
+    max_simulated_ms: float = knob(600_000.0, gt=0)
+    drain_ms: Optional[float] = knob(None, ge=0)
     #: When set, overrides both cost models' per-key execution charge —
     #: scenarios modelling execution-heavy state (contract evaluation,
     #: authenticated storage) dial this up so the lanes, not the ordering
     #: messages, are what saturates a node.  ``None`` keeps the defaults.
-    execute_ms: Optional[float] = None
-    #: Arms speculative out-of-order execution with in-order commit: while a
-    #: decided slot is stuck undelivered, engines speculatively apply later
-    #: decided slots with disjoint shard footprints and roll back on
-    #: conflict.  ``False`` (the default) is bit-identical to the
-    #: pre-speculation engine.
-    speculation: bool = False
-    #: Arms the durability/recovery subsystem: every node keeps a simulated
-    #: write-ahead log of its consensus-critical durable facts (each append
-    #: charging ``wal_sync_ms`` on the protocol CPU) and height-1 replicas
-    #: take a certified Merkle-rooted checkpoint every ``checkpoint_interval``
-    #: decided slots.  A ``wipe`` fault then models an amnesia crash whose
-    #: recovery replays the WAL, catches up from peers, and rejoins.
-    #: ``False`` (the default) is bit-identical to the pre-durability tree.
-    durability: bool = False
-    wal_sync_ms: float = 0.05
-    checkpoint_interval: int = 32
-    control: ControlPolicy = field(default_factory=ControlPolicy)
+    execute_ms: Optional[float] = knob(None, gt=0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "seeds", tuple(_as_tuple(self.seeds)))
-        object.__setattr__(
-            self,
-            "fault_schedule",
-            tuple(
-                e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e)
-                for e in _as_tuple(self.fault_schedule)
-            ),
-        )
         if isinstance(self.fault_plan, Mapping):
             object.__setattr__(self, "fault_plan", FaultPlan.from_dict(self.fault_plan))
         if not isinstance(self.fault_plan, FaultPlan):
@@ -483,81 +317,12 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {ENGINES}"
             )
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
         if not self.seeds:
             raise ConfigurationError("a scenario needs at least one seed")
         if any(not isinstance(seed, int) for seed in self.seeds):
             raise ConfigurationError("seeds must be integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
-        if self.latency_profile not in PROFILE_NAMES:
-            raise ConfigurationError(
-                f"unknown latency profile {self.latency_profile!r}; "
-                f"known: {PROFILE_NAMES}"
-            )
-        if self.round_interval_ms <= 0:
-            raise ConfigurationError("round_interval_ms must be positive")
-        if self.think_time_ms < 0:
-            raise ConfigurationError("think_time_ms must be non-negative")
-        if self.max_simulated_ms <= 0:
-            raise ConfigurationError("max_simulated_ms must be positive")
-        if self.drain_ms is not None and self.drain_ms < 0:
-            raise ConfigurationError("drain_ms must be non-negative when given")
-        if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
-            raise ConfigurationError("batch_size must be an integer")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.batch_timeout_ms <= 0:
-            raise ConfigurationError("batch_timeout_ms must be positive")
-        if not isinstance(self.xdomain_batch_size, int) or isinstance(
-            self.xdomain_batch_size, bool
-        ):
-            raise ConfigurationError("xdomain_batch_size must be an integer")
-        if self.xdomain_batch_size < 1:
-            raise ConfigurationError("xdomain_batch_size must be >= 1")
-        if self.xdomain_batch_timeout_ms <= 0:
-            raise ConfigurationError("xdomain_batch_timeout_ms must be positive")
-        for knob in ("state_shards", "execution_lanes"):
-            value = getattr(self, knob)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{knob} must be an integer")
-            if value < 1:
-                raise ConfigurationError(f"{knob} must be >= 1")
-        if self.execute_ms is not None:
-            if (
-                isinstance(self.execute_ms, bool)
-                or not isinstance(self.execute_ms, (int, float))
-                or not self.execute_ms > 0
-                or not math.isfinite(self.execute_ms)
-            ):
-                raise ConfigurationError(
-                    "execute_ms must be positive and finite when given"
-                )
-        if not isinstance(self.speculation, bool):
-            raise ConfigurationError("speculation must be a bool")
-        if not isinstance(self.durability, bool):
-            raise ConfigurationError("durability must be a bool")
-        if (
-            isinstance(self.wal_sync_ms, bool)
-            or not isinstance(self.wal_sync_ms, (int, float))
-            or self.wal_sync_ms < 0
-            or not math.isfinite(self.wal_sync_ms)
-        ):
-            raise ConfigurationError("wal_sync_ms must be non-negative and finite")
-        if not isinstance(self.checkpoint_interval, int) or isinstance(
-            self.checkpoint_interval, bool
-        ):
-            raise ConfigurationError("checkpoint_interval must be an integer")
-        if self.checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
-        if isinstance(self.control, Mapping):
-            object.__setattr__(self, "control", ControlPolicy.from_dict(self.control))
-        if not isinstance(self.control, ControlPolicy):
-            raise ConfigurationError(
-                "control must be a ControlPolicy (or its dict form), got "
-                f"{type(self.control).__name__}"
-            )
 
     # ------------------------------------------------------------------ building blocks
 
@@ -589,25 +354,14 @@ class Scenario:
                     DEFAULT_BYZANTINE_COSTS, execute_ms=self.execute_ms
                 ),
             )
+        knobs = {f.name: getattr(self, f.name) for f in fields(EngineKnobs)}
         return DeploymentConfig(
             **costs,
+            **knobs,
             hierarchy=self.topology.hierarchy_spec(),
             protocol=self.protocol,
-            timers=self.timers,
             rounds=RoundConfig(height1_interval_ms=self.round_interval_ms),
-            latency_profile=self.latency_profile,
             seed=seed,
-            batch_size=self.batch_size,
-            batch_timeout_ms=self.batch_timeout_ms,
-            xdomain_batch_size=self.xdomain_batch_size,
-            xdomain_batch_timeout_ms=self.xdomain_batch_timeout_ms,
-            state_shards=self.state_shards,
-            execution_lanes=self.execution_lanes,
-            speculation=self.speculation,
-            durability=self.durability,
-            wal_sync_ms=self.wal_sync_ms,
-            checkpoint_interval=self.checkpoint_interval,
-            control=self.control,
         )
 
     def build_hierarchy(self):
@@ -692,66 +446,6 @@ class Scenario:
             seed_tuple = tuple(seeds)
         return replace(self, seeds=seed_tuple)
 
-    # ------------------------------------------------------------------ serialisation
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "engine": self.engine,
-            "topology": self.topology.to_dict(),
-            "application": self.application.to_dict(),
-            "workload": self.workload.to_dict(),
-            "fault_schedule": [e.to_dict() for e in self.fault_schedule],
-            "fault_plan": self.fault_plan.to_dict(),
-            "num_clients": self.num_clients,
-            "seeds": list(self.seeds),
-            "latency_profile": self.latency_profile,
-            "round_interval_ms": self.round_interval_ms,
-            "timers": {f.name: getattr(self.timers, f.name) for f in fields(self.timers)},
-            "think_time_ms": self.think_time_ms,
-            "max_simulated_ms": self.max_simulated_ms,
-            "drain_ms": self.drain_ms,
-            "batch_size": self.batch_size,
-            "batch_timeout_ms": self.batch_timeout_ms,
-            "xdomain_batch_size": self.xdomain_batch_size,
-            "xdomain_batch_timeout_ms": self.xdomain_batch_timeout_ms,
-            "state_shards": self.state_shards,
-            "execution_lanes": self.execution_lanes,
-            "execute_ms": self.execute_ms,
-            "speculation": self.speculation,
-            "durability": self.durability,
-            "wal_sync_ms": self.wal_sync_ms,
-            "checkpoint_interval": self.checkpoint_interval,
-            "control": self.control.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        _check_known_keys(data, [f.name for f in fields(cls)], "Scenario")
-        kwargs: Dict[str, Any] = dict(data)
-        if "topology" in kwargs and isinstance(kwargs["topology"], Mapping):
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])
-        if "application" in kwargs and isinstance(kwargs["application"], Mapping):
-            kwargs["application"] = ApplicationSpec.from_dict(kwargs["application"])
-        if "workload" in kwargs and isinstance(kwargs["workload"], Mapping):
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        if "fault_plan" in kwargs and isinstance(kwargs["fault_plan"], Mapping):
-            kwargs["fault_plan"] = FaultPlan.from_dict(kwargs["fault_plan"])
-        if "timers" in kwargs and isinstance(kwargs["timers"], Mapping):
-            kwargs["timers"] = _dataclass_from_dict(
-                TimerConfig, kwargs["timers"], "TimerConfig"
-            )
-        if "control" in kwargs and isinstance(kwargs["control"], Mapping):
-            kwargs["control"] = ControlPolicy.from_dict(kwargs["control"])
-        return cls(**kwargs)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
     # ------------------------------------------------------------------ description
 
     def describe(self) -> str:
@@ -802,14 +496,6 @@ class Scenario:
                 f"group=[{self.control.group_min},{self.control.group_max}], "
                 f"rebalance={'on' if self.control.rebalance_lanes else 'off'})"
             )
-        if self.fault_schedule:
-            rendered = ", ".join(
-                f"{e.action} {e.domain}"
-                + (f"/n{e.node}" if e.node is not None else "/primary")
-                + f" @{e.at_ms:.0f}ms"
-                for e in self.fault_schedule
-            )
-            lines.append(f"  faults: {rendered}")
         if self.fault_plan:
             lines.append(f"  fault plan: {self.fault_plan.describe()}")
         return "\n".join(lines)

@@ -21,8 +21,8 @@ import pytest
 
 from repro.common.config import DeploymentConfig
 from repro.consensus.base import Batch, Batcher, payload_digest_of
-from repro.errors import ConfigurationError, ConsensusError, NotPrimaryError
-from repro.scenarios import Scenario, ScenarioRunner, registry
+from repro.errors import ConsensusError, NotPrimaryError
+from repro.scenarios import ScenarioRunner, registry
 from repro.sim.simulator import Simulator
 
 
@@ -189,25 +189,6 @@ def test_batch_timeout_timers_do_not_leak_heap_entries():
 # ---------------------------------------------------------------------------
 # Spec surface
 # ---------------------------------------------------------------------------
-
-
-def test_scenario_batching_knobs_round_trip_and_validate():
-    scenario = Scenario.build().batching(16, batch_timeout_ms=3.5).finish()
-    assert scenario.batch_size == 16
-    assert scenario.batch_timeout_ms == 3.5
-    assert Scenario.from_json(scenario.to_json()) == scenario
-    assert "size=16" in scenario.describe()
-    config = scenario.deployment_config(seed=1)
-    assert config.batch_size == 16
-    assert config.batch_timeout_ms == 3.5
-    with pytest.raises(ConfigurationError):
-        Scenario(batch_size=0)
-    with pytest.raises(ConfigurationError):
-        Scenario(batch_size=2.5)
-    with pytest.raises(ConfigurationError):
-        Scenario(batch_timeout_ms=0.0)
-    with pytest.raises(ConfigurationError):
-        DeploymentConfig(batch_size=0)
 
 
 def test_batch_size_sweeps_through_overrides():

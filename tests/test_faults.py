@@ -42,6 +42,13 @@ class TestFaultActionValidation:
         with pytest.raises(ConfigurationError, match="non-negative"):
             FaultAction(kind="crash", at_ms=1.0, domain="D11", node=-1)
 
+    @pytest.mark.parametrize("node", [True, 1.5, "2"])
+    def test_non_integer_node_index_is_rejected(self, node):
+        # True used to be accepted and silently target node 1; 1.5 died with
+        # a bare TypeError inside FaultPlan.arm.
+        with pytest.raises(ConfigurationError, match="int or None"):
+            FaultAction(kind="crash", at_ms=1.0, domain="D11", node=node)
+
     def test_malformed_domain_name_is_rejected(self):
         with pytest.raises(ConfigurationError):
             FaultAction(kind="crash", at_ms=1.0, domain="not-a-domain")
@@ -118,6 +125,18 @@ class TestFaultPlanArming:
             fault_plan=_plan(
                 FaultAction(kind="silence", at_ms=5.0, domain="D11", node=99)
             ),
+        )
+        with pytest.raises(ConfigurationError, match="out of range"):
+            materialize(scenario)
+
+    def test_negative_node_smuggled_past_validation_is_rejected_at_arm_time(self):
+        # FaultAction validates node >= 0 at construction; arming keeps a
+        # second guard so an action smuggled past validation still fails
+        # loudly instead of crashing a node picked by negative indexing.
+        action = FaultAction(kind="crash", at_ms=1.0, domain="D11", node=0)
+        object.__setattr__(action, "node", -1)
+        scenario = registry.get("fig07a").with_overrides(
+            num_transactions=4, num_clients=2, fault_plan=_plan(action)
         )
         with pytest.raises(ConfigurationError, match="out of range"):
             materialize(scenario)
@@ -201,3 +220,24 @@ class TestLivenessTolerance:
             FaultAction(kind="recover", at_ms=50.0, domain="D11", node=1),
         )
         assert plan.within_tolerance(self._hierarchy())
+
+    def test_tolerance_replays_a_shuffled_plan_in_time_order(self):
+        # Two crashes with one recovery in between: only one node is down at
+        # any instant.  The plan lists the recovery *first* — a replay in list
+        # order would see both crashes as outstanding and give up on liveness.
+        crash_1 = FaultAction(kind="crash", at_ms=1.0, domain="D11", node=1)
+        recover_1 = FaultAction(kind="recover", at_ms=3.0, domain="D11", node=1)
+        crash_2 = FaultAction(kind="crash", at_ms=4.0, domain="D11", node=2)
+        hierarchy = self._hierarchy(FailureModel.CRASH)
+        assert _plan(crash_1, recover_1, crash_2).within_tolerance(hierarchy)
+        assert _plan(recover_1, crash_2, crash_1).within_tolerance(hierarchy)
+        # Control: without the recovery the same crashes exceed f=1.
+        assert not _plan(crash_2, crash_1).within_tolerance(hierarchy)
+        # And the runner's automatic liveness decision is the plan's.
+        run = materialize(
+            registry.get("fig07a").with_overrides(
+                num_transactions=4, num_clients=2,
+                fault_plan=_plan(recover_1, crash_2, crash_1),
+            )
+        )
+        assert run.expect_liveness() is True

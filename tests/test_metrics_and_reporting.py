@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiment import LoadPoint
+from repro.scenarios import LoadPoint
 from repro.analysis.metrics import MetricsCollector, PerformanceSummary
 from repro.analysis.reporting import (
     format_load_series,

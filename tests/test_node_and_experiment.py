@@ -1,19 +1,16 @@
-"""Tests for node-level behaviour and the experiment harness."""
+"""Tests for node-level behaviour and every engine end to end."""
 
 import pytest
 
-from repro.analysis.experiment import (
-    BASELINE_AHL,
-    BASELINE_SHARPER,
-    ExperimentConfig,
-    ExperimentRunner,
-    SAGUARO_COORDINATOR,
-    SAGUARO_OPTIMISTIC,
-    SystemVariant,
-    paper_cross_domain_variants,
+from repro.common.types import DomainId, FailureModel
+from repro.scenarios import (
+    ENGINES,
+    Scenario,
+    ScenarioRunner,
+    WorkloadSpec,
+    materialize,
+    registry,
 )
-from repro.common.types import ClientId, DomainId, FailureModel, TransactionStatus
-from repro.errors import ConfigurationError, ExperimentError
 from tests.conftest import internal_transfer, make_deployment
 
 D01, D11, D21 = DomainId(0, 1), DomainId(1, 1), DomainId(2, 1)
@@ -71,58 +68,28 @@ class TestSaguaroNode:
         assert not replica.is_primary
 
 
-class TestExperimentHarness:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ExperimentError):
-            SystemVariant(label="x", engine="quantum")
-
-    def test_paper_variant_list_matches_figures(self):
-        labels = [v.label for v in paper_cross_domain_variants()]
-        assert labels == ["AHL", "SharPer", "Coordinator", "Opt-10%C", "Opt-50%C", "Opt-90%C"]
-
-    @pytest.mark.parametrize(
-        "engine",
-        [SAGUARO_COORDINATOR, SAGUARO_OPTIMISTIC, BASELINE_AHL, BASELINE_SHARPER],
-    )
+class TestEnginesEndToEnd:
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_each_engine_runs_a_small_point(self, engine):
-        config = ExperimentConfig(
-            num_transactions=24, num_clients=4, cross_domain_ratio=0.25,
-            round_interval_ms=10.0,
-        )
-        runner = ExperimentRunner(config)
-        summary = runner.run(SystemVariant(label="t", engine=engine))
+        scenario = registry.figure_base(
+            "small-point", FailureModel.CRASH, "nearby-eu", cross_domain_ratio=0.25,
+            num_clients=4,
+        ).with_overrides(engine=engine, num_transactions=24)
+        summary = ScenarioRunner().run(scenario)[0].summary
         assert summary.committed + summary.aborted == 24
         assert summary.throughput_tps > 0
 
-    def test_sweep_produces_one_point_per_load(self):
-        config = ExperimentConfig(num_transactions=16, num_clients=2, cross_domain_ratio=0.0)
-        runner = ExperimentRunner(config)
-        points = runner.sweep(
-            SystemVariant(label="Coordinator", engine=SAGUARO_COORDINATOR), [2, 4]
+    def test_materialize_registers_mobile_clients_with_the_application(self):
+        run = materialize(
+            Scenario(
+                workload=WorkloadSpec(
+                    num_transactions=20, mobile_ratio=1.0, cross_domain_ratio=0.0
+                ),
+                num_clients=4,
+            )
         )
-        assert [p.clients for p in points] == [2, 4]
-        assert all(p.throughput_tps > 0 for p in points)
-
-    def test_contention_override_changes_workload(self):
-        config = ExperimentConfig(num_transactions=16, num_clients=4)
-        runner = ExperimentRunner(config)
-        base = runner._workload_config(SystemVariant("a", SAGUARO_OPTIMISTIC))
-        high = runner._workload_config(
-            SystemVariant("b", SAGUARO_OPTIMISTIC, contention_override=0.9)
-        )
-        assert base.contention_ratio == config.contention_ratio
-        assert high.contention_ratio == 0.9
-
-    def test_prepare_registers_mobile_clients_with_the_application(self):
-        config = ExperimentConfig(
-            num_transactions=20, num_clients=4, mobile_ratio=1.0, cross_domain_ratio=0.0
-        )
-        runner = ExperimentRunner(config)
-        deployment, workload = runner.prepare(
-            SystemVariant("Saguaro", SAGUARO_COORDINATOR)
-        )
-        mobile_clients = {t.client for t in workload.transactions}
-        homes = {workload.clients[c] for c in mobile_clients}
+        mobile_clients = {t.client for t in run.workload.transactions}
+        homes = {run.workload.clients[c] for c in mobile_clients}
         for home in homes:
-            state = deployment.state_of(home)
+            state = run.deployment.state_of(home)
             assert any(key.startswith("acct:client:") for key in state.keys())

@@ -4,12 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.experiment import (
-    ExperimentConfig,
-    ExperimentRunner,
-    SystemVariant,
-    scenario_from_config,
-)
 from repro.common.types import FailureModel
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -17,7 +11,8 @@ from repro.scenarios import (
     SAGUARO_COORDINATOR,
     SAGUARO_OPTIMISTIC,
     DomainOverride,
-    FaultEvent,
+    FaultAction,
+    FaultPlan,
     ResultSet,
     RunResult,
     Scenario,
@@ -74,21 +69,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             Scenario.build().application("matchmaking")
 
-    def test_bad_fault_event_rejected(self):
+    def test_fault_plan_must_be_a_plan_or_its_dict_form(self):
         with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=-1.0, domain="D11")
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=0.0, domain="not-a-domain")
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=0.0, domain="D11", action="bribe")
-
-    def test_bad_fault_event_node_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=0.0, domain="D11", node=-1)
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=0.0, domain="D11", node=True)
-        with pytest.raises(ConfigurationError):
-            FaultEvent(at_ms=0.0, domain="D11", node=1.5)
+            Scenario(fault_plan=[("crash", "D11")])
+        plan = {"actions": [{"kind": "crash", "at_ms": 1.0, "domain": "D11"}]}
+        assert Scenario(fault_plan=plan).fault_plan == FaultPlan.from_dict(plan)
 
     def test_topology_duplicate_override_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,7 +132,6 @@ class TestScenarioSerialisation:
             )
             .application("ridesharing", hour_cap=20.0)
             .workload(style="rides", num_transactions=30, mobile_ratio=0.5)
-            .faults(FaultEvent(at_ms=10.0, domain="D12", node=1))
             .clients(4)
             .latency("wide-area")
             .rounds(15.0)
@@ -155,6 +139,11 @@ class TestScenarioSerialisation:
             .limits(max_simulated_ms=90_000.0, drain_ms=250.0)
             .replicate(seeds=(5, 6))
             .finish()
+            .with_overrides(
+                fault_plan=FaultPlan(
+                    actions=(FaultAction(kind="crash", at_ms=10.0, domain="D12", node=1),)
+                )
+            )
         )
         restored = Scenario.from_json(scenario.to_json())
         assert restored == scenario
@@ -166,6 +155,9 @@ class TestScenarioSerialisation:
         data["hyperdrive"] = True
         with pytest.raises(ConfigurationError):
             Scenario.from_dict(data)
+        # The PR-1 crash/recover list is gone, not aliased.
+        with pytest.raises(ConfigurationError, match="unknown Scenario"):
+            Scenario.from_dict({"fault_schedule": []})
 
     def test_registry_scenarios_all_round_trip(self):
         for name, scenario in registry.items():
@@ -269,11 +261,13 @@ class TestScenarioRunner:
         assert len(grid) == 4 and len(combos) == 4
         assert grid.filter(engine=SAGUARO_OPTIMISTIC, num_clients=3)[0].num_clients == 3
 
-    def test_fault_schedule_crashes_a_replica_without_losing_commits(self):
+    def test_crash_action_crashes_a_replica_without_losing_commits(self):
         # f = 1 is tolerated by a 3-node crash domain, so a crashed replica
         # must not block any commitment.
         scenario = small_scenario(
-            fault_schedule=(FaultEvent(at_ms=2.0, domain="D11", node=2),),
+            fault_plan=FaultPlan(
+                actions=(FaultAction(kind="crash", at_ms=2.0, domain="D11", node=2),)
+            ),
             cross_domain_ratio=0.0,
         )
         run = ScenarioRunner().execute(scenario)
@@ -281,57 +275,6 @@ class TestScenarioRunner:
         crashed = [n for n in run.deployment.nodes.values() if n.crashed]
         assert len(crashed) == 1
         assert crashed[0].domain.id.name == "D11"
-
-    def test_fault_event_on_unknown_domain_or_node_raises(self):
-        from repro.scenarios.runner import materialize
-
-        with pytest.raises(ConfigurationError):
-            materialize(
-                small_scenario(fault_schedule=(FaultEvent(at_ms=1.0, domain="D19"),))
-            )
-        with pytest.raises(ConfigurationError):
-            materialize(
-                small_scenario(
-                    fault_schedule=(FaultEvent(at_ms=1.0, domain="D11", node=7),)
-                )
-            )
-
-    def test_negative_fault_node_rejected_when_scheduling(self):
-        # FaultEvent validates node >= 0 at construction; the runner keeps a
-        # second guard so a spec smuggled past validation (deserialisation
-        # bugs, manual construction) still fails loudly instead of crashing
-        # a node picked by Python's negative indexing.
-        from repro.scenarios.runner import materialize
-
-        event = FaultEvent(at_ms=1.0, domain="D11", node=0)
-        object.__setattr__(event, "node", -1)
-        with pytest.raises(ConfigurationError):
-            materialize(small_scenario(fault_schedule=(event,)))
-
-    def test_expect_liveness_replays_shuffled_schedules_in_time_order(self):
-        from repro.scenarios.runner import materialize
-
-        # Two crashes with one recovery in between: only one node is down at
-        # any instant, so liveness must be expected.  The schedule lists the
-        # recovery *first* — a replay in list order would see both crashes as
-        # outstanding and wrongly give up on liveness.
-        shuffled = (
-            FaultEvent(at_ms=3.0, domain="D11", node=1, action="recover"),
-            FaultEvent(at_ms=4.0, domain="D11", node=2),
-            FaultEvent(at_ms=1.0, domain="D11", node=1),
-        )
-        run = materialize(small_scenario(fault_schedule=shuffled))
-        assert run.expect_liveness() is True
-        # Control: without the recovery the same crashes exceed f=1.
-        over_tolerance = materialize(
-            small_scenario(
-                fault_schedule=(
-                    FaultEvent(at_ms=4.0, domain="D11", node=2),
-                    FaultEvent(at_ms=1.0, domain="D11", node=1),
-                )
-            )
-        )
-        assert over_tolerance.expect_liveness() is False
 
     def test_rides_workload_reaches_the_ridesharing_application(self):
         scenario = small_scenario(
@@ -347,11 +290,6 @@ class TestScenarioRunner:
             run.deployment.root_summary()
         )
         assert sum(totals.values()) == pytest.approx(8.0)
-
-
-# ---------------------------------------------------------------------------
-# Legacy adapter equivalence
-# ---------------------------------------------------------------------------
 
 
 class TestParallelRunner:
@@ -413,28 +351,6 @@ class TestParallelRunner:
         assert calls == []
         checked.sweep_grid(small_scenario(), {"num_clients": (2,)})
         assert len(calls) == 1
-
-
-class TestLegacyAdapter:
-    def test_experiment_runner_matches_scenario_runner_exactly(self):
-        config = ExperimentConfig(
-            num_transactions=12, num_clients=2, cross_domain_ratio=0.25,
-            round_interval_ms=10.0, seed=11,
-        )
-        variant = SystemVariant("Coordinator", SAGUARO_COORDINATOR)
-        with pytest.deprecated_call():
-            legacy = ExperimentRunner(config).run(variant)
-        scenario = scenario_from_config(config, variant)
-        modern = ScenarioRunner().run(scenario)[0].summary
-        assert legacy == modern
-
-    def test_contention_override_flows_into_the_scenario(self):
-        config = ExperimentConfig(num_transactions=12, num_clients=2)
-        variant = SystemVariant("Opt", SAGUARO_OPTIMISTIC, contention_override=0.9)
-        scenario = scenario_from_config(config, variant)
-        assert scenario.workload.contention_ratio == 0.9
-        assert scenario.engine == SAGUARO_OPTIMISTIC
-        assert scenario.seeds == (config.seed,)
 
 
 # ---------------------------------------------------------------------------

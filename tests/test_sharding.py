@@ -23,9 +23,9 @@ import pytest
 
 from repro.common.config import DeploymentConfig
 from repro.common.types import CrossDomainProtocol, DomainId
-from repro.errors import ConfigurationError, SimulationError, StateError
+from repro.errors import SimulationError, StateError
 from repro.ledger.state import StateStore, shard_of_key
-from repro.scenarios import Scenario, ScenarioRunner, registry
+from repro.scenarios import ScenarioRunner, registry
 from repro.sim.cpu import ExecutionLanes
 
 D01 = DomainId(0, 1)
@@ -205,27 +205,6 @@ def test_execution_lanes_lane_of_round_robin_and_validation():
 # ---------------------------------------------------------------------------
 # Spec surface
 # ---------------------------------------------------------------------------
-
-
-def test_scenario_sharding_knobs_round_trip_and_validate():
-    scenario = Scenario.build().sharding(8, execution_lanes=4).finish()
-    assert scenario.state_shards == 8
-    assert scenario.execution_lanes == 4
-    assert Scenario.from_json(scenario.to_json()) == scenario
-    assert "shards=8" in scenario.describe()
-    config = scenario.deployment_config(seed=1)
-    assert config.state_shards == 8
-    assert config.execution_lanes == 4
-    # lanes default to the shard count
-    assert Scenario.build().sharding(16).finish().execution_lanes == 16
-    for bad in (dict(state_shards=0), dict(execution_lanes=0),
-                dict(state_shards=2.5), dict(execution_lanes=True)):
-        with pytest.raises(ConfigurationError):
-            Scenario(**bad)
-    with pytest.raises(ConfigurationError):
-        DeploymentConfig(state_shards=0)
-    with pytest.raises(ConfigurationError):
-        DeploymentConfig(execution_lanes=0)
 
 
 def test_sharding_sweeps_through_overrides():

@@ -105,7 +105,9 @@ class TestCheckerCatchesSeededViolations:
         )
         report = InvariantChecker(run.deployment).check()
         assert not report.ok
-        assert report.of("replica-consistency") or report.of("chain-integrity")
+        # Both see it: the forged object differs in content from the other
+        # replicas' (shared) transaction, and no longer matches its block hash.
+        assert report.of("replica-consistency") and report.of("chain-integrity")
         with pytest.raises(InvariantViolationError):
             report.raise_if_violated()
 

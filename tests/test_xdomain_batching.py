@@ -31,8 +31,8 @@ from repro.core.messages import (
     GroupCrossPrepared,
     GroupPrepareOrder,
 )
-from repro.errors import ConfigurationError, ConsensusError
-from repro.scenarios import Scenario, ScenarioRunner, registry
+from repro.errors import ConsensusError
+from repro.scenarios import ScenarioRunner, registry
 from tests.conftest import cross_transfer, make_deployment
 
 D01, D02 = DomainId(0, 1), DomainId(0, 2)
@@ -51,27 +51,6 @@ def _coordinator_component(deployment, domain_id) -> CoordinatorCrossDomainProto
 # ---------------------------------------------------------------------------
 # Spec surface
 # ---------------------------------------------------------------------------
-
-
-def test_scenario_xdomain_knobs_round_trip_and_validate():
-    scenario = Scenario.build().xdomain_batching(16, xdomain_batch_timeout_ms=3.5).finish()
-    assert scenario.xdomain_batch_size == 16
-    assert scenario.xdomain_batch_timeout_ms == 3.5
-    assert Scenario.from_json(scenario.to_json()) == scenario
-    assert "xdomain batching: size=16" in scenario.describe()
-    config = scenario.deployment_config(seed=1)
-    assert config.xdomain_batch_size == 16
-    assert config.xdomain_batch_timeout_ms == 3.5
-    with pytest.raises(ConfigurationError):
-        Scenario(xdomain_batch_size=0)
-    with pytest.raises(ConfigurationError):
-        Scenario(xdomain_batch_size=2.5)
-    with pytest.raises(ConfigurationError):
-        Scenario(xdomain_batch_timeout_ms=0.0)
-    with pytest.raises(ConfigurationError):
-        DeploymentConfig(xdomain_batch_size=0)
-    with pytest.raises(ConfigurationError):
-        DeploymentConfig(xdomain_batch_timeout_ms=-1.0)
 
 
 def test_xdomain_knobs_sweep_through_overrides():
@@ -298,7 +277,7 @@ def test_participant_that_never_orders_the_group_part_aborts_cleanly():
     its fault tolerance) must final-abort the members after the retries are
     exhausted — and safety (cross-atomicity per member) must hold."""
     from repro.common.config import TimerConfig
-    from repro.scenarios.spec import FaultEvent
+    from repro.faults import FaultAction, FaultPlan
 
     quick = TimerConfig(
         request_timeout_ms=400.0,
@@ -314,8 +293,11 @@ def test_participant_that_never_orders_the_group_part_aborts_cleanly():
         xdomain_batch_size=4,
         xdomain_batch_timeout_ms=5.0,
         timers=quick,
-        fault_schedule=tuple(
-            FaultEvent(at_ms=0.5, domain="D12", node=index) for index in range(3)
+        fault_plan=FaultPlan(
+            actions=tuple(
+                FaultAction(kind="crash", at_ms=0.5, domain="D12", node=index)
+                for index in range(3)
+            )
         ),
         max_simulated_ms=8_000.0,
     )
