@@ -1,72 +1,36 @@
 """fig_events: raw simulator event-loop throughput (the speed-overhaul gate).
 
-Two microbenchmarks from :mod:`repro.sim.bench`, both replaying fixed seeded
-workloads so runs are comparable across sessions:
+Two seeded microbenchmarks from :mod:`repro.sim.bench`.  Both are wall-clock
+rates, so unlike the figures they have no row in ``BENCH_results.json``:
 
 * the *queue storm* — a push/cancel/pop mix mimicking a real run's delay
   distribution, driven against both the calendar-queue :class:`EventQueue`
   and the retained legacy :class:`HeapEventQueue`.  Measuring both in the
-  same process makes the ratio machine-independent: it gates that the
-  rewrite itself is a win, whatever the host.
+  same process makes the comparison machine-independent: the rewrite itself
+  must be a win, whatever the host.
 * the *dispatch loop* — self-rescheduling no-op callbacks through
-  ``Simulator.run``, measuring the full peek/pop/dispatch cycle with no
-  protocol work.  This is the number recorded as ``fig_events`` and gated
-  against the committed PR 6 baseline: the loop's raw capacity must be at
-  least 3x the best *end-to-end* events/sec any PR 6 figure recorded, i.e.
-  the scheduler is no longer where figure runtime goes.
-
-``BENCH_results.json`` schema note: for this figure ``throughput_tps``
-carries the queue storm's ops/sec and ``events_per_sec`` the dispatch-loop
-rate; there is no transaction latency, so ``avg_latency_ms`` is 0.
+  ``Simulator.run``, the full peek/pop/dispatch cycle with no protocol work.
+  Its raw capacity must be at least 3x the best *end-to-end* rate any figure
+  ran at before the overhaul, i.e. the scheduler is no longer where figure
+  runtime goes.
 """
-
-from figure_common import load_bench_history, record_bench
 
 from repro.sim.bench import queue_events_per_sec, simulator_events_per_sec
 from repro.sim.events import EventQueue, HeapEventQueue
 
-#: The dispatch loop must beat the best committed PR 6 end-to-end rate by 3x.
-SPEEDUP_GATE = 3.0
+#: The best end-to-end events/second any figure recorded on the PR 6 tree.
+PR6_BEST_FIGURE_RATE = 51_884
 
 
-def _pr6_baseline_events_per_sec() -> float:
-    for entry in load_bench_history():
-        if entry.get("label") == "PR6":
-            rates = [
-                figures.get("events_per_sec") or 0
-                for figures in entry.get("figures", {}).values()
-            ]
-            if rates:
-                return float(max(rates))
-    return 0.0
-
-
-def test_event_loop_microbench(benchmark):
-    def run():
-        return (
-            simulator_events_per_sec(),
-            queue_events_per_sec(EventQueue),
-            queue_events_per_sec(HeapEventQueue),
-        )
-
-    dispatch_rate, wheel_rate, heap_rate = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    record_bench(
-        "fig_events",
-        throughput_tps=wheel_rate,
-        avg_latency_ms=0.0,
-        events_per_sec=dispatch_rate,
-    )
-    # The calendar queue must beat the legacy heap on the identical storm.
+def test_event_loop_microbench():
+    dispatch_rate = simulator_events_per_sec()
+    wheel_rate = queue_events_per_sec(EventQueue)
+    heap_rate = queue_events_per_sec(HeapEventQueue)
     assert wheel_rate > heap_rate, (
         f"calendar queue ({wheel_rate:,.0f} ops/s) is not faster than the "
         f"legacy heap ({heap_rate:,.0f} ops/s)"
     )
-    baseline = _pr6_baseline_events_per_sec()
-    assert baseline > 0, "no committed PR6 baseline in BENCH_results.json"
-    assert dispatch_rate >= SPEEDUP_GATE * baseline, (
-        f"dispatch loop sustains {dispatch_rate:,.0f} ev/s, below "
-        f"{SPEEDUP_GATE}x the best committed PR 6 figure rate "
-        f"({baseline:,.0f} ev/s)"
+    assert dispatch_rate >= 3 * PR6_BEST_FIGURE_RATE, (
+        f"dispatch loop sustains {dispatch_rate:,.0f} ev/s, below 3x the best "
+        f"PR 6 figure rate ({PR6_BEST_FIGURE_RATE:,} ev/s)"
     )

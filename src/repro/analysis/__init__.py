@@ -8,14 +8,7 @@ metrics, and reporting formats the scenario runner's results).
 
 from repro.analysis.metrics import MetricsCollector, PerformanceSummary, TransactionRecord
 
-_REPORTING_NAMES = (
-    "format_load_series",
-    "format_mobile_table",
-    "format_series_table",
-    "format_summary_row",
-    "latency_at_peak",
-    "peak_throughput",
-)
+_REPORTING_NAMES = ("format_summary_row", "latency_at_peak", "peak_throughput")
 
 __all__ = [
     "MetricsCollector",

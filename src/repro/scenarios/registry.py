@@ -45,23 +45,15 @@ __all__ = [
     "PAPER_FIGURES",
     "ADVERSARIAL_SCENARIOS",
     "BATCH_SWEEP_SIZES",
-    "BATCH_SWEEP_SCENARIOS",
     "SHARD_SWEEP_SIZES",
-    "SHARD_SWEEP_SCENARIOS",
     "PIPELINE_STALL_EVERY",
     "PIPELINE_STALL_DELAY_MS",
-    "PIPELINE_SWEEP_SCENARIOS",
     "CHURN_WIPE_OUTAGE_MS",
     "CHURN_INTRA_DOMAIN_STEP_MS",
     "CHURN_INTER_DOMAIN_STEP_MS",
-    "CHURN_SWEEP_SCENARIOS",
     "ZIPF_SWEEP_BATCHES",
-    "ZIPF_SWEEP_SCENARIOS",
     "ZIPF_HOT_SKEW",
     "CONTROL2_SCENARIOS",
-    "SCALE100_DOMAINS",
-    "SCALE100_NODES",
-    "SCALE100_SCENARIOS",
 ]
 
 _REGISTRY: Dict[str, Scenario] = {}
@@ -817,11 +809,6 @@ _register_churn_sweep()
 # Edge-scale family: the deployment size the paper argues for
 # ---------------------------------------------------------------------------
 
-#: Server domains in the scale family's tree (1 root + 12 mid + 144 edge).
-SCALE100_DOMAINS = 157
-#: Server nodes per scenario (157 domains x 7 replicas each).
-SCALE100_NODES = 1099
-
 
 def _register_scale100() -> None:
     """Hundreds of domains, a thousand server nodes: the paper's §1 pitch.
@@ -875,41 +862,9 @@ def _register_scale100() -> None:
 
 _register_scale100()
 
-#: Registered edge-scale scenarios (benchmarked by fig_scale100).
-SCALE100_SCENARIOS: Tuple[str, ...] = ("fig_scale100", "fig_scale100-byz")
-
 #: The figure names the registry guarantees (tested for completeness).
 PAPER_FIGURES: Tuple[str, ...] = (
     "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
-)
-
-#: Registered batch-sweep scenarios (swept by the fig_batch benchmark).
-BATCH_SWEEP_SCENARIOS: Tuple[str, ...] = tuple(
-    f"batch-sweep-b{size:03d}" for size in BATCH_SWEEP_SIZES
-)
-
-#: Registered shard-sweep scenarios (swept by the fig_shard benchmark).
-SHARD_SWEEP_SCENARIOS: Tuple[str, ...] = tuple(
-    f"shard-sweep-s{shards:03d}" for shards in SHARD_SWEEP_SIZES
-)
-
-#: Registered pipeline-sweep scenarios (swept by the fig_pipeline benchmark).
-PIPELINE_SWEEP_SCENARIOS: Tuple[str, ...] = (
-    "pipeline-sweep-off",
-    "pipeline-sweep-on",
-)
-
-#: Registered zipf-sweep scenarios (swept by the fig_control benchmark):
-#: the static batch-size points plus the adaptive controller run.
-ZIPF_SWEEP_SCENARIOS: Tuple[str, ...] = tuple(
-    f"zipf-sweep-b{size:03d}" for size in ZIPF_SWEEP_BATCHES
-) + ("zipf-sweep-adaptive",)
-
-#: Registered churn-sweep scenarios (swept by the fig_churn benchmark).
-CHURN_SWEEP_SCENARIOS: Tuple[str, ...] = (
-    "churn-sweep-nofault",
-    "churn-sweep",
-    "churn-sweep-primaries",
 )
 
 #: Registered Byzantine fault-plan scenarios (tested for safety invariants).

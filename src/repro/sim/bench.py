@@ -1,9 +1,10 @@
 """Events/sec microbenchmarks for the simulator's event queue.
 
 The drivers here are shared by ``benchmarks/test_bench_events.py`` (which
-records results into ``BENCH_results.json`` and gates the calendar queue at
->=3x the legacy heap) and by ``python -m repro.faults.smoke perf`` (the CI
-perf-smoke step, with a more lenient gate to tolerate noisy runners).
+gates the calendar queue against the legacy heap and the dispatch loop at
+>=3x the best pre-overhaul figure rate) and by ``python -m repro.faults.smoke
+perf`` (the CI perf-smoke step, with a more lenient gate to tolerate noisy
+runners).
 
 Both drivers replay a fixed, seeded storm of push/cancel/pop operations whose
 delay mix mimics a real run: mostly sub-bucket network hops, some round-tick

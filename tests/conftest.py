@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -25,6 +29,7 @@ from repro.common.types import (
 )
 from repro.core.system import SaguaroDeployment
 from repro.ledger.transaction import Transaction
+from repro.scenarios import Scenario, materialize
 from repro.topology.builders import build_paper_figure1_tree, build_tree
 from repro.topology.regions import placement_for_profile
 from repro.workloads.generator import WorkloadGenerator
@@ -128,8 +133,50 @@ def run_until_done(deployment: SaguaroDeployment, extra_ms: float = 200.0) -> No
 
 
 # ---------------------------------------------------------------------------
+# Whole runs, in canonical form (picklable, so two workers can share them)
+# ---------------------------------------------------------------------------
+
+
+def run_canonical(
+    scenario: Scenario, seed: Optional[int] = None
+) -> Tuple[str, str, int, Dict[str, int]]:
+    """Run one seed: (result json, trace json, events executed, trace kinds)."""
+    run = materialize(scenario, seed)
+    result = run.run()
+    return (
+        json.dumps(result.to_dict(), sort_keys=True),
+        run.trace.to_json(),
+        run.deployment.simulator.events_executed,
+        run.trace.kinds(),
+    )
+
+
+def run_digests(
+    scenario: Scenario, seed: Optional[int] = None
+) -> Tuple[str, str, int, Dict[str, int]]:
+    """:func:`run_canonical` with the two JSON documents as sha256 digests."""
+    result_json, trace_json, events_executed, kinds = run_canonical(scenario, seed)
+    return (
+        hashlib.sha256(result_json.encode()).hexdigest(),
+        hashlib.sha256(trace_json.encode()).hexdigest(),
+        events_executed,
+        kinds,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def two_workers():
+    """A two-process pool for tests whose runs are independent of each other."""
+    with ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        yield pool
+
 
 
 @pytest.fixture

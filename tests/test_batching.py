@@ -1,6 +1,6 @@
-"""The batched ordering core: Batcher mechanics, spec knobs, safety, goldens.
+"""The batched ordering core: Batcher mechanics, spec knobs, safety.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * unit tests for :class:`~repro.consensus.base.Batch` /
   :class:`~repro.consensus.base.Batcher` (size trigger, timeout trigger,
@@ -8,13 +8,12 @@ Four layers of coverage:
 * the scenario-spec surface (validation, JSON round-trip, builder, sweeps);
 * adversarial coverage: every registered ``byz-*`` fault-plan scenario runs
   with ``batch_size > 1`` under full invariant checking (including the new
-  batch-atomicity invariant);
-* a golden regression pinning ``batch_size=1`` to the *pre-refactor* seed
-  behaviour: result and trace digests recorded from the unbatched engines
-  before the batching refactor landed must still match bit for bit.
+  batch-atomicity invariant).
+
+The golden pins (``batch_size=1`` == the pre-refactor engines, bit for bit)
+live in ``tests/test_goldens.py``.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -361,51 +360,6 @@ def test_batch_atomicity_checker_flags_torn_batches():
             )
     report = InvariantChecker(run.deployment, trace=forged).check()
     assert report.of("batch-atomicity")
-
-
-# ---------------------------------------------------------------------------
-# Golden regression: batch_size=1 is bit-identical to the pre-refactor seed
-# ---------------------------------------------------------------------------
-
-#: Digests recorded from the unbatched engines at the commit *before* the
-#: batching refactor (scenarios scaled to num_transactions=24, num_clients=4).
-#: batch_size=1 must reproduce these traces bit for bit.  The byz-equivocation
-#: digests were re-recorded when gap-recovery retries gained their capped
-#: exponential backoff (150 -> 1200 ms): the equivocating primary keeps a gap
-#: open long enough for repeat queries, whose timing intentionally changed —
-#: the committed/aborted outcomes are identical to the pre-backoff run.
-PRE_REFACTOR_GOLDENS = {
-    "fig07a": {
-        "result_sha256": "6c4c123cf17afd038916fd837e88b4db9e15faae43199d64e92130c950ce52d5",
-        "trace_sha256": "6e42928e3c445223f9826b62f6c786c0fbb6d4cbbc383e0e98b6a89516428d15",
-        "events_executed": 36850,
-    },
-    "byz-equivocation": {
-        # Trace digest re-recorded when decide-echo refusal became overridable
-        # by f+1 distinct echoes (the batched-equivocation storm fix): replicas
-        # wedged on a forged payload now adopt the honest decision, adding a
-        # handful of echo-adopt events.  The result digest — every committed/
-        # aborted outcome and the performance summary — is unchanged.
-        "result_sha256": "ea33194884d79bdcc09efa1fa0fb2a43b7ab6c5e27b19cb28fdf3dde25792ffe",
-        "trace_sha256": "4dd1fe34fd1a18fb0e13fe200c7d7af738986a7cf2e0cf932efeddefe9b2a5bf",
-        "events_executed": 32780,
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRE_REFACTOR_GOLDENS))
-def test_batch_size_one_matches_pre_refactor_goldens(name):
-    golden = PRE_REFACTOR_GOLDENS[name]
-    scenario = registry.get(name).with_overrides(num_transactions=24, num_clients=4)
-    assert scenario.batch_size == 1
-    run = ScenarioRunner().execute(scenario)
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert result_digest == golden["result_sha256"]
-    assert trace_digest == golden["trace_sha256"]
-    assert run.deployment.simulator.events_executed == golden["events_executed"]
 
 
 def test_deposed_primary_drop_clears_component_dedup_state():

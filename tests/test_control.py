@@ -1,4 +1,4 @@
-"""The self-tuning control plane: telemetry, controllers, wiring, goldens.
+"""The self-tuning control plane: telemetry, controllers, wiring.
 
 Five layers of coverage:
 
@@ -16,13 +16,14 @@ Five layers of coverage:
 * the configuration surface: :class:`ControlPolicy` validation and JSON
   round-trip, the scenario field + builder ``.control()``, the
   ``execute_ms`` cost override, and the Zipf-skewed workload generator;
-* end-to-end: golden digests pinning ``policy="static"`` bit-identical to
-  the pre-control deployments, adaptive-run determinism, ``control:*``
-  trace evidence (batch growth and lane moves), and every adversarial
-  scenario passing full invariant checking with controllers armed.
+* end-to-end: adaptive-run determinism, ``control:*`` trace evidence (batch
+  growth and lane moves), and every adversarial scenario passing full
+  invariant checking with controllers armed.
+
+The golden pins (``policy="static"`` == the pre-control deployments, bit for
+bit) live in ``tests/test_goldens.py``.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -439,40 +440,8 @@ def test_control_smoke_mode_is_registered():
 
 
 # ---------------------------------------------------------------------------
-# End to end: static goldens, adaptive determinism, control:* evidence
+# End to end: adaptive determinism, control:* evidence
 # ---------------------------------------------------------------------------
-
-#: sha256 of (result json, trace json) for scaled-down runs of the two
-#: flagship static scenarios, captured on the PR 5 tree *before* the control
-#: plane existed.  ``policy="static"`` must keep matching them bit for bit.
-STATIC_GOLDENS = {
-    "fig10a": (
-        "ddb3a0a244c603e5870d1949d8e2b62396563ea33a6d5cfce4755b20da8f810c",
-        "aec7aa7a7a42810f828c7e85be5ea6f4b059d615b7227693cf24815b48531928",
-    ),
-    "shard-sweep": (
-        "965dba420b32252f804d853dd9572788a9e3c316f8493fb6c2d5c51aecebff6f",
-        "a3a57552172095d86877c3019a418dc3d2a3169e3a345502bf7510e2c559643e",
-    ),
-}
-
-
-def _scaled_run(scenario):
-    scenario = scenario.with_overrides(
-        num_transactions=min(scenario.workload.num_transactions, 24),
-        num_clients=min(scenario.num_clients, 4),
-    )
-    return ScenarioRunner().execute(scenario, seed=scenario.seeds[0])
-
-
-@pytest.mark.parametrize("name", sorted(STATIC_GOLDENS))
-def test_static_policy_is_bit_identical_to_pre_control_tree(name):
-    run = _scaled_run(registry.get(name))
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert (result_digest, trace_digest) == STATIC_GOLDENS[name]
 
 
 def _adaptive_run():

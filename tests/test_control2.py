@@ -1,6 +1,6 @@
 """Control plane phase 2: conflict leases, shard splitting, load shedding.
 
-Five layers of coverage:
+Four layers of coverage:
 
 * the configuration surface: phase-2 :class:`ControlPolicy` knobs require an
   adaptive policy, reject degenerate values, and survive the JSON round trip;
@@ -17,14 +17,12 @@ Five layers of coverage:
   invariant-clean, the blocked rebalancer backs off exponentially instead of
   re-evaluating every window (the PR 6 livelock), ``lease-rejoin`` grants
   and adopts conflict leases, and a starved latency target flips the
-  admission valve without losing a transaction;
-* the differential gate: with every phase-2 knob off, 10 static and 10
-  adaptive seeds are bit-identical (result and trace digests) to the PR 9
-  tree, captured there before any phase-2 code existed.
+  admission valve without losing a transaction.
+
+The differential gate (every phase-2 knob off == the PR 9 tree, bit for bit,
+on 10 static and 10 adaptive seeds) lives in ``tests/test_goldens.py``.
 """
 
-import hashlib
-import json
 from collections import Counter
 
 import pytest
@@ -475,75 +473,3 @@ def test_starved_latency_target_flips_the_valve_without_losing_transactions():
     # transaction, shed ones included (as failed replies, later retried).
     assert run.summary.pending == 0
     assert run.summary.committed + run.summary.aborted == 300
-
-
-# ---------------------------------------------------------------------------
-# Differential gate: phase-2 knobs off == the PR 9 tree, bit for bit
-# ---------------------------------------------------------------------------
-
-#: sha256 of (result json, trace json) for scaled zipf-sweep runs, captured
-#: on the PR 9 tree (commit before any phase-2 code).  ``static`` pins the
-#: untouched fast path; ``adaptive`` pins the live control plane with every
-#: phase-2 knob at its off default.
-PR9_DIFFERENTIAL_GOLDENS = {
-    "static-1": ("12a270f0d2fb376b9d1f495379bc490e6714c8a87325578da1567c89a2fcf65d",
-                 "560bb58bad80211e9e78b7472e6201a8b43b4808c6d67b40b8362585c8fd4977"),
-    "static-2": ("1276153cf74bc798e50ea759761c0df4e4678b82b95bfecbd8c7a4a6a16ef803",
-                 "6ecfc5034952df18d6e81f38c16bb8b93fd28affb0924b3df4bd4c221af22db1"),
-    "static-3": ("7a2178eb398ca5541f305b228357baa40ff9071ab9031c4ff279b3a9c4b137a9",
-                 "c72e908107b8f00098f4eaa59c887949bab28710d5644c574cceccd86a402660"),
-    "static-4": ("3853603ded9287168c9eca4d1bdb2db8cf628095c75c7128183dfc4e5644de95",
-                 "51e4186c271f64693b6995f584a31d38c525c6c72267c9ddd8033cc5955b4fc4"),
-    "static-5": ("74920cab3c0577f345470a1707e5a93407660819e7274f60e9759c35aa9e081c",
-                 "10d892744736016fed8bdd0635539fd7845414e9fdbc33ed6ec37441f3b4a2ac"),
-    "static-6": ("99b7a1ba36f54d8312f85bf19b06d470a2ab2e6b68764846e1cd85fc5389fef0",
-                 "3831f5e0b008ba3a073cd946e76f634fb5f2010d5df7c7f2230917e2505a76f7"),
-    "static-7": ("c57b4290a310ddd2adc8780a6889f8fca0cd982091c53be48fa5a94e79cd5c0f",
-                 "434aa595cf0c3815b45d23381d0b9628a56f05fc1fb0c6b5573d862e4223ed69"),
-    "static-8": ("e93d4bae1a38412b96b45234417263a16add1b1ae3066e86ba97cc155297acb6",
-                 "2d5e88a750846de7a0f61f6e3cf4e6f267f9cb773d235fa2e59b70dd45e0a607"),
-    "static-9": ("faa1407cb5277d1858e068b45ad1ac4d7ea9c1564cbfc1c2e16f2103a4ea4ef5",
-                 "977cf5f0c0a313336e61381920cd937f31d86ff512131cd035894e0a1df5c167"),
-    "static-10": ("04c22b43a2a1f4e8903aec080ec3b0e62e555cc03777334087af469bb08d1998",
-                  "1e87a70bb94db3f36b010bc5d3e9d5cfb3ac0c3e8f07886ba5ab4b51699fbd0d"),
-    "adaptive-1": ("2b273e53f7d9a9c08cf6c00f0f1ad4c4ae4732f8466e2085f5923dd505db0eb0",
-                   "e0e473634e2ef23aad40b53c2c3d559552d755021de3e69083f8e7dfc7005378"),
-    "adaptive-2": ("709e4bd65f0fc25d55e7f3aa58f11fc987fd22c436298291ed8d3df258a7fe77",
-                   "f032ed82a60c2b5ae0e0b67884ad52a582490685e2d45b1db7b544e5ed4b7d30"),
-    "adaptive-3": ("c361427c821c0ed541bf98b7e9dbada40b86f5ec893786955527a43902601b91",
-                   "f3bf546e1275596f9dd71bf936bb85106fda8d722f3e87fa0238987c96fd7e76"),
-    "adaptive-4": ("0db330d262ce00c181f2b2645fef1415ab60c69635021274251573094aec46cc",
-                   "4dbe6a75782bda0a6c6ae98ce254cd156864ac9c1ff68816f72ba791cadfbbc6"),
-    "adaptive-5": ("a015fb3891c0011f541016a7e1fdb00fc5b3490b58f9472011e9b04729d216ac",
-                   "7593edf62ecb7cd492d6192d7fd26238a868cbd4c8f15b928afaefe2e6891d39"),
-    "adaptive-6": ("8cb9fc0a7808b990e73b993471597092b828891e5add3475904ab4ed4f3c1538",
-                   "93b8d8311399500d407a00001e24ff6776d3a024ed839a56aaa6b31839baf15d"),
-    "adaptive-7": ("1be2d5d43312b6a34aa993cefad513c737f474b137746b43071d0f6acd175a4c",
-                   "3a9a22361609f481a97fd79d0b160289e631688b594db9c2ad31ddb3f654d402"),
-    "adaptive-8": ("b5a301dc2a0aae43dfe32b770f02ae79529d36048fde0bc7d03285886365ca0b",
-                   "3372e86dd1aae43b78d33df5c407c715c791964f846ff5ec7d11ef635eda9348"),
-    "adaptive-9": ("aa745590f6921941297bbb75c1f1e8d7338cd39ea423ae1218a8e2d49968040e",
-                   "c93957ae6b898769b5b666404026d6f2196d0faa68d7166539f337af1054d19d"),
-    "adaptive-10": ("ae1203d0251ee186d59e904cceaab7c9fff14789c9ba6b5d835b9d138cd46280",
-                    "f4a28cc97252a54cf7fc0ab8e9d46f52fdcec6de88faabb01143409eb6898492"),
-}
-
-
-@pytest.mark.parametrize("key", sorted(PR9_DIFFERENTIAL_GOLDENS))
-def test_phase2_off_is_bit_identical_to_the_pr9_tree(key):
-    kind, seed = key.rsplit("-", 1)
-    name, ntx, ncl = (
-        ("zipf-sweep", 24, 4) if kind == "static" else ("zipf-sweep-adaptive", 48, 8)
-    )
-    scenario = registry.get(name).with_overrides(
-        num_transactions=ntx, num_clients=ncl
-    )
-    run = ScenarioRunner().execute(scenario, seed=int(seed))
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert (result_digest, trace_digest) == PR9_DIFFERENTIAL_GOLDENS[key]
-    # And no phase-2 event ever leaks into a knobs-off run.
-    for kind_ in ("control:lease", "control:split", "control:shed"):
-        assert not run.trace.events(kind_)

@@ -1,16 +1,16 @@
 """Determinism regression: same scenario + same seed ⇒ bit-identical results.
 
 Every registered scenario (paper figures and adversarial fault plans alike) is
-run twice with the same seed; the structured :class:`RunResult` and the full
-recorded event trace must match byte for byte.  Scenarios are scaled down so
-the whole sweep stays fast — determinism does not depend on workload size.
+run twice with the same seed — once in each of two worker processes — and the
+structured :class:`RunResult`, the full recorded event trace and the executed
+event count must match byte for byte.  Scenarios are scaled down so the whole
+sweep stays fast — determinism does not depend on workload size.
 """
-
-import json
 
 import pytest
 
-from repro.scenarios import ScenarioRunner, registry
+from repro.scenarios import registry
+from tests.conftest import run_canonical
 
 
 def _unique_scenarios():
@@ -36,18 +36,8 @@ def _scaled(scenario):
     _unique_scenarios(),
     ids=[name for name, _ in _unique_scenarios()],
 )
-def test_scenario_is_bit_identical_across_runs(name, scenario):
-    runner = ScenarioRunner()
+def test_scenario_is_bit_identical_across_runs(name, scenario, two_workers):
     scaled = _scaled(scenario)
-    first = runner.execute(scaled)
-    second = runner.execute(scaled)
-
-    def canonical(result):
-        return json.dumps(result.to_dict(), sort_keys=True)
-
-    assert canonical(first.run()) == canonical(second.run())
-    assert first.trace.to_json() == second.trace.to_json()
-    assert (
-        first.deployment.simulator.events_executed
-        == second.deployment.simulator.events_executed
-    )
+    first, second = two_workers.map(run_canonical, [scaled, scaled])
+    for once, again in zip(first, second):  # result, trace, events, kinds
+        assert once == again

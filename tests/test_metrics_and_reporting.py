@@ -5,9 +5,6 @@ import pytest
 from repro.scenarios import LoadPoint
 from repro.analysis.metrics import MetricsCollector, PerformanceSummary
 from repro.analysis.reporting import (
-    format_load_series,
-    format_mobile_table,
-    format_series_table,
     format_summary_row,
     latency_at_peak,
     peak_throughput,
@@ -121,32 +118,7 @@ class TestReporting:
         assert latency_at_peak(points) == 9.0
         assert peak_throughput([]) == 0.0
 
-    def test_format_load_series_mentions_every_point(self):
-        text = format_load_series("Coordinator", [_point(4, 100.0, 5.0), _point(8, 200.0, 6.0)])
-        assert "Coordinator" in text
-        assert text.count("tps") == 2
-
-    def test_format_series_table_has_summary_rows(self):
-        table = format_series_table(
-            {"AHL": [_point(4, 100.0, 5.0)], "Coordinator": [_point(4, 140.0, 5.0)]},
-            title="Figure 7(a)",
-        )
-        assert "Figure 7(a)" in table
-        assert "peak tput" in table
-        assert "AHL" in table and "Coordinator" in table
-
     def test_format_summary_row(self):
         summary = _point(4, 120.0, 3.0).summary
         row = format_summary_row("Opt-10%C", summary)
         assert "Opt-10%C" in row and "120.0" in row
-
-    def test_format_mobile_table_reports_drop_percentages(self):
-        table = format_mobile_table(
-            {
-                "0% mobile": _point(4, 1000.0, 3.0).summary,
-                "100% mobile": _point(4, 750.0, 4.0).summary,
-            },
-            title="Figure 9(a)",
-        )
-        assert "drop vs 0% mobile" in table
-        assert "25.0%" in table

@@ -370,20 +370,18 @@ class TestRecoveryUnderAdversity:
 
     @pytest.mark.parametrize("figure", ["fig07a", "fig10a"])
     def test_durability_off_vs_on_outcomes_match_across_seeds(self, figure):
-        runner = ScenarioRunner(check_invariants=True)
+        runner = ScenarioRunner(check_invariants=True, parallel=2)
         base = registry.get(figure).with_overrides(
-            num_transactions=24, num_clients=4
+            num_transactions=24, num_clients=4, seeds=tuple(range(10))
         )
         durable = base.with_overrides(
             durability=True, wal_sync_ms=0.05, checkpoint_interval=8
         )
-        for seed in range(10):
-            off = runner.execute(base.with_overrides(seed=seed))
-            on = runner.execute(durable.with_overrides(seed=seed))
-            assert off.summary is not None and on.summary is not None
-            assert on.summary.committed == off.summary.committed, seed
-            assert on.summary.aborted == off.summary.aborted, seed
-            assert on.summary.pending == off.summary.pending, seed
+        for off, on in zip(runner.run(base), runner.run(durable)):
+            assert on.seed == off.seed
+            assert on.summary.committed == off.summary.committed, off.seed
+            assert on.summary.aborted == off.summary.aborted, off.seed
+            assert on.summary.pending == off.summary.pending, off.seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sharded state stores & parallel execution lanes: semantics, knobs, goldens.
+"""Sharded state stores & parallel execution lanes: semantics, knobs.
 
 Five layers of coverage:
 
@@ -11,12 +11,13 @@ Five layers of coverage:
   ``.sharding()``, sweeps, the registered ``shard-sweep`` family);
 * node-level lane charging edge cases: a transaction spanning every shard,
   and the optimistic protocol's undo crossing shards;
-* a golden regression pinning ``state_shards=1, execution_lanes=1`` to the
-  *pre-change* seed behaviour bit for bit, plus a randomized differential
-  test asserting sharded and unsharded runs agree on every outcome.
+* a randomized differential test asserting sharded and unsharded runs agree
+  on every outcome.
+
+The golden pins (``state_shards=1, execution_lanes=1`` == the pre-change seed,
+bit for bit) live in ``tests/test_goldens.py``.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -363,44 +364,6 @@ def test_optimistic_undo_crosses_shards():
         for bucket in component._tainted_by_shard.values()
         for owners in bucket.values()
     )
-
-
-# ---------------------------------------------------------------------------
-# Golden regression: shards=1, lanes=1 is bit-identical to the pre-change seed
-# ---------------------------------------------------------------------------
-
-#: Digests recorded at the commit *before* the sharding/lane change landed
-#: (scenarios scaled down; explicit state_shards=1, execution_lanes=1).
-PRE_SHARDING_GOLDENS = {
-    "fig10a": {
-        "overrides": dict(num_transactions=24, num_clients=4),
-        "result_sha256": "ddb3a0a244c603e5870d1949d8e2b62396563ea33a6d5cfce4755b20da8f810c",
-        "trace_sha256": "aec7aa7a7a42810f828c7e85be5ea6f4b059d615b7227693cf24815b48531928",
-        "events_executed": 39558,
-    },
-    "batch-sweep-b032": {
-        "overrides": dict(num_transactions=48, num_clients=8),
-        "result_sha256": "50f6011f2748769df2da2156aee7a99a3f114d375899f64e713b9dad350c5389",
-        "trace_sha256": "2ad1168078d34616dd27acbed090fe814f5a7dd5ddece3640614caf55c2d858f",
-        "events_executed": 185083,
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRE_SHARDING_GOLDENS))
-def test_unsharded_single_lane_matches_pre_change_goldens(name):
-    golden = PRE_SHARDING_GOLDENS[name]
-    scenario = registry.get(name).with_overrides(
-        state_shards=1, execution_lanes=1, **golden["overrides"]
-    )
-    run = ScenarioRunner().execute(scenario)
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert result_digest == golden["result_sha256"]
-    assert trace_digest == golden["trace_sha256"]
-    assert run.deployment.simulator.events_executed == golden["events_executed"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Speculative out-of-order execution with in-order commit (the PR 8 tentpole).
 
-Five halves, mirroring the sharding test layout:
+Four halves, mirroring the sharding test layout:
 
 * :class:`Batch` caches its declared keys and speculability at construction;
 * :class:`DecisionLog` unit behavior — ordered release, gap bookkeeping,
   payload lookups, and the speculation window (marks and watermarks);
-* ``speculation=False`` stays bit-identical to the pre-change goldens;
 * randomized differential — speculation on vs off must agree outcome for
   outcome on fault-free scenarios (no stalls, so nothing to speculate past);
 * hostile runs with speculation armed pass full invariant checking, and the
   speculation-safety invariant *catches* forged wrong-speculation traces
   (otherwise "passing" means nothing).
+
+``speculation=False`` staying bit-identical to the pre-change seed is pinned in
+``tests/test_goldens.py``.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from repro.ledger.transaction import Transaction
 from repro.scenarios import ScenarioRunner, registry
 from tests.conftest import cross_transfer, internal_transfer, make_tid
 from tests.test_consensus import _Bus, _FakeHost, _make_domain
-from tests.test_sharding import PRE_SHARDING_GOLDENS
 
 D11 = DomainId(1, 1)
 D12 = DomainId(1, 2)
@@ -282,28 +282,6 @@ class TestSpeculativeEngine:
         engine._record_decision(2, batch2)
         assert not engine._log.is_speculated(2)
         assert host.state.get(key_b) is None
-
-
-# ---------------------------------------------------------------------------
-# Golden regression: speculation=False is bit-identical to the pre-change seed
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(PRE_SHARDING_GOLDENS))
-def test_speculation_off_matches_pre_change_goldens(name):
-    """The explicit ``speculation=False`` path reproduces the PR 7 digests."""
-    golden = PRE_SHARDING_GOLDENS[name]
-    scenario = registry.get(name).with_overrides(
-        state_shards=1, execution_lanes=1, speculation=False, **golden["overrides"]
-    )
-    run = ScenarioRunner().execute(scenario)
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert result_digest == golden["result_sha256"]
-    assert trace_digest == golden["trace_sha256"]
-    assert run.deployment.simulator.events_executed == golden["events_executed"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Batch-aware cross-domain commit: knobs, grouped 2PC, failure paths, goldens.
+"""Batch-aware cross-domain commit: knobs, grouped 2PC, failure paths.
 
-Five layers of coverage:
+Four layers of coverage:
 
 * the scenario-spec surface for the ``xdomain_batch_size`` /
   ``xdomain_batch_timeout_ms`` knobs (validation, JSON round-trip, builder,
@@ -11,13 +11,12 @@ Five layers of coverage:
   part, a coordinator deposed mid-group (batch drop → ``on_submission_dropped``
   → re-group and retry), and a mixed group where one member aborts while its
   siblings commit;
-* adversarial coverage: every ``byz-*`` fault-plan scenario with grouping on;
-* a golden regression pinning ``xdomain_batch_size=1`` to the *pre-grouping*
-  coordinator: result and trace digests recorded before this refactor landed
-  must still match bit for bit.
+* adversarial coverage: every ``byz-*`` fault-plan scenario with grouping on.
+
+The golden pins (``xdomain_batch_size=1`` == the pre-grouping coordinator, bit
+for bit) live in ``tests/test_goldens.py``.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -380,39 +379,3 @@ def test_group_atomicity_checker_flags_dropped_prepared_member():
     report = _replay_without(run, lambda event: False, strip_victim_from_commit)
     found = report.of("group-atomicity")
     assert found and any("left uncommitted" in str(v) for v in found)
-
-
-# ---------------------------------------------------------------------------
-# Golden regression: xdomain_batch_size=1 is bit-identical to pre-grouping
-# ---------------------------------------------------------------------------
-
-#: Digests recorded from the per-transaction coordinator at the commit
-#: *before* grouped 2PC landed (scenarios scaled to num_transactions=24,
-#: num_clients=4).  xdomain_batch_size=1 must reproduce these bit for bit.
-PRE_GROUPING_GOLDENS = {
-    "fig10a": {
-        "result_sha256": "ddb3a0a244c603e5870d1949d8e2b62396563ea33a6d5cfce4755b20da8f810c",
-        "trace_sha256": "aec7aa7a7a42810f828c7e85be5ea6f4b059d615b7227693cf24815b48531928",
-        "events_executed": 39558,
-    },
-    "fig07b": {
-        "result_sha256": "13154d6b369e1d8e9cd0ec4cfbcdfcef3d7e3b14e8a830a80daa71411b9466c1",
-        "trace_sha256": "569326434b4a306f20eb942a6ff4616cbe900d45c563aba06875c07060f52b44",
-        "events_executed": 39805,
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRE_GROUPING_GOLDENS))
-def test_xdomain_batch_size_one_matches_pre_grouping_goldens(name):
-    golden = PRE_GROUPING_GOLDENS[name]
-    scenario = registry.get(name).with_overrides(num_transactions=24, num_clients=4)
-    assert scenario.xdomain_batch_size == 1
-    run = ScenarioRunner().execute(scenario)
-    result_digest = hashlib.sha256(
-        json.dumps(run.run().to_dict(), sort_keys=True).encode()
-    ).hexdigest()
-    trace_digest = hashlib.sha256(run.trace.to_json().encode()).hexdigest()
-    assert result_digest == golden["result_sha256"]
-    assert trace_digest == golden["trace_sha256"]
-    assert run.deployment.simulator.events_executed == golden["events_executed"]
