@@ -81,6 +81,15 @@ class CrossDomainProtocol(enum.Enum):
     OPTIMISTIC = "optimistic"
 
 
+# The four identifier types below key every dict and set of a run, and the
+# dataclass-generated ``__hash__`` re-hashes the (nested) field tuple on each
+# lookup.  Each stores that same value once, in ``__post_init__``, on a field
+# that takes no part in ``repr``, comparison or ``__init__`` (so ``replace()``
+# recomputes it), and returns it from an explicit ``__hash__``.  It must equal
+# the generated hash exactly: any other value reorders set iteration and with
+# it protocol decisions and traces.
+
+
 @dataclass(frozen=True, order=True)
 class DomainId:
     """Identifier of a domain in the hierarchy.
@@ -91,12 +100,17 @@ class DomainId:
 
     height: int
     index: int
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.height < 0 or self.index < 1:
             raise ConfigurationError(
                 f"invalid domain id: height={self.height} index={self.index}"
             )
+        object.__setattr__(self, "_hash", hash((self.height, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -112,6 +126,13 @@ class NodeId:
 
     domain: DomainId
     index: int
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.domain, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -131,6 +152,13 @@ class ClientId:
 
     home: DomainId
     index: int
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.home, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:
@@ -151,6 +179,19 @@ class TransactionId:
 
     number: int
     origin: Optional[ClientId] = None
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.number, self.origin)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # ``hash(None)`` differs between processes before Python 3.12, so an
+        # origin-less id must not carry its hash through pickle to a worker:
+        # rebuild through ``__init__`` instead of restoring ``__dict__``.
+        return (TransactionId, (self.number, self.origin))
 
     @property
     def name(self) -> str:

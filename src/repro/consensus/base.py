@@ -68,10 +68,25 @@ def payload_digest_of(payload: Any) -> bytes:
     Payloads exposing ``canonical_bytes()`` (transactions, batches) digest to
     that; anything else digests its ``repr``, which is stable for the frozen
     dataclass payloads the protocols order.
+
+    Every replica digests each payload several times per slot, and ``repr``
+    walks the whole payload (a ``BlockOrder`` carries a round of entries), so
+    the digest of a frozen dataclass is kept on the instance.  That relies on
+    nothing under ``src/`` mutating a payload's contents in place after
+    construction (``BlockMessage.state_delta`` / ``.dependencies`` are private
+    copies); a conflicting payload is always another object — ``replace()``
+    builds it through ``__init__``, without the memo.
     """
     if hasattr(payload, "canonical_bytes"):
         return payload.canonical_bytes()
-    return digest(repr(payload))
+    params = getattr(type(payload), "__dataclass_params__", None)
+    if params is None or not params.frozen or not hasattr(payload, "__dict__"):
+        return digest(repr(payload))
+    memo = payload.__dict__
+    cached = memo.get("_payload_digest")
+    if cached is None:
+        cached = memo["_payload_digest"] = digest(repr(payload))
+    return cached
 
 
 class Batch:

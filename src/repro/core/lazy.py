@@ -101,9 +101,7 @@ class LazyPropagation(ProtocolComponent):
         state = self.node.state
         assert ledger is not None and state is not None
         new_entries = tuple(
-            record.entry
-            for record in ledger
-            if record.position > self._last_ledger_position
+            ledger.entries_between(self._last_ledger_position + 1, len(ledger))
         )
         self._last_ledger_position = len(ledger)
         raw_delta = state.delta_since(self._last_state_version)
@@ -124,9 +122,8 @@ class LazyPropagation(ProtocolComponent):
         dag = self.node.dag
         summary = self.node.summary
         assert dag is not None and summary is not None
-        vertices = dag.transactions()
-        new_vertices = vertices[self._forwarded_dag_vertices :]
-        self._forwarded_dag_vertices = len(vertices)
+        new_entries = dag.entries_from(self._forwarded_dag_vertices)
+        self._forwarded_dag_vertices = len(dag)
         if self._summary_cursor is None:
             self._summary_cursor = summary.cursor()
         delta = summary.own_abstract_delta(self._summary_cursor)
@@ -134,7 +131,7 @@ class LazyPropagation(ProtocolComponent):
         return BlockMessage.build(
             domain=self.node.domain.id,
             round_number=self._round,
-            entries=tuple(v.entry for v in new_vertices),
+            entries=new_entries,
             state_delta=delta,
             aborted=dag.aborted(),
         )

@@ -421,9 +421,8 @@ class OptimisticCrossDomainProtocol(ProtocolComponent):
             dag.mark_aborted(victim)
             self._send_decision(dag.vertex(victim).entry.transaction, commit=False)
         # 3. Fully reported, consistent transactions whose LCA we are: commit.
-        aborted = set(dag.aborted())
         for tid in touched:
-            if tid not in dag or tid in self._decisions_sent or tid in aborted:
+            if tid not in dag or tid in self._decisions_sent or dag.is_aborted(tid):
                 continue
             vertex = dag.vertex(tid)
             if not vertex.is_cross_domain or not vertex.fully_reported:
@@ -450,7 +449,7 @@ class OptimisticCrossDomainProtocol(ProtocolComponent):
         tid = query.tid
         if tid in dag:
             vertex = dag.vertex(tid)
-            if tid in dag.aborted():
+            if dag.is_aborted(tid):
                 self._reply_decision(query, vertex.entry.transaction, commit=False)
                 return True
             if vertex.fully_reported:

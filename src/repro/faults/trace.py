@@ -35,14 +35,6 @@ def _tid_name(tid: Any) -> Optional[str]:
     return str(tid)
 
 
-def _digest_hex(value: Any) -> Optional[str]:
-    if value is None:
-        return None
-    if isinstance(value, bytes):
-        return value.hex()
-    return str(value)
-
-
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One recorded protocol event (slotted: one per protocol event recorded).
@@ -120,6 +112,10 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._events: List[TraceEvent] = []
+        # One hex string per distinct digest: every replica records the same
+        # few digests per slot, so events share the string instead of each
+        # allocating its own 64 characters.
+        self._hex: Dict[bytes, str] = {}
 
     # ------------------------------------------------------------------ recording
 
@@ -138,6 +134,12 @@ class TraceRecorder:
         """Append one event (no-op when the recorder is disabled)."""
         if not self.enabled:
             return
+        if isinstance(digest, bytes):
+            digest_hex = self._hex.get(digest)
+            if digest_hex is None:
+                digest_hex = self._hex[digest] = digest.hex()
+        else:
+            digest_hex = None if digest is None else str(digest)
         self._events.append(
             TraceEvent(
                 seq=len(self._events),
@@ -148,7 +150,7 @@ class TraceRecorder:
                 tid=_tid_name(tid),
                 slot=slot,
                 view=view,
-                digest=_digest_hex(digest),
+                digest=digest_hex,
                 detail=tuple(sorted(detail.items())),
             )
         )

@@ -13,7 +13,9 @@ pair of domains.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import DomainId, TransactionId, TransactionStatus
@@ -42,6 +44,8 @@ class DagVertex:
     parents: Set[TransactionId] = field(default_factory=set)
     reported_by: Set[DomainId] = field(default_factory=set)
     rounds: Dict[DomainId, int] = field(default_factory=dict)
+    #: Position in the owning ledger's insertion order.
+    ordinal: int = 0
 
     @property
     def tid(self) -> TransactionId:
@@ -54,7 +58,7 @@ class DagVertex:
     @property
     def fully_reported(self) -> bool:
         """True once every involved height-1 domain has reported the transaction."""
-        return set(self.entry.transaction.involved_domains) <= self.reported_by
+        return self.reported_by.issuperset(self.entry.transaction.involved_domains)
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,11 @@ class OrderInconsistency:
         return deterministic_abort_choice(self.first, self.second)
 
 
+def _domain_pairs(vertex: DagVertex) -> List[Tuple[DomainId, DomainId]]:
+    """Every unordered pair of the vertex's involved domains (index keys)."""
+    return list(combinations(sorted(vertex.entry.transaction.involved_domains), 2))
+
+
 class DagLedger:
     """The summarized, DAG-structured ledger of a height-2+ domain."""
 
@@ -81,6 +90,14 @@ class DagLedger:
         self._last_from_child: Dict[DomainId, Optional[TransactionId]] = {}
         self._rounds_from_child: Dict[DomainId, int] = {}
         self._aborted: Set[TransactionId] = set()
+        self._aborted_sorted: Optional[Tuple[TransactionId, ...]] = ()
+        # Cross-domain vertices in insertion order, and the same vertices
+        # under every unordered pair of their involved domains: two
+        # transactions can only be inconsistently ordered when they share
+        # such a pair, so the consistency check reads these lists instead of
+        # scanning the whole ledger.
+        self._cross_domain: List[DagVertex] = []
+        self._by_pair: Dict[Tuple[DomainId, DomainId], List[DagVertex]] = {}
 
     # -- accessors ----------------------------------------------------------------
 
@@ -101,7 +118,12 @@ class DagLedger:
             raise UnknownBlockError(f"{tid} not in DAG of {self._domain}") from exc
 
     def aborted(self) -> Tuple[TransactionId, ...]:
-        return tuple(sorted(self._aborted, key=lambda t: t.number))
+        if self._aborted_sorted is None:
+            self._aborted_sorted = tuple(sorted(self._aborted, key=lambda t: t.number))
+        return self._aborted_sorted
+
+    def is_aborted(self, tid: TransactionId) -> bool:
+        return tid in self._aborted
 
     def rounds_received_from(self, child: DomainId) -> int:
         return self._rounds_from_child.get(child, 0)
@@ -109,8 +131,9 @@ class DagLedger:
     def transactions(self) -> List[DagVertex]:
         return [self._vertices[tid] for tid in self._order]
 
-    def cross_domain_vertices(self) -> List[DagVertex]:
-        return [v for v in self.transactions() if v.is_cross_domain]
+    def entries_from(self, start: int) -> Tuple[CommittedEntry, ...]:
+        """Entries of the vertices inserted at ordinal ``start`` or later."""
+        return tuple(self._vertices[tid].entry for tid in self._order[start:])
 
     # -- integration ------------------------------------------------------------------
 
@@ -138,10 +161,14 @@ class DagLedger:
             tid = entry.tid
             existing = self._vertices.get(tid)
             if existing is None:
-                vertex = DagVertex(entry=entry)
+                vertex = DagVertex(entry=entry, ordinal=len(self._order))
                 self._vertices[tid] = vertex
                 self._order.append(tid)
                 added.append(tid)
+                if vertex.is_cross_domain:
+                    self._cross_domain.append(vertex)
+                    for pair in _domain_pairs(vertex):
+                        self._by_pair.setdefault(pair, []).append(vertex)
             else:
                 merged_sequence = existing.entry.sequence.merged_with(entry.sequence)
                 existing.entry = existing.entry.with_sequence(merged_sequence)
@@ -159,9 +186,13 @@ class DagLedger:
         return added
 
     def mark_aborted(self, tid: TransactionId) -> None:
-        self._aborted.add(tid)
+        # Children report their *cumulative* aborted set every round, so almost
+        # every call repeats an abort already recorded.
+        if tid not in self._aborted:
+            self._aborted.add(tid)
+            self._aborted_sorted = None
         vertex = self._vertices.get(tid)
-        if vertex is not None:
+        if vertex is not None and vertex.entry.status is not TransactionStatus.ABORTED:
             vertex.entry = vertex.entry.with_status(TransactionStatus.ABORTED)
 
     # -- consistency checking -------------------------------------------------------------
@@ -177,21 +208,27 @@ class DagLedger:
         both domains have reported both transactions).  ``restrict_to`` limits
         the left-hand side of the pairwise comparison to the given
         transactions (callers pass the transactions of a freshly integrated
-        block, making the check incremental).
+        block, making the check incremental).  Each left-hand transaction is
+        compared only with the vertices indexed under one of its domain pairs;
+        both sides are visited in insertion order, which fixes the order of
+        the result (callers abort victims sequentially, so it matters).
         """
-        inconsistencies: List[OrderInconsistency] = []
-        others = [
-            v for v in self.cross_domain_vertices() if v.tid not in self._aborted
-        ]
+        aborted = self._aborted
         if restrict_to is None:
-            candidates = others
+            candidates = self._cross_domain
         else:
-            wanted = set(restrict_to)
-            candidates = [v for v in others if v.tid in wanted]
+            wanted = (self._vertices.get(tid) for tid in set(restrict_to))
+            candidates = sorted(
+                (v for v in wanted if v is not None and v.is_cross_domain),
+                key=lambda v: v.ordinal,
+            )
+        inconsistencies: List[OrderInconsistency] = []
         seen_pairs = set()
         for left in candidates:
-            for right in others:
-                if left.tid == right.tid:
+            if left.tid in aborted:
+                continue
+            for right in self._sharing_a_pair_with(left):
+                if right is left or right.tid in aborted:
                     continue
                 pair = frozenset((left.tid, right.tid))
                 if pair in seen_pairs:
@@ -201,6 +238,14 @@ class DagLedger:
                 if conflict is not None:
                     inconsistencies.append(conflict)
         return inconsistencies
+
+    def _sharing_a_pair_with(self, vertex: DagVertex) -> List[DagVertex]:
+        """Vertices sharing >= 2 involved domains with ``vertex``, insertion order."""
+        pairs = _domain_pairs(vertex)
+        if len(pairs) == 1:
+            return self._by_pair[pairs[0]]
+        merged = {v.ordinal: v for pair in pairs for v in self._by_pair[pair]}
+        return [merged[ordinal] for ordinal in sorted(merged)]
 
     def _compare_pair(
         self, left: DagVertex, right: DagVertex
@@ -234,7 +279,7 @@ class DagLedger:
         """Cross-domain transactions not yet reported by all involved domains."""
         return [
             v
-            for v in self.cross_domain_vertices()
+            for v in self._cross_domain
             if not v.fully_reported and v.tid not in self._aborted
         ]
 
@@ -255,10 +300,10 @@ class DagLedger:
                 if parent in in_degree:
                     in_degree[tid] += 1
                     children[parent].append(tid)
-        ready = [tid for tid in self._order if in_degree[tid] == 0]
+        ready = deque(tid for tid in self._order if in_degree[tid] == 0)
         result: List[TransactionId] = []
         while ready:
-            current = ready.pop(0)
+            current = ready.popleft()
             result.append(current)
             for child in children[current]:
                 in_degree[child] -= 1

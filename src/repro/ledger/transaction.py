@@ -50,6 +50,16 @@ class Transaction:
     home_domain: Optional[DomainId] = None
     remote_domain: Optional[DomainId] = None
     size_kb: float = 0.2
+    # Compute-once cache of ``canonical_bytes()``.  It relies on the object's
+    # content never changing after construction: nothing under ``src/``
+    # mutates ``payload`` (or any other field) in place — a different
+    # transaction is always a different object (``replace()``, a hand-built
+    # copy), and ``init=False`` makes those start cold.  ``repr=False`` /
+    # ``compare=False`` keep ``repr`` (which payload digests hash) and ``==``
+    # exactly as without the cache.
+    _canonical: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.involved_domains:
@@ -101,14 +111,18 @@ class Transaction:
 
     def canonical_bytes(self) -> bytes:
         """Stable byte encoding used for digests and signatures."""
-        return digest(
-            self.tid.name,
-            self.kind.value,
-            [d.name for d in self.involved_domains],
-            dict(self.payload),
-            list(self.read_keys),
-            list(self.write_keys),
-        )
+        canonical = self._canonical
+        if canonical is None:
+            canonical = digest(
+                self.tid.name,
+                self.kind.value,
+                [d.name for d in self.involved_domains],
+                dict(self.payload),
+                list(self.read_keys),
+                list(self.write_keys),
+            )
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     @property
     def request_digest(self) -> bytes:
@@ -128,6 +142,11 @@ class CommittedEntry:
     sequence: SequenceNumber
     status: TransactionStatus = TransactionStatus.COMMITTED
     commit_time_ms: Optional[float] = None
+    # Compute-once cache, under the same condition as ``Transaction._canonical``;
+    # ``with_status`` / ``with_sequence`` go through ``replace()`` and start cold.
+    _canonical: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for domain in self.sequence.domains:
@@ -154,7 +173,11 @@ class CommittedEntry:
         # The status is deliberately excluded: an optimistic entry that is later
         # finalised or aborted keeps its identity (and its chaining hash); the
         # status flip is recorded as ledger metadata, not as new content.
-        return digest(self.transaction.canonical_bytes(), str(self.sequence))
+        canonical = self._canonical
+        if canonical is None:
+            canonical = digest(self.transaction.canonical_bytes(), str(self.sequence))
+            object.__setattr__(self, "_canonical", canonical)
+        return canonical
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.transaction.tid.name}@{self.sequence} ({self.status.value})"

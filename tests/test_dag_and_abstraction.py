@@ -1,6 +1,7 @@
 """Tests for DAG ledgers, block messages, abstraction functions, and views."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.types import (
     DomainId,
@@ -22,6 +23,7 @@ from repro.ledger.dag import DagLedger, deterministic_abort_choice
 from repro.ledger.transaction import CommittedEntry, Transaction
 
 D11, D12, D13, D21 = DomainId(1, 1), DomainId(1, 2), DomainId(1, 3), DomainId(2, 1)
+D14 = DomainId(1, 4)
 
 
 def _internal(number, domain):
@@ -168,6 +170,148 @@ class TestDagLedger:
             _block(D11, 1, [_entry(shared, [(D11, 1)])], aborted=(shared.tid,)), D11
         )
         assert shared.tid in dag.aborted()
+
+
+def _all_pairs_scan(dag, restrict_to=None):
+    """The consistency check as it was before the domain-pair index.
+
+    Every candidate against every non-aborted cross-domain vertex of the
+    ledger, both in insertion order — quadratic in ledger length, which is why
+    it left ``src/``; it stays here as the oracle the indexed
+    ``find_order_inconsistencies`` must match element for element.
+    """
+    others = [
+        v for v in dag.transactions() if v.is_cross_domain and not dag.is_aborted(v.tid)
+    ]
+    if restrict_to is None:
+        candidates = others
+    else:
+        wanted = set(restrict_to)
+        candidates = [v for v in others if v.tid in wanted]
+    inconsistencies = []
+    seen_pairs = set()
+    for left in candidates:
+        for right in others:
+            if left.tid == right.tid:
+                continue
+            pair = frozenset((left.tid, right.tid))
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            conflict = dag._compare_pair(left, right)
+            if conflict is not None:
+                inconsistencies.append(conflict)
+    return inconsistencies
+
+
+class TestConsistencyIndex:
+    """The indexed check equals the all-pairs scan and reads only what can conflict."""
+
+    CHILDREN = (D11, D12, D13, D14)
+
+    @given(st.data())
+    def test_indexed_check_equals_all_pairs_scan(self, data):
+        involved = data.draw(
+            st.lists(
+                st.sets(st.sampled_from(self.CHILDREN), min_size=1, max_size=3),
+                max_size=10,
+            )
+        )
+        transactions = [
+            _cross(number, sorted(domains))
+            if len(domains) > 1
+            else _internal(number, *domains)
+            for number, domains in enumerate(involved, start=1)
+        ]
+        # Each child appends its transactions in an order of its own and
+        # reports them a few per round; rounds of different children interleave.
+        queues = {}
+        for child in self.CHILDREN:
+            mine = [tx for tx in transactions if child in tx.involved_domains]
+            local_order = data.draw(st.permutations(mine)) if mine else []
+            queues[child] = [
+                _entry(tx, [(child, position)])
+                for position, tx in enumerate(local_order, start=1)
+            ]
+        rounds = dict.fromkeys(self.CHILDREN, 0)
+        dag = DagLedger(D21)
+        tids = [tx.tid for tx in transactions]
+        while any(queues.values()):
+            child = data.draw(st.sampled_from([c for c in self.CHILDREN if queues[c]]))
+            take = data.draw(st.integers(min_value=1, max_value=3))
+            entries, queues[child] = queues[child][:take], queues[child][take:]
+            rounds[child] += 1
+            aborted = data.draw(st.lists(st.sampled_from(tids), max_size=2, unique=True))
+            if data.draw(st.booleans()):
+                for tid in aborted:  # decided locally, before the block arrives
+                    dag.mark_aborted(tid)
+                aborted = []
+            block = _block(child, rounds[child], entries, aborted=tuple(aborted))
+            dag.integrate_block(block, child)
+            touched = block.transaction_ids
+            assert dag.find_order_inconsistencies(restrict_to=touched) == _all_pairs_scan(
+                dag, restrict_to=touched
+            )
+            assert dag.find_order_inconsistencies() == _all_pairs_scan(dag)
+
+    @staticmethod
+    def _count_comparisons(monkeypatch):
+        calls = []
+        compare_pair = DagLedger._compare_pair
+
+        def counting(self, left, right):
+            calls.append((left.tid, right.tid))
+            return compare_pair(self, left, right)
+
+        monkeypatch.setattr(DagLedger, "_compare_pair", counting)
+        return calls
+
+    @staticmethod
+    def _report(dag, child, round_number, transactions, first_position=1):
+        block = _block(
+            child,
+            round_number,
+            [
+                _entry(tx, [(child, position)])
+                for position, tx in enumerate(transactions, start=first_position)
+            ],
+        )
+        dag.integrate_block(block, child)
+        return block.transaction_ids
+
+    def test_block_sharing_no_domain_pair_with_the_ledger_compares_nothing(
+        self, monkeypatch
+    ):
+        dag = DagLedger(D21)
+        # 2,000 vertices; half of them share one domain (never two) with the block.
+        history = [
+            _cross(number, (D11, D12) if number % 2 else (D12, D13))
+            for number in range(1, 2001)
+        ]
+        self._report(dag, D12, 1, history)
+        calls = self._count_comparisons(monkeypatch)
+        touched = self._report(dag, D13, 1, [_cross(5000, (D13, D14))])
+        assert dag.find_order_inconsistencies(restrict_to=touched) == []
+        assert calls == []
+
+    def test_block_is_compared_only_with_vertices_sharing_its_domain_pair(
+        self, monkeypatch
+    ):
+        sharing = 40
+        dag = DagLedger(D21)
+        history = [
+            _cross(number, (D13, D14) if number <= sharing else (D11, D12))
+            for number in range(1, 2001)
+        ]
+        self._report(dag, D13, 1, history[:sharing])
+        self._report(dag, D11, 1, history[sharing:])
+        calls = self._count_comparisons(monkeypatch)
+        new = [_cross(5000, (D13, D14)), _cross(5001, (D13, D14))]
+        touched = self._report(dag, D13, 2, new, first_position=sharing + 1)
+        assert dag.find_order_inconsistencies(restrict_to=touched) == []
+        # Each new transaction meets the 40 that share its pair, and the two
+        # meet each other once: nothing near the 2,000 vertices of the ledger.
+        assert 0 < len(calls) <= len(new) * sharing + 1
 
 
 class TestAbstractions:

@@ -1,5 +1,7 @@
 """Tests for edge-device consensus, payment channels, and client behaviour."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.types import ClientId, DomainId, TransactionId, TransactionKind
@@ -125,10 +127,10 @@ class TestPaymentChannel:
         channel = self._channel()
         client = ClientId(home=D01, index=1)
         open_tx = channel.open_transaction(TransactionId(number=500, origin=client), D11)
-        open_tx = Transaction(**{**open_tx.__dict__, "client": client})
+        open_tx = replace(open_tx, client=client)
         channel.pay(account_key(D11, 0), 40.0)
         close_tx = channel.close_transaction(TransactionId(number=501, origin=client), D11)
-        close_tx = Transaction(**{**close_tx.__dict__, "client": client})
+        close_tx = replace(close_tx, client=client)
         summary = deployment.run_workload([open_tx, close_tx], drain_ms=200.0)
         assert summary.committed == 2
         state = deployment.state_of(D11)
