@@ -130,9 +130,6 @@ class MetricsCollector:
     def committed_records(self) -> List[TransactionRecord]:
         return [r for r in self._records.values() if r.is_committed]
 
-    def aborted_records(self) -> List[TransactionRecord]:
-        return [r for r in self._records.values() if r.is_aborted]
-
     def summary(self) -> PerformanceSummary:
         """Aggregate the run; meaningful once the simulation has quiesced."""
         records = list(self._records.values())

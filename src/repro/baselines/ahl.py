@@ -23,7 +23,6 @@ shards.
 from __future__ import annotations
 
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
-from repro.core.node import SaguaroNode
 
 __all__ = ["AhlReferenceCommitteeProtocol"]
 
@@ -36,9 +35,6 @@ class AhlReferenceCommitteeProtocol(CoordinatorCrossDomainProtocol):
     and so that AHL-specific instrumentation can be added without touching the
     Saguaro coordinator.
     """
-
-    def __init__(self, node: SaguaroNode) -> None:
-        super().__init__(node)
 
     @property
     def is_reference_committee_member(self) -> bool:

@@ -16,7 +16,7 @@ same :class:`~repro.core.internal.InternalTransactionProtocol` Saguaro uses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.common.types import DomainId, FailureModel, TransactionId, TransactionKind, TransactionStatus
 from repro.core.messages import ClientRequest
@@ -156,12 +156,6 @@ class SharperCrossShardProtocol(ProtocolComponent):
         for domain_id in transaction.involved_domains:
             addresses.extend(self.node.nodes_of(domain_id))
         return addresses
-
-    def _conflicts_with_inflight(self, transaction: Transaction) -> bool:
-        for state in self._instances.values():
-            if state.in_flight and _overlaps_in_two(state.transaction, transaction):
-                return True
-        return False
 
     # ------------------------------------------------------------------ initiator side
 
@@ -455,8 +449,3 @@ class SharperCrossShardProtocol(ProtocolComponent):
                     )
                 self._vote_on(state, propose)
         self._held = still_held
-
-    # ------------------------------------------------------------------ introspection
-
-    def inflight_instances(self) -> Tuple[TransactionId, ...]:
-        return tuple(t for t, s in self._instances.items() if s.in_flight)

@@ -24,7 +24,13 @@ import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
 from repro.common.types import DomainId, FailureModel, TransactionKind
-from repro.consensus.messages import CatchUpQuery, CatchUpReply, SlotStatusQuery
+from repro.consensus.messages import (
+    CatchUpQuery,
+    CatchUpReply,
+    NewView,
+    SlotStatusQuery,
+    ViewChange,
+)
 from repro.crypto.digests import digest
 from repro.errors import ConsensusError, NotPrimaryError
 from repro.recovery.wal import WalRecord
@@ -515,6 +521,8 @@ class ConsensusEngine(abc.ABC):
         self._next_slot = 1
         self._log = DecisionLog(self._deliver_decided)
         self._proposals: Dict[int, Any] = {}
+        self._view_change_votes: Dict[int, Set[str]] = {}
+        self._view_change_pending: Dict[int, Dict[int, Any]] = {}
         self._recovery_timer: Any = None
         #: Per-entry delivery counter: batches unpack into one callback per
         #: entry, so components see a gap-free, strictly increasing sequence
@@ -1040,6 +1048,74 @@ class ConsensusEngine(abc.ABC):
         """The engine-specific decided-slot echo message."""
         raise NotImplementedError
 
+    # -- view change -------------------------------------------------------------------
+
+    def suspect_primary(self) -> None:
+        """Vote to move to the next view (primary suspected crashed or faulty)."""
+        target_view = self.view + 1
+        self._wal_log("view-vote", view=target_view)
+        pending = self._undecided_pending()
+        vote = ViewChange(
+            domain=self.domain.id,
+            view=target_view,
+            slot=0,
+            sender=self._host.address,
+            pending=pending,
+        )
+        self._register_view_change_vote(target_view, self._host.address, pending)
+        self._broadcast(vote)
+        self._maybe_install_view(target_view)
+
+    def _undecided_pending(self) -> Tuple[Tuple[int, Any], ...]:
+        """The ``(slot, payload)`` pairs this node holds undecided, in slot order."""
+        raise NotImplementedError
+
+    def _repropose_in_slot(self, slot: int, payload: Any) -> None:
+        """New-primary side: run the engine's ordering round again in ``slot``."""
+        raise NotImplementedError
+
+    def _register_view_change_vote(
+        self, target_view: int, voter: str, pending: Tuple[Tuple[int, Any], ...]
+    ) -> None:
+        self._view_change_votes.setdefault(target_view, set()).add(voter)
+        bucket = self._view_change_pending.setdefault(target_view, {})
+        for slot, payload in pending:
+            bucket.setdefault(slot, payload)
+
+    def _on_view_change(self, message: ViewChange, sender: str) -> None:
+        if message.view <= self.view:
+            return
+        self._register_view_change_vote(message.view, sender, message.pending)
+        self._maybe_install_view(message.view)
+
+    def _maybe_install_view(self, target_view: int) -> None:
+        votes = self._view_change_votes.get(target_view, set())
+        if len(votes) < self.quorum:
+            return
+        new_primary = self.domain.primary_for_view(target_view).name
+        if new_primary != self._host.address:
+            return
+        self._view = target_view
+        pending = self._view_change_pending.get(target_view, {})
+        announcement = NewView(
+            domain=self.domain.id,
+            view=target_view,
+            slot=0,
+            pending=tuple(sorted(pending.items())),
+            supporters=tuple(sorted(votes)),
+        )
+        self._broadcast(announcement)
+        for slot, payload in sorted(pending.items()):
+            if not self.is_decided(slot):
+                self._repropose_in_slot(slot, payload)
+
+    def _on_new_view(self, message: NewView) -> None:
+        if message.view <= self.view:
+            return
+        self._view = message.view
+        for slot, _payload in message.pending:
+            self._observe_slot(slot)
+
     # -- crash recovery ----------------------------------------------------------------
 
     def _handle_recovery(self, message: Any, sender: str) -> bool:
@@ -1118,13 +1194,18 @@ class ConsensusEngine(abc.ABC):
     def rehydrate_vote(self, record: WalRecord) -> None:
         """WAL replay of a vote record: re-arm the promise it represents.
 
-        Engine-specific — restoring adopted payloads, sent commits, and
+        Restoring adopted payloads and sent commits (engine-specific) and
         view votes is what makes a recovered node refuse to equivocate
         against anything it voted for before the crash.
         """
         if record.slot:
             self._observe_slot(record.slot)
-        self._rehydrate_vote(record)
+        if record.kind == "view-vote":
+            self._view_change_votes.setdefault(record.view, set()).add(
+                self._host.address
+            )
+        else:
+            self._rehydrate_vote(record)
 
     def _rehydrate_vote(self, record: WalRecord) -> None:
         """Engine-specific vote rehydration; the default drops the record."""

@@ -32,8 +32,6 @@ class PaxosEngine(ConsensusEngine):
         super().__init__(host)
         self._accepted_payload: Dict[int, Any] = {}
         self._accept_votes: Dict[int, Set[str]] = {}
-        self._view_change_votes: Dict[int, Set[str]] = {}
-        self._view_change_pending: Dict[int, Dict[int, Any]] = {}
 
     # -- proposing ---------------------------------------------------------------
 
@@ -149,22 +147,6 @@ class PaxosEngine(ConsensusEngine):
 
     # -- view change ---------------------------------------------------------------------
 
-    def suspect_primary(self) -> None:
-        """Vote to replace the current primary (crash suspected)."""
-        target_view = self.view + 1
-        self._wal_log("view-vote", view=target_view)
-        pending = self._undecided_pending()
-        vote = ViewChange(
-            domain=self.domain.id,
-            view=target_view,
-            slot=0,
-            sender=self._host.address,
-            pending=pending,
-        )
-        self._register_view_change_vote(target_view, self._host.address, pending)
-        self._broadcast(vote)
-        self._maybe_install_view(target_view)
-
     def _undecided_pending(self) -> Tuple[Tuple[int, Any], ...]:
         return tuple(
             (slot, payload)
@@ -172,42 +154,7 @@ class PaxosEngine(ConsensusEngine):
             if not self.is_decided(slot)
         )
 
-    def _register_view_change_vote(
-        self, target_view: int, voter: str, pending: Tuple[Tuple[int, Any], ...]
-    ) -> None:
-        self._view_change_votes.setdefault(target_view, set()).add(voter)
-        bucket = self._view_change_pending.setdefault(target_view, {})
-        for slot, payload in pending:
-            bucket.setdefault(slot, payload)
-
-    def _on_view_change(self, message: ViewChange, sender: str) -> None:
-        if message.view <= self.view:
-            return
-        self._register_view_change_vote(message.view, sender, message.pending)
-        self._maybe_install_view(message.view)
-
-    def _maybe_install_view(self, target_view: int) -> None:
-        votes = self._view_change_votes.get(target_view, set())
-        if len(votes) < self.quorum:
-            return
-        new_primary = self.domain.primary_for_view(target_view).name
-        if new_primary != self._host.address:
-            return
-        self._view = target_view
-        pending = self._view_change_pending.get(target_view, {})
-        announcement = NewView(
-            domain=self.domain.id,
-            view=target_view,
-            slot=0,
-            pending=tuple(sorted(pending.items())),
-            supporters=tuple(sorted(votes)),
-        )
-        self._broadcast(announcement)
-        for slot, payload in sorted(pending.items()):
-            if not self.is_decided(slot):
-                self._reproprose_in_slot(slot, payload)
-
-    def _reproprose_in_slot(self, slot: int, payload: Any) -> None:
+    def _repropose_in_slot(self, slot: int, payload: Any) -> None:
         self._observe_slot(slot)
         self._accepted_payload[slot] = payload
         self._accept_votes.setdefault(slot, set()).add(self._host.address)
@@ -219,13 +166,6 @@ class PaxosEngine(ConsensusEngine):
         )
         self._broadcast(message)
         self._maybe_decide(slot)
-
-    def _on_new_view(self, message: NewView) -> None:
-        if message.view <= self.view:
-            return
-        self._view = message.view
-        for slot, _payload in message.pending:
-            self._observe_slot(slot)
 
     # -- crash recovery ----------------------------------------------------------------
 
@@ -240,9 +180,5 @@ class PaxosEngine(ConsensusEngine):
         if record.kind == "accept-vote":
             self._accepted_payload[record.slot] = record.payload
             self._accept_votes.setdefault(record.slot, set()).add(
-                self._host.address
-            )
-        elif record.kind == "view-vote":
-            self._view_change_votes.setdefault(record.view, set()).add(
                 self._host.address
             )

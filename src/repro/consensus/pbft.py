@@ -47,8 +47,6 @@ class PbftEngine(ConsensusEngine):
         self._commit_votes: Dict[_VoteKey, Set[str]] = {}
         self._echo_votes: Dict[_VoteKey, Set[str]] = {}
         self._commit_sent: Set[int] = set()
-        self._view_change_votes: Dict[int, Set[str]] = {}
-        self._view_change_pending: Dict[int, Dict[int, Any]] = {}
 
     # -- proposing -------------------------------------------------------------------
 
@@ -293,63 +291,12 @@ class PbftEngine(ConsensusEngine):
 
     # -- view change --------------------------------------------------------------------------
 
-    def suspect_primary(self) -> None:
-        """Vote to move to the next view (primary suspected faulty)."""
-        target_view = self.view + 1
-        self._wal_log("view-vote", view=target_view)
-        pending = self._undecided_pending()
-        vote = ViewChange(
-            domain=self.domain.id,
-            view=target_view,
-            slot=0,
-            sender=self._host.address,
-            pending=pending,
-        )
-        self._register_view_change_vote(target_view, self._host.address, pending)
-        self._broadcast(vote)
-        self._maybe_install_view(target_view)
-
     def _undecided_pending(self) -> Tuple[Tuple[int, Any], ...]:
         return tuple(
             (slot, payload)
             for slot, payload in sorted(self._payloads.items())
             if not self.is_decided(slot)
         )
-
-    def _register_view_change_vote(
-        self, target_view: int, voter: str, pending: Tuple[Tuple[int, Any], ...]
-    ) -> None:
-        self._view_change_votes.setdefault(target_view, set()).add(voter)
-        bucket = self._view_change_pending.setdefault(target_view, {})
-        for slot, payload in pending:
-            bucket.setdefault(slot, payload)
-
-    def _on_view_change(self, message: ViewChange, sender: str) -> None:
-        if message.view <= self.view:
-            return
-        self._register_view_change_vote(message.view, sender, message.pending)
-        self._maybe_install_view(message.view)
-
-    def _maybe_install_view(self, target_view: int) -> None:
-        votes = self._view_change_votes.get(target_view, set())
-        if len(votes) < self.quorum:
-            return
-        new_primary = self.domain.primary_for_view(target_view).name
-        if new_primary != self._host.address:
-            return
-        self._view = target_view
-        pending = self._view_change_pending.get(target_view, {})
-        announcement = NewView(
-            domain=self.domain.id,
-            view=target_view,
-            slot=0,
-            pending=tuple(sorted(pending.items())),
-            supporters=tuple(sorted(votes)),
-        )
-        self._broadcast(announcement)
-        for slot, payload in sorted(pending.items()):
-            if not self.is_decided(slot):
-                self._repropose_in_slot(slot, payload)
 
     def _repropose_in_slot(self, slot: int, payload: Any) -> None:
         self._observe_slot(slot)
@@ -365,14 +312,13 @@ class PbftEngine(ConsensusEngine):
         self._maybe_commit_phase(slot)
 
     def _on_new_view(self, message: NewView) -> None:
-        if message.view <= self.view:
-            return
-        self._view = message.view
-        self._commit_sent = {
-            slot for slot in self._commit_sent if self.is_decided(slot)
-        }
-        for slot, _payload in message.pending:
-            self._observe_slot(slot)
+        if message.view > self.view:
+            # Commits sent in the old view do not carry over: an undecided
+            # slot must be free to re-vote under the new primary.
+            self._commit_sent = {
+                slot for slot in self._commit_sent if self.is_decided(slot)
+            }
+        super()._on_new_view(message)
 
     # -- crash recovery --------------------------------------------------------------------
 
@@ -402,7 +348,3 @@ class PbftEngine(ConsensusEngine):
                 self._commit_votes.setdefault(
                     (record.slot, record.digest), set()
                 ).add(self._host.address)
-        elif record.kind == "view-vote":
-            self._view_change_votes.setdefault(record.view, set()).add(
-                self._host.address
-            )

@@ -163,18 +163,11 @@ class TelemetryBus:
         self._metrics: Dict[str, MetricsWindow] = {}
         self._window_started_ms = 0.0
 
-    @property
-    def window_started_ms(self) -> float:
-        return self._window_started_ms
-
     def observe(self, metric: str, value: float = 1.0) -> None:
         ring = self._metrics.get(metric)
         if ring is None:
             ring = self._metrics[metric] = MetricsWindow(self._window)
         ring.observe(value)
-
-    def window_of(self, metric: str) -> Optional[MetricsWindow]:
-        return self._metrics.get(metric)
 
     def snapshot(self, at_ms: float) -> TelemetrySnapshot:
         """Freeze the current window's aggregates and start the next window."""

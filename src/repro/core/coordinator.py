@@ -97,18 +97,6 @@ class _CoordinationState:
     def in_flight(self) -> bool:
         return not self.committed and not self.aborted
 
-    @property
-    def blocks_new_conflicts(self) -> bool:
-        """The coarse-grained hold (§4) applies until every participant prepared.
-
-        Once all involved domains have ordered the transaction, any later
-        conflicting transaction this coordinator prepares is necessarily
-        ordered after it in every overlapping domain, so admitting the next
-        conflicting request at this point cannot violate consistency (the
-        participant-side commit guard preserves the apply order).
-        """
-        return self.in_flight and not self.all_prepared
-
 
 @dataclass
 class _ParticipantState:
@@ -575,10 +563,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         state.committed = True
         if state.timer is not None:
             state.timer.cancel()
-        if self.node.dag is not None:
-            # The coordinator records the commit so later block messages from
-            # children merge into an already-known vertex.
-            pass
         if self.node.is_primary:
             certificate = self.node.certify(order.request_digest)
             self.node.record_trace(
@@ -1650,9 +1634,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
 
     def coordinated_transactions(self) -> Tuple[TransactionId, ...]:
         return tuple(self._coord.keys())
-
-    def participant_transactions(self) -> Tuple[TransactionId, ...]:
-        return tuple(self._part.keys())
 
     def coordinated_groups(self) -> Tuple[str, ...]:
         """Group ids of every grouped exchange this coordinator decided."""

@@ -130,10 +130,6 @@ class PaymentChannel:
     def payments_made(self) -> int:
         return self._payments
 
-    @property
-    def is_closed(self) -> bool:
-        return self._closed
-
     def open_transaction(self, tid: TransactionId, domain: DomainId) -> Transaction:
         """The on-chain transaction locking both deposits."""
         return Transaction(

@@ -54,10 +54,6 @@ class LazyPropagation(ProtocolComponent):
         """Stop emitting rounds (used by the harness to let a run quiesce)."""
         self._stopped = True
 
-    @property
-    def rounds_emitted(self) -> int:
-        return self._round
-
     def _parent_domain(self) -> Optional[DomainId]:
         parent = self.node.hierarchy.parent_of(self.node.domain.id)
         return None if parent is None else parent.id

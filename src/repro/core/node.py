@@ -182,7 +182,6 @@ class SaguaroNode:
         #: always finishes.  Never set on static deployments.
         self.shedding = False
         self._executed: Set[TransactionId] = set()
-        self._process_labels: Dict[type, str] = {}
         self._crashed = False
 
         network.register(self)
@@ -301,24 +300,14 @@ class SaguaroNode:
     # ------------------------------------------------------------------ endpoint
 
     def deliver(self, envelope: Envelope) -> None:
-        """Network entry point: queue CPU work, then process the payload.
-
-        The payload and sender are copied out of the envelope here rather
-        than captured in a closure: nothing may retain the envelope past this
-        call, so the network can recycle it through its free list.
-        """
+        """Network entry point: queue CPU work, then process the payload."""
         if self._crashed:
             return
         payload = envelope.payload
-        payload_type = type(payload)
         cost = self._service_cost(payload)
         completion = self.cpu.submit(self.simulator.now, cost)
-        label = self._process_labels.get(payload_type)
-        if label is None:
-            label = f"{self.address}:{payload_type.__name__}"
-            self._process_labels[payload_type] = label
         self.simulator.schedule_at(
-            completion, self._process, label, (payload, envelope.sender)
+            completion, self._process, "process", (payload, envelope.sender)
         )
 
     def _service_cost(self, payload: Any) -> float:

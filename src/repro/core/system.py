@@ -225,8 +225,14 @@ class SaguaroDeployment:
         for client in clients:
             client.start()
 
+        # Evaluated after every event, so it must not rescan the clients: a
+        # finished client never restarts, so drop finished ones off the tail.
+        waiting = list(clients)
+
         def _all_clients_done() -> bool:
-            return all(client.done for client in clients)
+            while waiting and waiting[-1].done:
+                waiting.pop()
+            return not waiting
 
         self.simulator.run(until_ms=max_simulated_ms, stop_when=_all_clients_done)
 

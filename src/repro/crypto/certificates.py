@@ -155,14 +155,6 @@ class Signer:
     def owner(self) -> str:
         return self._owner
 
-    def sign_values(self, *values: object) -> SignedPayload:
-        """Sign the canonical digest of ``values``."""
-        payload_digest = digest(*values)
-        signature = self._keystore.sign(self._owner, payload_digest)
-        return SignedPayload(
-            signer=self._owner, payload_digest=payload_digest, signature=signature
-        )
-
     def certify(
         self,
         payload_digest: bytes,

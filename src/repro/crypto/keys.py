@@ -106,10 +106,6 @@ class KeyStore:
         except KeyError as exc:
             raise CryptoError(f"unknown principal: {owner}") from exc
 
-    def public_key_of(self, owner: str) -> bytes:
-        """Public key of ``owner``."""
-        return self.key_of(owner).public
-
     def sign(self, owner: str, payload: bytes) -> bytes:
         """Sign ``payload`` with ``owner``'s key."""
         return self.key_of(owner).sign(payload)

@@ -49,6 +49,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -111,6 +112,12 @@ class FaultAction(DictSerializable):
                 f"{self.kind}: faults cannot be scheduled at negative time "
                 f"({self.at_ms})"
             )
+        for name in ("at_ms", "until_ms", "delay_ms", "rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{self.kind}: {name} must be finite, got {value}"
+                )
         if self.until_ms is not None and self.until_ms <= self.at_ms:
             raise ConfigurationError(
                 f"{self.kind}: until_ms ({self.until_ms}) must be after "

@@ -113,9 +113,6 @@ class SummarizedView:
         bucket.update(abstract_delta)
         self._rounds_merged[child] = round_number
 
-    def rounds_merged_from(self, child: DomainId) -> int:
-        return self._rounds_merged.get(child, 0)
-
     def value(self, child: DomainId, key: str, default: Any = None) -> Any:
         return self._per_child.get(child, {}).get(key, default)
 
@@ -156,9 +153,6 @@ class SummarizedView:
                 if self._matches(key, key_prefix) and isinstance(value, (int, float)):
                     totals[key] = totals.get(key, 0.0) + value
         return totals
-
-    def per_child_snapshot(self) -> Dict[DomainId, Dict[str, Any]]:
-        return {child: dict(bucket) for child, bucket in self._per_child.items()}
 
     def own_abstract_delta(self, since: "SummarizedViewCursor") -> Dict[str, Any]:
         """Delta of the view itself for forwarding further up the hierarchy."""

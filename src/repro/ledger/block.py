@@ -11,7 +11,7 @@ aborted cross-domain transactions and the dependency lists of undecided ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.common.types import DomainId, TransactionId
 from repro.crypto.certificates import QuorumCertificate
@@ -89,9 +89,6 @@ class BlockMessage:
         """Recompute the Merkle root over the carried entries."""
         leaves = [entry.canonical_bytes() for entry in self.entries]
         return MerkleTree.root_of(leaves) == self.merkle_root
-
-    def entries_by_tid(self) -> Dict[TransactionId, CommittedEntry]:
-        return {entry.tid: entry for entry in self.entries}
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return (

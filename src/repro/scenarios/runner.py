@@ -40,9 +40,6 @@ class LoadPoint:
     abort_rate: float
     summary: PerformanceSummary
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.throughput_tps, self.avg_latency_ms)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -183,9 +180,6 @@ class ResultSet:
             "committed": self.mean("committed"),
             "aborted": self.mean("aborted"),
         }
-
-    def load_points(self) -> List[LoadPoint]:
-        return [result.as_load_point() for result in self.results]
 
     # ------------------------------------------------------------------ serialisation
 
@@ -420,18 +414,6 @@ class ScenarioRunner:
         if self._should_check(check_invariants):
             run.check_invariants()
         return run
-
-    def run_seed(
-        self,
-        scenario: Scenario,
-        seed: int,
-        check_invariants: Optional[bool] = None,
-    ) -> RunResult:
-        run = materialize(scenario, seed)
-        result = run.run()
-        if self._should_check(check_invariants):
-            run.check_invariants()
-        return result
 
     def run(
         self,

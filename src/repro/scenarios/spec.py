@@ -429,9 +429,6 @@ class Scenario(DictSerializable, EngineKnobs):
     def with_clients(self, num_clients: int) -> "Scenario":
         return self.with_overrides(num_clients=num_clients)
 
-    def with_engine(self, engine: str) -> "Scenario":
-        return self.with_overrides(engine=engine)
-
     def replicate(self, seeds: Union[int, Sequence[int]]) -> "Scenario":
         """Replicate across seeds: an int ``n`` derives ``n`` consecutive seeds
         from the scenario's first seed; a sequence is used as-is."""

@@ -39,11 +39,6 @@ class CpuQueue:
         return self._busy_until
 
     @property
-    def total_busy_ms(self) -> float:
-        """Cumulative service time executed (for utilisation reporting)."""
-        return self._busy_time_total
-
-    @property
     def jobs_executed(self) -> int:
         return self._jobs
 

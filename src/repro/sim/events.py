@@ -2,23 +2,10 @@
 
 The queue is the hottest data structure in the whole system: every message
 send, timer, round tick, and CPU completion passes through it twice (push and
-pop).  Two implementations live here:
-
-* :class:`EventQueue` — the default: a bucketed calendar queue (timer wheel)
-  with a far-future overflow heap.  Near-future events are appended to fixed
-  width time buckets in O(1) with **no comparisons**; a bucket is heapified
-  only when the cursor reaches it, and the per-bucket heaps hold plain
-  ``(time, sequence, event)`` tuples so all ordering work happens in C.
-  Events beyond the wheel's horizon fall back to an overflow heap and are
-  scattered into buckets when the wheel catches up.
-* :class:`HeapEventQueue` — the original single binary heap ordered by the
-  :class:`ScheduledEvent` dataclass's ``(time, sequence)`` comparison.  Kept
-  as the reference implementation: the differential tests and the events/sec
-  microbenchmark pit the wheel against it, and any ordering bug in the wheel
-  shows up as a divergence from this ground truth.
-
-Both pop in exactly ``(time, sequence)`` order, so traces are bit-identical
-whichever implementation drives a run.
+pop).  :class:`EventQueue` is one binary heap of ``(time, sequence, event)``
+tuples, so all ordering work happens in C, and it pops in exactly
+``(time, sequence)`` order: ties fire in insertion order, which is what makes
+a run's trace a function of its seed alone.
 """
 
 from __future__ import annotations
@@ -26,49 +13,39 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from math import inf
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["ScheduledEvent", "EventQueue", "HeapEventQueue"]
+__all__ = ["ScheduledEvent", "EventQueue"]
 
 #: Compact once at least this many cancelled events have built up (and they
 #: make up at least half the physical queue).  Keeps long fault-heavy runs —
 #: which cancel protocol timers constantly — from accumulating dead entries.
 COMPACT_THRESHOLD = 64
 
-#: Width of one calendar bucket in simulated milliseconds.  A power of two
-#: (2^-2) so ``time * (1 / width)`` is exact and two equal times can never
-#: land in different buckets.
-BUCKET_WIDTH_MS = 0.25
 
-#: Buckets on the wheel; with the default width the wheel spans 128 ms of
-#: simulated future — wide enough for every network delay in the latency
-#: profiles, while protocol timeouts (hundreds to thousands of ms) take the
-#: overflow-heap fallback.
-NUM_BUCKETS = 512
-
-
-@dataclass(order=True, slots=True)
+@dataclass(slots=True, eq=False)
 class ScheduledEvent:
     """A callback scheduled at a simulated time.
 
-    Events are ordered by ``(time, sequence)`` so that ties are broken by
-    insertion order, keeping runs deterministic.  Slotted: the simulator
-    allocates one of these per scheduled callback, so the per-instance dict
-    is measurable overhead on the hot path.  ``args`` are passed to the
-    callback when it fires, which lets hot callers (the network's delivery
-    path) schedule a bound method plus argument instead of allocating a
-    closure per message.
+    The queue orders events by ``(time, sequence)`` so that ties are broken
+    by insertion order, keeping runs deterministic; the event itself is
+    identity-compared.  Slotted: the simulator allocates one of these per
+    scheduled callback, so the per-instance dict is measurable overhead on
+    the hot path.  ``args`` are passed to the callback when it fires, which
+    lets hot callers (the network's delivery path) schedule a bound method
+    plus argument instead of allocating a closure per message.
     """
 
     time: float
     sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    _queue: Optional["_QueueBase"] = field(compare=False, default=None, repr=False)
+    callback: Callable[..., Any]
+    label: str = ""
+    cancelled: bool = False
+    args: Tuple[Any, ...] = ()
+    _queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent the callback from running.
@@ -85,223 +62,22 @@ class ScheduledEvent:
             queue._note_cancelled()
 
 
-class _QueueBase:
-    """Shared bookkeeping contract of both queue implementations."""
+class EventQueue:
+    """A binary heap of ``(time, sequence, event)`` tuples.
 
-    def _note_cancelled(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class EventQueue(_QueueBase):
-    """A bucketed calendar queue keyed by ``(time, sequence)``.
-
-    Structure:
-
-    * ``_active`` — a small binary heap of ``(time, sequence, event)`` tuples
-      holding every event at or before the cursor bucket.  All pops come from
-      here; tuple comparisons run in C.
-    * ``_buckets`` — unsorted per-bucket entry lists for events after the
-      cursor but before the horizon.  Pushing is an O(1) append with no
-      comparisons; the cursor heapifies a bucket only when it reaches it.
-    * ``_far`` — an overflow heap for events at or beyond the horizon
-      (protocol timeouts, run bounds).  When the near structures drain, the
-      wheel re-anchors at the overflow's earliest event and scatters the next
-      ``num_buckets`` worth of it into fresh buckets.
-
-    Pop order is exactly the heap implementation's ``(time, sequence)``
-    order: everything outside ``_active`` lives in a strictly later bucket,
-    so the active heap's minimum is always the global minimum.
-    """
-
-    def __init__(
-        self,
-        bucket_width_ms: float = BUCKET_WIDTH_MS,
-        num_buckets: int = NUM_BUCKETS,
-    ) -> None:
-        if bucket_width_ms <= 0:
-            raise SimulationError("bucket_width_ms must be positive")
-        if num_buckets < 1:
-            raise SimulationError("num_buckets must be >= 1")
-        self._inv_width = 1.0 / bucket_width_ms
-        self._num_buckets = num_buckets
-        self._counter = itertools.count()
-        self._cancelled = 0  # cancelled events still physically queued
-        self._live = 0  # non-cancelled events queued
-        self._active: List[Tuple[float, int, ScheduledEvent]] = []
-        self._cursor = -1  # highest bucket index drained into _active
-        self._horizon = num_buckets  # first bucket index handled by _far
-        self._buckets: Dict[int, List[Tuple[float, int, ScheduledEvent]]] = {}
-        self._bucket_indices: List[int] = []  # min-heap of occupied buckets
-        self._far: List[Tuple[float, int, ScheduledEvent]] = []
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    @property
-    def heap_size(self) -> int:
-        """Physical entry count, including not-yet-compacted cancelled events."""
-        return self._live + self._cancelled
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        label: str = "",
-        args: Tuple[Any, ...] = (),
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` at simulated ``time``."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        sequence = next(self._counter)
-        event = ScheduledEvent(time, sequence, callback, label, False, args)
-        event._queue = self
-        entry = (time, sequence, event)
-        index = int(time * self._inv_width)
-        if index <= self._cursor:
-            heapq.heappush(self._active, entry)
-        elif index < self._horizon:
-            bucket = self._buckets.get(index)
-            if bucket is None:
-                self._buckets[index] = [entry]
-                heapq.heappush(self._bucket_indices, index)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._far, entry)
-        self._live += 1
-        return event
-
-    def _advance(self) -> bool:
-        """Refill ``_active`` from the next occupied buckets (or the overflow).
-
-        Consecutive sparse buckets are merged into one refill — batching
-        amortizes the per-bucket bookkeeping when events are spread thinly
-        across the wheel.  Merging is safe: the cursor moves to the last
-        merged bucket, so everything still outside ``_active`` remains
-        strictly later.  Returns ``False`` when the queue is completely
-        empty.
-        """
-        while not self._active:
-            indices = self._bucket_indices
-            buckets = self._buckets
-            refill: List[Tuple[float, int, ScheduledEvent]] = []
-            while indices:
-                index = heapq.heappop(indices)
-                bucket = buckets.pop(index, None)
-                if bucket is None:
-                    continue  # emptied by compaction; stale heap entry
-                self._cursor = index
-                if refill:
-                    refill.extend(bucket)
-                else:
-                    refill = bucket
-                if len(refill) >= 16:
-                    break
-            if refill:
-                heapq.heapify(refill)
-                self._active = refill
-            else:
-                if not self._far:
-                    return False
-                self._reanchor()
-        return True
-
-    def _reanchor(self) -> None:
-        """Move the wheel forward to the overflow heap's earliest event."""
-        far = self._far
-        inv_width = self._inv_width
-        base = int(far[0][0] * inv_width)
-        horizon = base + self._num_buckets
-        buckets = self._buckets
-        indices = self._bucket_indices
-        while far and int(far[0][0] * inv_width) < horizon:
-            entry = heapq.heappop(far)
-            index = int(entry[0] * inv_width)
-            bucket = buckets.get(index)
-            if bucket is None:
-                buckets[index] = [entry]
-                heapq.heappush(indices, index)
-            else:
-                bucket.append(entry)
-        self._cursor = base - 1
-        self._horizon = horizon
-
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Pop the earliest non-cancelled event, or ``None`` if empty."""
-        while True:
-            active = self._active
-            while active:
-                event = heapq.heappop(active)[2]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                event._queue = None
-                self._live -= 1
-                return event
-            if not self._advance():
-                return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest non-cancelled event, or ``None``."""
-        while True:
-            active = self._active
-            while active:
-                head = active[0]
-                if head[2].cancelled:
-                    heapq.heappop(active)
-                    self._cancelled -= 1
-                    continue
-                return head[0]
-            if not self._advance():
-                return None
-
-    # -- cancellation bookkeeping ---------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._cancelled += 1
-        if (
-            self._cancelled >= COMPACT_THRESHOLD
-            and 2 * self._cancelled >= self._live + self._cancelled
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the near/far structures without cancelled events."""
-        self._active = [e for e in self._active if not e[2].cancelled]
-        heapq.heapify(self._active)
-        for index in list(self._buckets):
-            bucket = [e for e in self._buckets[index] if not e[2].cancelled]
-            if bucket:
-                self._buckets[index] = bucket
-            else:
-                del self._buckets[index]  # its index entry goes stale
-        self._far = [e for e in self._far if not e[2].cancelled]
-        heapq.heapify(self._far)
-        self._cancelled = 0
-
-
-class HeapEventQueue(_QueueBase):
-    """The original single binary heap of :class:`ScheduledEvent`.
-
-    Reference implementation: ordering comes from the dataclass's generated
-    ``(time, sequence)`` comparison, evaluated in Python for every heap sift.
-    Kept for differential tests and as the microbenchmark baseline.
+    The entries are plain tuples so every comparison of a heap sift runs in
+    C, and ``sequence`` is unique so a comparison never reaches the event.
+    Cancelled events stay in the heap until they surface at the head or a
+    compaction sweeps them out; ``len`` and ``bool`` count live events only.
     """
 
     def __init__(self) -> None:
-        self._heap: List[ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._cancelled = 0  # cancelled events still sitting in the heap
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
     @property
     def heap_size(self) -> int:
@@ -316,34 +92,40 @@ class HeapEventQueue(_QueueBase):
         args: Tuple[Any, ...] = (),
     ) -> ScheduledEvent:
         """Schedule ``callback`` at simulated ``time``."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = ScheduledEvent(
-            time, next(self._counter), callback, label, False, args
-        )
-        event._queue = self
-        heapq.heappush(self._heap, event)
+        # One chained comparison rejects negative, infinite and NaN times: a
+        # NaN compares false with everything and would otherwise sit in the
+        # heap silently breaking its ordering.
+        if not 0 <= time < inf:
+            raise SimulationError(
+                f"cannot schedule event at time {time}: need 0 <= time < inf"
+            )
+        sequence = next(self._counter)
+        event = ScheduledEvent(time, sequence, callback, label, False, args, self)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Optional[ScheduledEvent]:
         """Pop the earliest non-cancelled event, or ``None`` if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event._queue = None
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
+            event._queue = None
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest non-cancelled event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head[2].cancelled:
+                return head[0]
+            heapq.heappop(heap)
             self._cancelled -= 1
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        return None
 
     # -- cancellation bookkeeping ---------------------------------------------
 
@@ -357,6 +139,6 @@ class HeapEventQueue(_QueueBase):
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled events (O(live) time)."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0

@@ -10,9 +10,8 @@ is what a real crash looks like from the outside).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Protocol, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set
 
 from repro.errors import NetworkError
 from repro.sim.latency import LatencyModel
@@ -23,9 +22,6 @@ __all__ = ["Envelope", "Endpoint", "Network", "NetworkStats"]
 #: Default protocol-message size, matching the paper's measured ~0.2 KB.
 DEFAULT_MESSAGE_KB = 0.2
 
-#: Maximum envelopes kept on a network's free list.
-_ENVELOPE_POOL_CAP = 512
-
 
 @dataclass(slots=True, eq=False)
 class Envelope:
@@ -33,11 +29,8 @@ class Envelope:
 
     Slotted and identity-compared: one envelope exists per delivered message,
     which makes this one of the hottest allocation sites in the simulator.
-    Mutable so the network can recycle delivered envelopes through a free
-    list instead of allocating a fresh one per message; endpoints must treat
-    a delivered envelope as read-only and copy out anything they keep past
-    the ``deliver`` call (the pool only reclaims envelopes nobody else still
-    references, so retained envelopes stay intact).
+    The network never touches an envelope again once it is delivered, so an
+    endpoint may keep one for as long as it likes.
     """
 
     sender: str
@@ -46,32 +39,6 @@ class Envelope:
     size_kb: float
     sent_at: float
     deliver_at: float
-
-
-def _pooled_refcount_baseline() -> int:
-    """Refcount of an envelope that is referenced only by its delivery event.
-
-    Computed by mimicking the exact call shape of the simulator's dispatch
-    (``event.callback(*event.args)`` landing in ``Network._deliver``): an
-    args tuple holding the envelope, the callee's parameter slot, and the
-    ``getrefcount`` argument itself.  ``_deliver`` recycles an envelope only
-    when its refcount matches this baseline — any extra reference (an
-    endpoint that kept the envelope, a caller that held ``send``'s return
-    value) makes the count higher and the envelope is simply dropped to the
-    garbage collector instead.
-    """
-    # The probe envelope must be referenced by nothing but the args tuple —
-    # binding it to a local name here would inflate the baseline by one and
-    # make the pool reclaim envelopes that still have a live reference.
-    args = (Envelope("", "", None, 0.0, 0.0, 0.0),)
-
-    def observe(envelope: Envelope) -> int:
-        return sys.getrefcount(envelope)
-
-    return observe(*args)
-
-
-_POOLED_REFCOUNT = _pooled_refcount_baseline()
 
 
 class Endpoint(Protocol):
@@ -125,8 +92,6 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         self._partitions: Set[FrozenSet[str]] = set()
         self._crashed: Set[str] = set()
-        self._pool: List[Envelope] = []
-        self._labels: Dict[type, str] = {}
         self.stats = NetworkStats()
 
     @property
@@ -162,9 +127,6 @@ class Network:
         except KeyError as exc:
             raise NetworkError(f"unknown endpoint {address!r}") from exc
 
-    def known_addresses(self) -> Iterable[str]:
-        return self._endpoints.keys()
-
     # -- failure injection ---------------------------------------------------
 
     def crash(self, address: str) -> None:
@@ -184,9 +146,6 @@ class Network:
 
     def heal(self, address_a: str, address_b: str) -> None:
         self._partitions.discard(frozenset({address_a, address_b}))
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
 
     # -- sending -------------------------------------------------------------
 
@@ -225,24 +184,9 @@ class Network:
             source.region, destination.region, size_kb=size, rng=self._rng
         )
         now = self._simulator.now
-        pool = self._pool
-        if pool:
-            envelope = pool.pop()
-            envelope.sender = sender
-            envelope.recipient = recipient
-            envelope.payload = payload
-            envelope.size_kb = size
-            envelope.sent_at = now
-            envelope.deliver_at = now + delay
-        else:
-            envelope = Envelope(sender, recipient, payload, size, now, now + delay)
+        envelope = Envelope(sender, recipient, payload, size, now, now + delay)
         self.stats.record(payload, size, source.region != destination.region)
-        payload_type = type(payload)
-        label = self._labels.get(payload_type)
-        if label is None:
-            label = f"deliver:{payload_type.__name__}"
-            self._labels[payload_type] = label
-        self._simulator.schedule(delay, self._deliver, label, (envelope,))
+        self._simulator.schedule(delay, self._deliver, "deliver", (envelope,))
         return envelope
 
     def multicast(
@@ -271,13 +215,3 @@ class Network:
                 self.stats.messages_dropped += 1
             else:
                 endpoint.deliver(envelope)
-        # Recycle only when the delivery event held the last reference: the
-        # refcount baseline accounts for exactly the dispatch call shape, so
-        # an envelope retained anywhere (an endpoint's inbox, a test probe,
-        # send()'s caller) fails the check and is left to the GC untouched.
-        if (
-            len(self._pool) < _ENVELOPE_POOL_CAP
-            and sys.getrefcount(envelope) == _POOLED_REFCOUNT
-        ):
-            envelope.payload = None
-            self._pool.append(envelope)

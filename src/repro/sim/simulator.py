@@ -27,10 +27,6 @@ class Timer:
         self._event = event
 
     @property
-    def fire_time(self) -> float:
-        return self._event.time
-
-    @property
     def active(self) -> bool:
         return not self._event.cancelled
 
@@ -41,11 +37,9 @@ class Timer:
 class Simulator:
     """Discrete-event loop with a virtual millisecond clock."""
 
-    def __init__(self, seed: int = 0, queue: Optional[Any] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        # `queue` lets benchmarks and differential tests swap in the legacy
-        # HeapEventQueue; both implementations pop in identical order.
-        self._queue = EventQueue() if queue is None else queue
+        self._queue = EventQueue()
         self._rng = RngRegistry(seed)
         self._events_executed = 0
 

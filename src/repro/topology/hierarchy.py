@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.types import DomainId, NodeId
-from repro.errors import TopologyError, UnknownDomainError, UnknownNodeError
+from repro.errors import TopologyError, UnknownDomainError
 from repro.topology.domain import Domain
 
 __all__ = ["Hierarchy"]
@@ -94,12 +94,6 @@ class Hierarchy:
             return self._domains[domain_id]
         except KeyError as exc:
             raise UnknownDomainError(f"unknown domain {domain_id}") from exc
-
-    def domain_of_node(self, node_id: NodeId) -> Domain:
-        domain = self._domains.get(node_id.domain)
-        if domain is None or node_id not in domain.node_ids:
-            raise UnknownNodeError(f"unknown node {node_id}")
-        return domain
 
     def all_domains(self) -> List[Domain]:
         return list(self._domains.values())

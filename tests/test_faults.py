@@ -34,6 +34,20 @@ class TestFaultActionValidation:
         with pytest.raises(ConfigurationError, match="negative time"):
             FaultAction(kind="crash", at_ms=-5.0, domain="D11")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["at_ms", "until_ms", "delay_ms", "rate"])
+    def test_non_finite_times_and_rates_are_rejected(self, field, bad):
+        # nan slipped past every `<` check and died at arm time with a bare
+        # ValueError (inf: OverflowError) from inside the event queue.
+        kwargs = {"kind": "crash", "at_ms": 1.0, "domain": "D11", field: bad}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            FaultAction(**kwargs)
+
+    def test_non_finite_time_is_rejected_on_the_json_path(self):
+        text = '{"name":"x","actions":[{"kind":"crash","at_ms":NaN,"domain":"D11"}]}'
+        with pytest.raises(ConfigurationError, match="at_ms must be finite"):
+            FaultPlan.from_json(text)
+
     def test_window_must_end_after_it_starts(self):
         with pytest.raises(ConfigurationError, match="until_ms"):
             FaultAction(kind="silence", at_ms=100.0, until_ms=50.0, domain="D11")

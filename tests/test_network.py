@@ -138,3 +138,25 @@ class TestNetwork:
         sim.run_until_idle()
         assert net.stats.messages_sent == 2
         assert net.stats.wide_area_messages == 1
+
+
+def test_retained_envelope_is_left_intact():
+    """An endpoint may keep every envelope it is handed: each one still
+    reads its own sender, payload and delivery time after later traffic."""
+    sim = Simulator(seed=1)
+    net = Network(sim, nearby_eu_profile())
+    a, b = _Probe("a", "FR"), _Probe("b", "MI")
+    net.register(a)
+    net.register(b)
+    for i in range(10):
+        net.send("a", "b", ("early", i))
+        net.send("b", "a", ("early-back", i))
+    sim.run_until_idle()
+    kept = a.received + b.received
+    before = [(e.sender, e.payload, e.deliver_at) for e in kept]
+    assert sorted(e.payload for e in b.received) == [("early", i) for i in range(10)]
+    for i in range(1000):
+        net.send("a", "b", ("late", i))
+    sim.run_until_idle()
+    assert [(e.sender, e.payload, e.deliver_at) for e in kept] == before
+    assert len({id(e) for e in a.received + b.received}) == 1020

@@ -1,12 +1,14 @@
 """Unit tests for the discrete-event simulator, CPU model, and RNG registry."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.bench import make_storm
+from repro.sim import events
 from repro.sim.cpu import CpuQueue
-from repro.sim.events import EventQueue, HeapEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 
@@ -38,9 +40,13 @@ class TestEventQueue:
         assert queue.pop() is None
         assert len(queue) == 0
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
+    def test_negative_and_non_finite_times_rejected(self, time):
+        # A heap would take a nan silently and lose its ordering.
+        queue = EventQueue()
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            queue.push(time, lambda: None)
+        assert len(queue) == 0 and queue.heap_size == 0
 
     def test_peek_time_ignores_cancelled(self):
         queue = EventQueue()
@@ -104,32 +110,9 @@ class TestEventQueueCompaction:
         assert len(queue) == 1
 
 
-def _pop_order(queue, ops):
-    """Replay a ``make_storm`` op list, recording the (time, sequence) order."""
-    now = 0.0
-    recent = []
-    order = []
-    for op, value in ops:
-        if op == "push":
-            recent.append(queue.push(now + value, lambda: None))
-            if len(recent) > 64:
-                del recent[:32]
-        elif op == "pop":
-            event = queue.pop()
-            if event is not None:
-                now = event.time
-                order.append((event.time, event.sequence))
-        else:
-            index = int(value)
-            if index <= len(recent):
-                recent[-index].cancel()
-    return order
-
-
-class TestCalendarWheel:
-    """Behaviour specific to the bucketed calendar queue: cancellations at the
-    head of future buckets, the far-future overflow tier, compaction across
-    all three tiers, and differential equivalence with the legacy heap."""
+class TestEventQueueEdges:
+    """Cancellations at the head, far-future timers, compaction across near
+    and far times, and a randomized check against a sorted-list model."""
 
     def test_peek_time_drains_a_cancelled_run_at_the_head(self):
         queue = EventQueue()
@@ -145,53 +128,78 @@ class TestCalendarWheel:
     def test_cancelled_far_future_event_is_never_popped(self):
         queue = EventQueue()
         near = queue.push(1.0, lambda: None)
-        far = queue.push(10_000.0, lambda: None)  # beyond the wheel horizon
+        far = queue.push(10_000.0, lambda: None)  # a protocol timeout
         far.cancel()
         assert queue.pop() is near
         assert queue.peek_time() is None
         assert queue.pop() is None
 
-    def test_compaction_spans_buckets_and_far_overflow(self):
+    def test_compaction_spans_near_and_far_times(self):
         queue = EventQueue()
         keep = [queue.push(t, lambda: None) for t in (0.5, 40.0, 9_000.0)]
         dead = []
         for i in range(300):
-            dead.append(queue.push(0.1 + i * 0.4, lambda: None))  # bucketed
-            dead.append(queue.push(5_000.0 + i, lambda: None))  # far overflow
+            dead.append(queue.push(0.1 + i * 0.4, lambda: None))  # network hops
+            dead.append(queue.push(5_000.0 + i, lambda: None))  # far timers
         for event in dead:
             event.cancel()
         assert len(queue) == len(keep)
-        # Compaction swept the dead entries out of every tier; at most one
-        # sub-threshold batch of cancelled entries may still be queued.
+        # Compaction swept the dead entries out; at most one sub-threshold
+        # batch of cancelled entries may still be queued.
         assert queue.heap_size <= 64 + len(keep)
         assert [queue.pop().time for _ in range(len(keep))] == [0.5, 40.0, 9_000.0]
         assert queue.pop() is None
 
-    def test_reanchoring_preserves_order_with_a_tiny_wheel(self):
-        # Eight 1ms buckets force constant overflow into the far tier and
-        # frequent re-anchoring; pop order must still be (time, sequence).
-        queue = EventQueue(bucket_width_ms=1.0, num_buckets=8)
-        times = [float((i * 37) % 500) for i in range(400)]
-        for t in times:
-            queue.push(t, lambda: None)
-        popped = [queue.pop() for _ in range(len(times))]
-        assert [e.time for e in popped] == sorted(times)
-        sequences_at_ties = {}
-        for event in popped:
-            sequences_at_ties.setdefault(event.time, []).append(event.sequence)
-        for sequences in sequences_at_ties.values():
-            assert sequences == sorted(sequences)
-
-    def test_differential_pop_order_matches_legacy_heap(self):
-        # The same seeded push/cancel/pop storm (including far-future timers
-        # that trigger re-anchoring) must pop identically from both queues.
-        ops = make_storm(num_events=6_000, seed=99)
-        assert _pop_order(EventQueue(), ops) == _pop_order(HeapEventQueue(), ops)
-
-    def test_differential_holds_for_a_tiny_wheel(self):
-        ops = make_storm(num_events=2_000, seed=7)
-        wheel = EventQueue(bucket_width_ms=0.5, num_buckets=16)
-        assert _pop_order(wheel, ops) == _pop_order(HeapEventQueue(), ops)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("push"),
+                    st.one_of(
+                        # equal times and far-future timers, then anything
+                        st.sampled_from([0.0, 0.25, 1.0, 7.5, 10_000.0]),
+                        st.floats(min_value=0.0, max_value=1e9),
+                    ),
+                ),
+                st.tuples(st.just("cancel"), st.integers(min_value=0)),
+                st.tuples(st.just("pop"), st.none()),
+                st.tuples(st.just("peek"), st.none()),
+            ),
+            max_size=120,
+        ),
+        # 1 and 4 make every compaction branch reachable by a short sequence.
+        threshold=st.sampled_from([1, 4, events.COMPACT_THRESHOLD]),
+    )
+    def test_random_ops_match_a_sorted_list_model(self, ops, threshold):
+        queue = EventQueue()
+        pushed = []  # every event ever returned, live or not
+        live = []  # the model: sorted (time, sequence, event) of live events
+        with mock.patch.object(events, "COMPACT_THRESHOLD", threshold):
+            # The trailing pops drain whatever the drawn ops left queued.
+            for op, value in ops + [("pop", None)] * (len(ops) + 1):
+                if op == "push":
+                    event = queue.push(value, lambda: None)
+                    pushed.append(event)
+                    live.append((value, event.sequence, event))
+                    live.sort()
+                elif op == "cancel" and pushed:
+                    # May hit a live, an already cancelled or a popped event.
+                    event = pushed[value % len(pushed)]
+                    event.cancel()
+                    live = [entry for entry in live if entry[2] is not event]
+                elif op == "peek":
+                    assert queue.peek_time() == (live[0][0] if live else None)
+                elif op == "pop":
+                    popped = queue.pop()
+                    if live:
+                        assert popped is live.pop(0)[2]
+                        assert not popped.cancelled
+                    else:
+                        assert popped is None
+                assert len(queue) == len(live)
+                assert bool(queue) == bool(live)
+                assert queue.heap_size >= len(live)
+        assert queue.heap_size == 0
 
     def test_args_are_stored_and_dispatched(self):
         queue = EventQueue()
@@ -246,6 +254,15 @@ class TestSimulator:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
 
     def test_schedule_with_args_dispatches_them(self):
         sim = Simulator()

@@ -239,6 +239,46 @@ class TestCheckerCatchesSeededViolations:
         flagged = violations_agree(InvariantChecker(deployment))
         assert flagged and all(third.tid.name not in v for v in flagged)
 
+    def test_cross_order_check_matches_naive_on_random_ledgers(self):
+        """The per-bucket sort that skips the pair walk never hides a pair.
+
+        Random commit orders of two- and three-domain transactions over three
+        domains, some committed on only part of their domains: the indexed
+        check must return exactly the naive scan's violations — both when
+        every bucket is in order (the walk is skipped) and when only a third
+        shared domain disagrees.
+        """
+        import random
+
+        rng = random.Random(18)
+        outcomes = set()
+        for _ in range(40):
+            deployment = make_deployment()
+            domains = [d.id for d in deployment.hierarchy.height1_domains()][:3]
+            txs = [
+                cross_transfer(rng.sample(domains, rng.choice((2, 3))), 2 * i, 2 * i + 1)
+                for i in range(5)
+            ]
+            shuffle = rng.random() < 0.7
+            for domain_id in domains:
+                mine = [
+                    tx for tx in txs
+                    if domain_id in tx.involved_domains and rng.random() < 0.85
+                ]
+                if shuffle:
+                    rng.shuffle(mine)
+                for node in deployment.nodes_of(domain_id):
+                    for tx in mine:
+                        node.ledger.append_transaction(
+                            tx, status=TransactionStatus.COMMITTED, commit_time_ms=1.0
+                        )
+            checker = InvariantChecker(deployment)
+            indexed = sorted(str(v) for v in checker._check_cross_domain_order())
+            naive = sorted(str(v) for v in checker._check_cross_domain_order_naive())
+            assert indexed == naive
+            outcomes.add(bool(indexed))
+        assert outcomes == {True, False}
+
     def test_unfinished_transaction_fails_liveness_when_expected(self):
         deployment = make_deployment()
         domains = [d.id for d in deployment.hierarchy.height1_domains()]
