@@ -62,7 +62,7 @@ from repro.core.messages import (
 from repro.core.node import ProtocolComponent, SaguaroNode
 from repro.crypto.digests import digest
 from repro.errors import ConfigurationError
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import Transaction, domain_pairs
 
 __all__ = ["CoordinatorCrossDomainProtocol"]
 
@@ -73,6 +73,56 @@ MAX_ATTEMPTS = 5
 def _overlaps_in_two(a: Transaction, b: Transaction) -> bool:
     """The paper's coarse-grained conflict rule: intersect in >= 2 domains."""
     return len(set(a.involved_domains) & set(b.involved_domains)) >= 2
+
+
+_Pair = Tuple[DomainId, DomainId]
+
+
+class _InFlightTable:
+    """The in-flight states of one role, under every unordered pair of their
+    involved domains: the only states §4's overlap rule can be asked about.
+
+    A state is added once (a second ``add`` keeps its place) and discarded
+    when it commits or aborts; discarding an absent state is a no-op."""
+
+    def __init__(self) -> None:
+        self._next_ordinal = 0
+        self._entries: Dict[TransactionId, Tuple[int, Tuple[_Pair, ...]]] = {}
+        # Ordinals only grow, so each bucket iterates in insertion order.
+        self._by_pair: Dict[_Pair, Dict[int, Any]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, state: Any) -> None:
+        tid = state.transaction.tid
+        if tid in self._entries:
+            return
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
+        pairs = domain_pairs(state.transaction)
+        self._entries[tid] = (ordinal, pairs)
+        for pair in pairs:
+            self._by_pair.setdefault(pair, {})[ordinal] = state
+
+    def discard(self, state: Any) -> None:
+        entry = self._entries.pop(state.transaction.tid, None)
+        if entry is None:
+            return
+        ordinal, pairs = entry
+        for pair in pairs:
+            bucket = self._by_pair[pair]
+            del bucket[ordinal]
+            if not bucket:
+                del self._by_pair[pair]
+
+    def overlapping(self, transaction: Transaction) -> List[Any]:
+        """Live states sharing >= 2 domains with ``transaction``, insertion order."""
+        buckets = [self._by_pair[p] for p in domain_pairs(transaction) if p in self._by_pair]
+        if len(buckets) == 1:
+            return list(buckets[0].values())
+        merged = {ordinal: state for bucket in buckets for ordinal, state in bucket.items()}
+        return [merged[ordinal] for ordinal in sorted(merged)]
 
 
 @dataclass
@@ -166,9 +216,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         super().__init__(node)
         # Coordinator role.
         self._coord: Dict[TransactionId, _CoordinationState] = {}
+        self._coord_live = _InFlightTable()
         self._coord_pending: Dict[TransactionId, Transaction] = {}
         # Participant role.
         self._part: Dict[TransactionId, _ParticipantState] = {}
+        self._part_live = _InFlightTable()
         self._part_pending: Dict[TransactionId, Transaction] = {}
         self._part_queue: List[CrossPrepare] = []
         self._deferred_commits: Dict[TransactionId, CrossCommit] = {}
@@ -390,6 +442,17 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def _decided_coordinator_prepare(
         self, slot: int, order: CoordinatorPrepareOrder
     ) -> None:
+        state = self._coordination_state(order)
+        state.coordinator_sequence = slot
+        state.attempt = order.attempt
+        state.prepared_parts.clear()
+        if not self.node.is_primary:
+            return
+        self._send_prepares(state)
+        self._arm_deadlock_timer(state)
+
+    def _coordination_state(self, order: CoordinatorPrepareOrder) -> _CoordinationState:
+        """The state of a decided prepare; a new one enters the in-flight table."""
         tid = order.transaction.tid
         self._coord_pending.pop(tid, None)
         state = self._coord.get(tid)
@@ -400,13 +463,17 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 client_address=order.client_address,
             )
             self._coord[tid] = state
-        state.coordinator_sequence = slot
-        state.attempt = order.attempt
-        state.prepared_parts.clear()
-        if not self.node.is_primary:
-            return
-        self._send_prepares(state)
-        self._arm_deadlock_timer(state)
+            self._coord_live.add(state)
+        return state
+
+    def _end_coordination(self, state: _CoordinationState, committed: bool) -> None:
+        """The one place a coordinator state turns terminal (both flags are
+        monotone) and so leaves the in-flight table."""
+        if committed:
+            state.committed = True
+        else:
+            state.aborted = True
+        self._coord_live.discard(state)
 
     def _send_prepares(self, state: _CoordinationState) -> None:
         transaction = state.transaction
@@ -438,17 +505,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         A dependency is only meaningful to participants that are involved in
         both transactions, so the list is computed per participant domain.
         """
-        dependencies = []
-        for other in self._coord.values():
-            if other is state or not other.in_flight:
-                continue
-            if other.coordinator_sequence >= state.coordinator_sequence:
-                continue
-            if participant not in other.transaction.involved_domains:
-                continue
-            if _overlaps_in_two(other.transaction, state.transaction):
-                dependencies.append(other.transaction.tid)
-        return tuple(dependencies)
+        return tuple(
+            other.transaction.tid
+            for other in self._coord_live.overlapping(state.transaction)
+            if other.coordinator_sequence < state.coordinator_sequence
+            and participant in other.transaction.involved_domains
+        )
 
     def _cross_domain_delay(self) -> float:
         """Different coordinators use staggered timers to avoid repeated clashes."""
@@ -502,7 +564,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def _abort_coordination(
         self, state: _CoordinationState, will_retry: bool, reason: str
     ) -> None:
-        state.aborted = True
+        self._end_coordination(state, committed=False)
         if state.timer is not None:
             state.timer.cancel()
         self.node.record_trace(
@@ -560,7 +622,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         state = self._coord.get(order.tid)
         if state is None or state.committed:
             return
-        state.committed = True
+        self._end_coordination(state, committed=True)
         if state.timer is not None:
             state.timer.cancel()
         if self.node.is_primary:
@@ -686,17 +748,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self._group_pending.pop(group_id, None)
         member_order: List[TransactionId] = []
         for member in order.members:
-            tid = member.transaction.tid
-            self._coord_pending.pop(tid, None)
-            state = self._coord.get(tid)
-            if state is None:
-                state = _CoordinationState(
-                    transaction=member.transaction,
-                    origin_domain=member.origin_domain,
-                    client_address=member.client_address,
-                )
-                self._coord[tid] = state
-            member_order.append(tid)
+            state = self._coordination_state(member)
+            member_order.append(member.transaction.tid)
             if state.committed or state.aborted:
                 continue  # already terminal (duplicate re-group)
             state.coordinator_sequence = slot
@@ -738,11 +791,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             # never appear here: every live member shares the group's decided
             # slot, and `_ordering_dependencies` only reports strictly earlier
             # coordinator sequences.
-            after: List[TransactionId] = []
-            for state in states:
-                for dependency in self._ordering_dependencies(state, domain_id):
-                    if dependency not in after:
-                        after.append(dependency)
+            after = dict.fromkeys(
+                dependency
+                for state in states
+                for dependency in self._ordering_dependencies(state, domain_id)
+            )
             prepare = GroupCrossPrepare(
                 transactions=transactions,
                 coordinator_domain=self.node.domain.id,
@@ -807,7 +860,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             self.node.set_timer(backoff, lambda: self._regroup_members(retry_tids))
         if final:
             for state in final:
-                state.aborted = True
+                self._end_coordination(state, committed=False)
                 state.group_id = None
             self._send_group_abort(group, final, "max attempts", will_retry=False)
         if prepared:
@@ -946,7 +999,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             state = self._coord.get(member.tid)
             if state is None or state.committed:
                 continue
-            state.committed = True
+            self._end_coordination(state, committed=True)
             if state.timer is not None:
                 state.timer.cancel()
             committed.append(member)
@@ -1055,15 +1108,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         coordinator itself already serialises conflicting requests, and the
         commit-application guard keeps the apply order consistent.
         """
-        for state in self._part.values():
-            if not state.in_flight:
-                continue
-            if (
-                coordinator_domain is not None
-                and state.coordinator_domain == coordinator_domain
-            ):
-                continue
-            if _overlaps_in_two(state.transaction, transaction):
+        for state in self._part_live.overlapping(transaction):
+            if coordinator_domain is None or state.coordinator_domain != coordinator_domain:
                 return True
         for pending in self._part_pending.values():
             if _overlaps_in_two(pending, transaction):
@@ -1083,27 +1129,59 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def _decided_participant_prepare(
         self, slot: int, order: ParticipantPrepareOrder
     ) -> None:
-        tid = order.transaction.tid
-        self._part_pending.pop(tid, None)
-        state = self._part.get(tid)
+        state = self._record_prepared(
+            order.transaction, order.coordinator_domain, order.coordinator_sequence, slot
+        )
         if state is None:
-            state = _ParticipantState(
-                transaction=order.transaction,
-                coordinator_domain=order.coordinator_domain,
-                coordinator_sequence=order.coordinator_sequence,
-            )
-            self._part[tid] = state
-        if state.committed or state.aborted:
             return
-        state.coordinator_domain = order.coordinator_domain
-        state.coordinator_sequence = order.coordinator_sequence
-        state.participant_sequence = slot
-        state.prepared = True
         if self.node.is_primary:
             self._send_prepared(state)
         self._arm_commit_query_timer(state)
         if self.node.is_primary:
-            self._release_dependents(tid)
+            self._release_dependents(order.transaction.tid)
+
+    def _record_prepared(
+        self,
+        transaction: Transaction,
+        coordinator_domain: DomainId,
+        coordinator_sequence: int,
+        slot: int,
+    ) -> Optional[_ParticipantState]:
+        """This domain ordered ``transaction``'s prepare at ``slot``: the state
+        becomes prepared and enters the in-flight table (``None`` when the
+        transaction is already decided here)."""
+        tid = transaction.tid
+        self._part_pending.pop(tid, None)
+        state = self._part.get(tid)
+        if state is None:
+            state = _ParticipantState(
+                transaction=transaction,
+                coordinator_domain=coordinator_domain,
+                coordinator_sequence=coordinator_sequence,
+            )
+            self._part[tid] = state
+        if state.committed or state.aborted:
+            return None
+        state.coordinator_domain = coordinator_domain
+        state.coordinator_sequence = coordinator_sequence
+        state.participant_sequence = slot
+        state.prepared = True
+        self._part_live.add(state)
+        return state
+
+    def _end_participation(
+        self, state: _ParticipantState, committed: bool = False, forget: bool = False
+    ) -> None:
+        """The one place a participant state leaves the in-flight table: it
+        commits, aborts for good, or — ``forget``, an abort the coordinator
+        will retry — is dropped so the next attempt starts afresh."""
+        self._part_live.discard(state)
+        if forget:
+            del self._part[state.transaction.tid]
+        elif committed:
+            state.committed = True
+        else:
+            state.aborted = True
 
     def _send_prepared(self, state: _ParticipantState) -> None:
         certificate = self.node.certify(state.transaction.request_digest)
@@ -1351,51 +1429,32 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self._pgroup_pending.pop(key, None)
         ordered: List[TransactionId] = []
         for transaction in order.transactions:
-            tid = transaction.tid
-            self._part_pending.pop(tid, None)
-            state = self._part.get(tid)
-            if state is None:
-                state = _ParticipantState(
-                    transaction=transaction,
-                    coordinator_domain=order.coordinator_domain,
-                    coordinator_sequence=order.coordinator_sequence,
-                )
-                self._part[tid] = state
-            if state.committed or state.aborted:
-                continue
-            state.coordinator_domain = order.coordinator_domain
-            state.coordinator_sequence = order.coordinator_sequence
             # All members share the group's slot: groupmates never defer each
             # other's commits, and the aggregated commit applies them in
             # member order — identical on every participant.
-            state.participant_sequence = slot
-            state.prepared = True
-            ordered.append(tid)
+            state = self._record_prepared(
+                transaction, order.coordinator_domain, order.coordinator_sequence, slot
+            )
+            if state is None:
+                continue
+            ordered.append(transaction.tid)
             self._arm_commit_query_timer(state)
         # Adopted conflict-leased members (phase 2) share the group's slot
         # but keep their *own* coordinator: they are voted on individually,
         # never through the aggregated group vote below.
         adopted_states: List[_ParticipantState] = []
         for member in getattr(order, "adopted", ()):
-            tid = member.transaction.tid
-            self._part_pending.pop(tid, None)
-            lease = self._leased.pop(tid, None)
+            lease = self._leased.pop(member.transaction.tid, None)
             if lease is not None and lease.timer is not None:
                 lease.timer.cancel()
-            state = self._part.get(tid)
+            state = self._record_prepared(
+                member.transaction,
+                member.coordinator_domain,
+                member.coordinator_sequence,
+                slot,
+            )
             if state is None:
-                state = _ParticipantState(
-                    transaction=member.transaction,
-                    coordinator_domain=member.coordinator_domain,
-                    coordinator_sequence=member.coordinator_sequence,
-                )
-                self._part[tid] = state
-            if state.committed or state.aborted:
                 continue
-            state.coordinator_domain = member.coordinator_domain
-            state.coordinator_sequence = member.coordinator_sequence
-            state.participant_sequence = slot
-            state.prepared = True
             adopted_states.append(state)
             self._arm_commit_query_timer(state)
         group = _ParticipantGroupState(
@@ -1507,14 +1566,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         This preserves the consistency property (Lemma 4.3) even when commit
         messages from the coordinator are delivered out of order.
         """
-        for other in self._part.values():
-            if other is state or not other.in_flight:
-                continue
-            if other.participant_sequence >= state.participant_sequence:
-                continue
-            if _overlaps_in_two(other.transaction, state.transaction):
-                return True
-        return False
+        return any(
+            other.participant_sequence < state.participant_sequence
+            for other in self._part_live.overlapping(state.transaction)
+        )
 
     def _apply_commit(
         self,
@@ -1526,7 +1581,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         """Apply one commit; ``send_ack=False``/``drain=False`` let the
         grouped path aggregate the ack and the queue drain per message
         instead of per member."""
-        state.committed = True
+        self._end_participation(state, committed=True)
         if state.timer is not None:
             state.timer.cancel()
         if self.node.ledger is not None and commit.tid not in self.node.ledger:
@@ -1586,11 +1641,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if state is not None and not state.committed:
             if state.timer is not None:
                 state.timer.cancel()
-            if will_retry:
-                # The coordinator will re-issue a prepare: forget this attempt.
-                del self._part[tid]
-            else:
-                state.aborted = True
+            # A retried abort forgets this attempt: the coordinator will
+            # re-issue a prepare.
+            self._end_participation(state, forget=will_retry)
+            if not will_retry:
                 self.node.note_abort(tid, reason)
                 if self.node.is_primary and tid in self._client_of:
                     self.node.reply_to_client(

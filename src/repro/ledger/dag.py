@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import DomainId, TransactionId, TransactionStatus
 from repro.errors import LedgerError, UnknownBlockError
 from repro.ledger.block import BlockMessage
-from repro.ledger.transaction import CommittedEntry
+from repro.ledger.transaction import CommittedEntry, domain_pairs
 
 __all__ = ["DagVertex", "OrderInconsistency", "DagLedger", "deterministic_abort_choice"]
 
@@ -73,11 +72,6 @@ class OrderInconsistency:
     @property
     def victim(self) -> TransactionId:
         return deterministic_abort_choice(self.first, self.second)
-
-
-def _domain_pairs(vertex: DagVertex) -> List[Tuple[DomainId, DomainId]]:
-    """Every unordered pair of the vertex's involved domains (index keys)."""
-    return list(combinations(sorted(vertex.entry.transaction.involved_domains), 2))
 
 
 class DagLedger:
@@ -167,7 +161,7 @@ class DagLedger:
                 added.append(tid)
                 if vertex.is_cross_domain:
                     self._cross_domain.append(vertex)
-                    for pair in _domain_pairs(vertex):
+                    for pair in domain_pairs(vertex.entry.transaction):
                         self._by_pair.setdefault(pair, []).append(vertex)
             else:
                 merged_sequence = existing.entry.sequence.merged_with(entry.sequence)
@@ -241,7 +235,7 @@ class DagLedger:
 
     def _sharing_a_pair_with(self, vertex: DagVertex) -> List[DagVertex]:
         """Vertices sharing >= 2 involved domains with ``vertex``, insertion order."""
-        pairs = _domain_pairs(vertex)
+        pairs = domain_pairs(vertex.entry.transaction)
         if len(pairs) == 1:
             return self._by_pair[pairs[0]]
         merged = {v.ordinal: v for pair in pairs for v in self._by_pair[pair]}

@@ -11,6 +11,7 @@ ledger of every involved domain (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.common.types import (
@@ -24,7 +25,7 @@ from repro.common.types import (
 from repro.crypto.digests import digest
 from repro.errors import TransactionError
 
-__all__ = ["Transaction", "CommittedEntry"]
+__all__ = ["Transaction", "CommittedEntry", "domain_pairs"]
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,12 @@ class Transaction:
     def __str__(self) -> str:  # pragma: no cover - trivial
         domains = ",".join(d.name for d in self.involved_domains)
         return f"{self.tid.name}[{self.kind.value}:{domains}]"
+
+
+def domain_pairs(transaction: Transaction) -> Tuple[Tuple[DomainId, DomainId], ...]:
+    """Every unordered pair of the involved domains: two transactions share
+    >= 2 domains exactly when they share one of these keys."""
+    return tuple(combinations(sorted(transaction.involved_domains), 2))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from repro.common.types import (
     TransactionId,
     TransactionKind,
 )
+from repro.core.coordinator import CoordinatorCrossDomainProtocol
 from repro.core.system import SaguaroDeployment
 from repro.ledger.transaction import Transaction
 from repro.scenarios import Scenario, materialize
@@ -162,6 +163,45 @@ def run_digests(
         events_executed,
         kinds,
     )
+
+
+#: Participant-side holdings: what a height-1 domain must have let go of once
+#: every transaction is resolved (ROADMAP item 1(a)'s quiescence question).
+PARTICIPANT_HOLDINGS = (
+    "part_live",
+    "part_pending",
+    "part_queue",
+    "waiting_on_dependency",
+    "deferred_commits",
+)
+
+
+def stuck_cross_domain_state(deployment: SaguaroDeployment) -> Dict[str, int]:
+    """What every coordinator component still holds at the end of a run.
+
+    ``coord_live`` counts the in-flight coordinator states on primaries and
+    ``coord_live_replicas`` the same on the other replicas (they only learn
+    outcomes that are ordered through consensus); ``waiting_on_dependency``
+    counts held prepares, not the transactions they wait for.
+    """
+    counts = dict.fromkeys(
+        ("coord_live", "coord_live_replicas", "coord_pending") + PARTICIPANT_HOLDINGS, 0
+    )
+    for node in deployment.nodes.values():
+        for component in node.components:
+            if not isinstance(component, CoordinatorCrossDomainProtocol):
+                continue
+            coord = "coord_live" if node.is_primary else "coord_live_replicas"
+            counts[coord] += len(component._coord_live)
+            counts["coord_pending"] += len(component._coord_pending)
+            counts["part_live"] += len(component._part_live)
+            counts["part_pending"] += len(component._part_pending)
+            counts["part_queue"] += len(component._part_queue)
+            counts["waiting_on_dependency"] += sum(
+                len(held) for held in component._waiting_on_dependency.values()
+            )
+            counts["deferred_commits"] += len(component._deferred_commits)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,25 @@
 """Integration tests for the coordinator-based cross-domain protocol (§4)."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.types import ClientId, DomainId, FailureModel, TransactionStatus
-from repro.core.coordinator import CoordinatorCrossDomainProtocol
-from tests.conftest import cross_transfer, internal_transfer, make_deployment
+from repro.core.coordinator import (
+    CoordinatorCrossDomainProtocol,
+    _InFlightTable,
+    _overlaps_in_two,
+    _ParticipantState,
+)
+from repro.core.messages import CrossCommit, ParticipantPrepareOrder
+from repro.scenarios import ScenarioRunner, registry
+from tests.conftest import (
+    cross_transfer,
+    internal_transfer,
+    make_deployment,
+    stuck_cross_domain_state,
+)
 
 D01, D02, D03, D04 = (DomainId(0, i) for i in range(1, 5))
 D11, D12, D13, D14 = (DomainId(1, i) for i in range(1, 5))
@@ -187,3 +202,100 @@ class TestLostCommitOrderRecovery:
             p.tid for p in node.engine._proposals.values()
             if isinstance(p, CoordinatorCommitOrder)
         }
+
+
+class TestInFlightTable:
+    """The conflict table against the scans of every state that it replaced."""
+
+    DOMAINS = tuple(DomainId(1, i) for i in range(1, 6))
+
+    @given(st.data())
+    def test_overlapping_equals_naive_scan(self, data):
+        """``overlapping`` is the naive scan of the live states, *as a list*:
+        the coordinator turns it into ``after=`` dependencies, so order counts."""
+        table = _InFlightTable()
+        live, retired = [], []
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            step = data.draw(st.sampled_from(("add", "add", "retire", "re-add", "re-retire")))
+            if step == "retire" and live:
+                state = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                table.discard(state)
+                retired.append(state)
+            elif step == "re-add" and (live or retired):
+                # A live state keeps its place; a retired one re-enters last.
+                state = data.draw(st.sampled_from(live + retired))
+                table.add(state)
+                if state in retired:
+                    retired.remove(state)
+                    live.append(state)
+            elif step == "re-retire" and retired:
+                table.discard(data.draw(st.sampled_from(retired)))  # a no-op
+            else:
+                domains = data.draw(
+                    st.lists(st.sampled_from(self.DOMAINS), min_size=2, max_size=4, unique=True)
+                )
+                state = SimpleNamespace(transaction=cross_transfer(domains))
+                table.add(state)
+                live.append(state)
+            assert len(table) == len(live)
+            for probe in live + retired:
+                transaction = probe.transaction
+                naive = [s for s in live if _overlaps_in_two(s.transaction, transaction)]
+                assert [s.transaction.tid for s in table.overlapping(transaction)] == [
+                    s.transaction.tid for s in naive
+                ]
+
+    def test_conflict_questions_touch_only_live_entries(self, coordinator_deployment):
+        """2,000 committed and 3 in-flight transactions on one domain pair:
+        the commit-deferral and participation-hold questions read the 3."""
+        component = _coordinator_component(coordinator_deployment, D11)
+        states = []
+        for slot in range(1, 2004):
+            transaction = cross_transfer((D11, D12), client=_client(D01))
+            order = ParticipantPrepareOrder(
+                transaction=transaction, coordinator_domain=D21, coordinator_sequence=slot
+            )
+            component.on_decide(slot, order)
+            states.append(component._part[transaction.tid])
+        committed, live = states[:2000], states[2000:]
+        for state in committed:
+            commit = CrossCommit(
+                tid=state.transaction.tid,
+                coordinator_domain=D21,
+                sequence_parts=((D11, state.participant_sequence),),
+                request_digest=state.transaction.request_digest,
+            )
+            component.handle_message(commit, "D21:n0")
+        assert all(state.committed for state in committed)
+
+        touched = set()
+
+        class Watched(_ParticipantState):
+            def __getattribute__(self, name):
+                touched.add(id(self))
+                return super().__getattribute__(name)
+
+        for state in states:
+            state.__class__ = Watched
+        newcomer = cross_transfer((D12, D11), client=_client(D02))
+        root = coordinator_deployment.hierarchy.root.id
+        assert component._must_defer_commit(live[2])
+        assert not component._must_defer_commit(live[0])
+        assert component._conflicts_with_inflight_participation(newcomer, root)
+        assert not component._conflicts_with_inflight_participation(newcomer, D21)
+        settled_reads = len(touched - {id(state) for state in live})
+        assert settled_reads == 0, f"{settled_reads} settled states were read"
+
+
+@pytest.mark.parametrize(
+    "name, group_size", [("fig10a", 1), ("fig10a", 8), ("fig07a", 1), ("fig07a", 8)]
+)
+def test_nothing_stuck_once_every_transaction_resolved(name, group_size):
+    """Quiescence: with nothing pending, no coordinator component on any
+    replica still holds an in-flight state, a queued or held prepare, or a
+    deferred commit."""
+    scenario = registry.get(name).with_overrides(num_clients=16, xdomain_batch_size=group_size)
+    run = ScenarioRunner().execute(scenario)
+    assert run.summary.pending == 0 and run.summary.committed > 0
+    stuck = stuck_cross_domain_state(run.deployment)
+    assert stuck == dict.fromkeys(stuck, 0)
