@@ -1,13 +1,17 @@
-"""Known safety bugs, checked in red: each JSON case must still violate the
-invariant it names, and must still end with participant state stuck
+"""Known safety bugs, checked in red, and the three-domain quiescence sweep
 (ROADMAP item 1: three-domain cross-domain commit).
+
+Each JSON case must still violate the invariant it names, and must still end
+with participant state stuck; the sweep runs ``lease-rejoin`` over seeds 1-20
+at ``xdomain_batch_size`` 1 and 3 with static control and asks every run to
+end with nothing in flight.
 
 Not part of tier-1 — the file name keeps it out of collection; CI's
 ``regressions`` job runs it by path::
 
     PYTHONPATH=src python -m pytest tests/regressions/run_regressions.py -q
 
-``xfail(strict=True)`` turns the job red the moment a case stops failing, so
+``xfail(strict=True)`` turns the job red the moment a pin stops failing, so
 the PR that fixes the protocol must also delete the mark (and may then move
 the cases into tier-1 as plain passing scenarios).
 """
@@ -18,13 +22,32 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.config import ControlPolicy
 from repro.errors import InvariantViolationError
 from repro.faults.invariants import InvariantChecker
 from repro.scenarios import Scenario, materialize
 from tests.conftest import PARTICIPANT_HOLDINGS, stuck_cross_domain_state
 
-CASES = sorted(Path(__file__).parent.glob("*.json"))
-IDS = [path.stem for path in CASES]
+HERE = Path(__file__).parent
+CASES = sorted(HERE.glob("*.json"))
+
+#: Cases whose participants end the run still holding state.
+STUCK = {
+    "lease-rejoin-160tx-seed07",
+    "lease-rejoin-g1-static-seed02",
+    "lease-rejoin-g1-static-seed14",
+    "lease-rejoin-g1-static-seed16",
+    "lease-rejoin-seed02",
+    "lease-rejoin-seed10",
+}
+
+
+def _cases(red, raises):
+    mark = pytest.mark.xfail(strict=True, raises=raises)
+    return [
+        pytest.param(path, id=path.stem, marks=mark if path.stem in red else ())
+        for path in CASES
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -36,8 +59,9 @@ def _finished_run(path):
     return case, run
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantViolationError)
-@pytest.mark.parametrize("path", CASES, ids=IDS)
+@pytest.mark.parametrize(
+    "path", _cases({path.stem for path in CASES}, InvariantViolationError)
+)
 def test_known_violation(path):
     case, run = _finished_run(path)
     report = InvariantChecker(run.deployment, trace=run.trace).check(
@@ -49,8 +73,7 @@ def test_known_violation(path):
     report.raise_if_violated()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError)
-@pytest.mark.parametrize("path", CASES, ids=IDS)
+@pytest.mark.parametrize("path", _cases(STUCK, AssertionError))
 def test_participants_quiescent(path):
     """Lead A at its source: held prepares, prepared-undecided states and
     deferred commits outlive the run on the participants."""
@@ -59,3 +82,31 @@ def test_participants_quiescent(path):
     assert {key: stuck[key] for key in PARTICIPANT_HOLDINGS} == dict.fromkeys(
         PARTICIPANT_HOLDINGS, 0
     ), stuck
+
+
+def three_domain_cell(cell):
+    """One sweep run: (g, seed, pending, non-zero stuck counts)."""
+    group_size, seed = cell
+    base = json.loads((HERE / "lease-rejoin-seed02.json").read_text(encoding="utf-8"))
+    scenario = Scenario.from_dict(base["scenario"]).with_overrides(
+        control=ControlPolicy(), num_transactions=160, xdomain_batch_size=group_size
+    )
+    run = materialize(scenario, seed)
+    summary = run.run().summary
+    stuck = stuck_cross_domain_state(run.deployment)
+    return group_size, seed, summary.pending, {k: v for k, v in stuck.items() if v}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_three_domain_sweep_quiescent(two_workers):
+    """Every run of the sweep ends with nothing pending and nothing in flight
+    on any replica: no coordinator state (``coord_live_replicas`` included),
+    no queued or held prepare, no prepared-undecided state, no deferred
+    commit."""
+    cells = [(group_size, seed) for group_size in (1, 3) for seed in range(1, 21)]
+    unfinished = {
+        f"g={group_size} seed={seed}": (pending, stuck)
+        for group_size, seed, pending, stuck in two_workers.map(three_domain_cell, cells)
+        if pending or stuck
+    }
+    assert not unfinished, unfinished
