@@ -11,6 +11,14 @@ cross-domain request while an earlier one that overlaps it in at least two
 domains is still in flight — and resolves the deadlocks this can create with
 per-coordinator timers that abort and retry (§4.1).
 
+Every outcome is ordered: the coordinator domain orders the abort through its
+own consensus as it does the commit, so for each attempt — named by ``(tid,
+coordinator_sequence)``, since a retry re-orders its prepare at a new slot —
+every replica applies whichever its log decided first, and only then does the
+primary multicast one ``CrossAbort``.  Participants remember every aborted
+attempt and refuse a late prepare of one wherever it waits: queued, held
+behind a dependency, or decided late by consensus.
+
 One :class:`CoordinatorCrossDomainProtocol` instance runs on every server
 node; the same component plays the participant role on height-1 nodes and the
 coordinator role on height-2+ nodes.
@@ -21,17 +29,17 @@ runs *one* grouped prepare/commit exchange per group — a single
 :class:`~repro.core.messages.GroupCrossPrepare` carries every member, each
 participant orders the whole group through its consensus engine in one
 ``submit_group()`` round and answers with one aggregated vote, and the
-commit/abort messages carry per-transaction outcomes so one member aborting
-never aborts its groupmates.  This amortises the wide-area 2PC round trips
-the same way the consensus batcher amortises intra-domain agreement.  With
-``xdomain_batch_size == 1`` the grouped machinery is inert and the protocol
-is bit-identical to the per-transaction coordinator.
+commit carries per-transaction outcomes so one member aborting never aborts
+its groupmates.  This amortises the wide-area 2PC round trips the same way
+the consensus batcher amortises intra-domain agreement.  A per-transaction
+exchange is a group of one to the timeout: both families abort and retry
+through the same handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.types import DomainId, TransactionId, TransactionKind, TransactionStatus
 from repro.core.messages import (
@@ -39,6 +47,7 @@ from repro.core.messages import (
     ClientReply,
     ClientRequest,
     CommitQuery,
+    CoordinatorAbortOrder,
     CoordinatorCommitOrder,
     CoordinatorPrepareOrder,
     CrossAbort,
@@ -48,7 +57,6 @@ from repro.core.messages import (
     CrossPrepare,
     CrossPrepared,
     GroupCommitOrder,
-    GroupCrossAbort,
     GroupCrossAck,
     GroupCrossCommit,
     GroupCrossPrepare,
@@ -57,7 +65,6 @@ from repro.core.messages import (
     GroupParticipantPrepareOrderWithLeases,
     GroupPrepareOrder,
     ParticipantPrepareOrder,
-    PreparedQuery,
 )
 from repro.core.node import ProtocolComponent, SaguaroNode
 from repro.crypto.digests import digest
@@ -76,14 +83,36 @@ def _overlaps_in_two(a: Transaction, b: Transaction) -> bool:
 
 
 _Pair = Tuple[DomainId, DomainId]
+_Prepare = Union[CrossPrepare, GroupCrossPrepare]
+
+
+def _prepared_tids(prepare: _Prepare) -> Tuple[TransactionId, ...]:
+    if isinstance(prepare, GroupCrossPrepare):
+        return tuple(transaction.tid for transaction in prepare.transactions)
+    return (prepare.transaction.tid,)
+
+
+def _without(
+    prepare: _Prepare, drop: Callable[[TransactionId, int], bool]
+) -> Optional[_Prepare]:
+    """``prepare`` minus the members ``drop(tid, coordinator_sequence)``
+    names; ``None`` when no member is left."""
+    sequence = prepare.coordinator_sequence
+    if isinstance(prepare, GroupCrossPrepare):
+        kept = tuple(t for t in prepare.transactions if not drop(t.tid, sequence))
+        if len(kept) == len(prepare.transactions):
+            return prepare
+        return replace(prepare, transactions=kept) if kept else None
+    return None if drop(prepare.transaction.tid, sequence) else prepare
 
 
 class _InFlightTable:
     """The in-flight states of one role, under every unordered pair of their
     involved domains: the only states §4's overlap rule can be asked about.
 
-    A state is added once (a second ``add`` keeps its place) and discarded
-    when it commits or aborts; discarding an absent state is a no-op."""
+    A state is added when an attempt opens (a second ``add`` keeps its place)
+    and discarded when that attempt commits or aborts; discarding an absent
+    state is a no-op."""
 
     def __init__(self) -> None:
         self._next_ordinal = 0
@@ -132,10 +161,14 @@ class _CoordinationState:
     transaction: Transaction
     origin_domain: DomainId
     client_address: str
+    #: Slot of the decided prepare of the live attempt; 0 between attempts.
     coordinator_sequence: int = 0
     attempt: int = 1
     prepared_parts: Dict[DomainId, int] = field(default_factory=dict)
     all_prepared: bool = False
+    #: The primary submitted an abort order for the live attempt: its late
+    #: votes no longer count and its timer no longer fires.
+    abort_submitted: bool = False
     committed: bool = False
     aborted: bool = False
     acks: Set[str] = field(default_factory=set)
@@ -150,20 +183,20 @@ class _CoordinationState:
 
 @dataclass
 class _ParticipantState:
-    """Participant-side (height-1) bookkeeping for one cross-domain transaction."""
+    """Participant-side (height-1) bookkeeping for one cross-domain
+    transaction, from the moment this domain ordered its prepare."""
 
     transaction: Transaction
     coordinator_domain: DomainId
     coordinator_sequence: int
     participant_sequence: int = 0
-    prepared: bool = False
     committed: bool = False
     aborted: bool = False
     timer: Any = None
 
     @property
     def in_flight(self) -> bool:
-        return self.prepared and not self.committed and not self.aborted
+        return not self.committed and not self.aborted
 
 
 @dataclass
@@ -221,10 +254,18 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         # Participant role.
         self._part: Dict[TransactionId, _ParticipantState] = {}
         self._part_live = _InFlightTable()
-        self._part_pending: Dict[TransactionId, Transaction] = {}
+        #: Submitted, not yet decided prepare orders: tid -> (transaction,
+        #: coordinator sequence of the attempt).
+        self._part_pending: Dict[TransactionId, Tuple[Transaction, int]] = {}
         self._part_queue: List[CrossPrepare] = []
         self._deferred_commits: Dict[TransactionId, CrossCommit] = {}
-        self._waiting_on_dependency: Dict[TransactionId, List[Any]] = {}
+        #: Prepares held until a dependency is ordered here, at most one held
+        #: copy per transaction.
+        self._waiting_on_dependency: Dict[TransactionId, List[_Prepare]] = {}
+        # Decision memory (rousseau-chain's ``rejected``): the attempts whose
+        # abort this participant applied, and the transactions aborted for good.
+        self._aborted_attempts: Set[Tuple[TransactionId, int]] = set()
+        self._aborted_tids: Set[TransactionId] = set()
         # Where to send the reply (populated on the origin domain only).
         self._client_of: Dict[TransactionId, str] = {}
         # Grouped 2PC (xdomain batching): coordinator-side accumulation and
@@ -271,16 +312,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             return self._on_ack(payload)
         if isinstance(payload, CommitQuery):
             return self._on_commit_query(payload)
-        if isinstance(payload, PreparedQuery):
-            return self._on_prepared_query(payload)
         if isinstance(payload, GroupCrossPrepare):
             return self._on_group_prepare(payload)
         if isinstance(payload, GroupCrossPrepared):
             return self._on_group_prepared(payload)
         if isinstance(payload, GroupCrossCommit):
             return self._on_group_commit(payload)
-        if isinstance(payload, GroupCrossAbort):
-            return self._on_group_abort(payload)
         if isinstance(payload, GroupCrossAck):
             return self._on_group_ack(payload)
         return False
@@ -294,6 +331,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             return True
         if isinstance(payload, CoordinatorCommitOrder):
             self._decided_coordinator_commit(payload)
+            return True
+        if isinstance(payload, CoordinatorAbortOrder):
+            self._decided_coordinator_abort(payload)
             return True
         if isinstance(payload, GroupPrepareOrder):
             self._decided_group_prepare(slot, payload)
@@ -340,9 +380,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 # retry the prepare, which re-enters the normal member flow.
                 self._part_pending.pop(member.transaction.tid, None)
             return True
-        if isinstance(payload, GroupCommitOrder):
-            # No local cleanup: participants' commit queries re-drive the
-            # commit through the current primary (see `_on_commit_query`).
+        if isinstance(payload, (GroupCommitOrder, CoordinatorAbortOrder)):
+            # No local cleanup: participants' commit queries re-drive a
+            # commit through the current primary (see `_on_commit_query`);
+            # an unordered abort leaves its attempts live.
             return True
         return False
 
@@ -398,11 +439,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 # already gave up on — the final abort may have been lost, so
                 # repeat it instead of silently swallowing the forward.
                 abort = CrossAbort(
-                    tid=tid,
                     coordinator_domain=self.node.domain.id,
-                    request_digest=state.transaction.request_digest,
+                    members=((tid, state.coordinator_sequence),),
                     reason="already aborted",
-                    will_retry=False,
                 )
                 self.node.multicast_domains(
                     list(state.transaction.involved_domains), abort
@@ -413,46 +452,43 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         )
         if self._bus is not None:
             self._bus.observe("xdomain.forwards")
-        # Conflicting requests coordinated by this domain are pipelined: the
-        # prepare message carries explicit ordering dependencies (``after``)
-        # instead of holding the new request back until the earlier commits.
-        if self._group_size > 1:
-            self._enqueue_group_member(
-                CoordinatorPrepareOrder(
-                    transaction=forward.transaction,
-                    origin_domain=forward.origin_domain,
-                    client_address=forward.client_address,
-                    attempt=1,
-                )
+        self._admit(
+            CoordinatorPrepareOrder(
+                transaction=forward.transaction,
+                origin_domain=forward.origin_domain,
+                client_address=forward.client_address,
+                attempt=1,
             )
-        else:
-            self._propose_coordinator_prepare(forward, attempt=1)
+        )
         return True
 
-    def _propose_coordinator_prepare(self, forward: CrossForward, attempt: int) -> None:
-        self._coord_pending[forward.transaction.tid] = forward.transaction
-        order = CoordinatorPrepareOrder(
-            transaction=forward.transaction,
-            origin_domain=forward.origin_domain,
-            client_address=forward.client_address,
-            attempt=attempt,
-        )
+    def _admit(self, order: CoordinatorPrepareOrder) -> None:
+        """Start one attempt: into the next group, or ordered on its own.
+
+        Conflicting requests coordinated by this domain are pipelined: the
+        prepare message carries explicit ordering dependencies (``after``)
+        instead of holding the new request back until the earlier commits.
+        """
+        if self._group_size > 1:
+            self._enqueue_group_member(order)
+            return
+        self._coord_pending[order.transaction.tid] = order.transaction
         self.node.engine.submit(order)
 
     def _decided_coordinator_prepare(
         self, slot: int, order: CoordinatorPrepareOrder
     ) -> None:
         state = self._coordination_state(order)
-        state.coordinator_sequence = slot
-        state.attempt = order.attempt
-        state.prepared_parts.clear()
+        if not state.in_flight:
+            return
+        self._open_attempt(state, slot, order.attempt)
         if not self.node.is_primary:
             return
         self._send_prepares(state)
         self._arm_deadlock_timer(state)
 
     def _coordination_state(self, order: CoordinatorPrepareOrder) -> _CoordinationState:
-        """The state of a decided prepare; a new one enters the in-flight table."""
+        """The state of a decided prepare, created on first sight."""
         tid = order.transaction.tid
         self._coord_pending.pop(tid, None)
         state = self._coord.get(tid)
@@ -463,12 +499,25 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 client_address=order.client_address,
             )
             self._coord[tid] = state
-            self._coord_live.add(state)
         return state
+
+    def _open_attempt(
+        self, state: _CoordinationState, slot: int, attempt: int, group_id: Optional[str] = None
+    ) -> None:
+        """A decided prepare opens an attempt at ``slot``: the state (re-)enters
+        the in-flight table with no votes."""
+        state.coordinator_sequence = slot
+        state.attempt = attempt
+        state.group_id = group_id
+        state.all_prepared = False
+        state.prepared_parts.clear()
+        self._coord_live.add(state)
 
     def _end_coordination(self, state: _CoordinationState, committed: bool) -> None:
         """The one place a coordinator state turns terminal (both flags are
         monotone) and so leaves the in-flight table."""
+        if state.timer is not None:
+            state.timer.cancel()
         if committed:
             state.committed = True
         else:
@@ -518,69 +567,118 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         stagger = timers.deadlock_backoff_ms * (self.node.domain.id.index - 1)
         return timers.cross_domain_timeout_ms + stagger
 
-    def _arm_deadlock_timer(self, state: _CoordinationState) -> None:
-        delay = self._cross_domain_delay()
-        tid = state.transaction.tid
+    def _arm_deadlock_timer(self, exchange: Union[_CoordinationState, _GroupState]) -> None:
+        """Arm the deadlock timer of one prepare exchange: a group, or one
+        member's own state for a per-transaction exchange."""
+        if exchange.timer is not None:
+            exchange.timer.cancel()
+        exchange.timer = self.node.set_timer(
+            self._cross_domain_delay(), lambda: self._on_deadlock_timeout(exchange)
+        )
 
-        def _expired() -> None:
-            self._on_coordination_timeout(tid)
+    def _on_deadlock_timeout(self, exchange: Union[_CoordinationState, _GroupState]) -> None:
+        """Deadlock resolution (§4.1), one handler for both 2PC families.
 
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.node.set_timer(delay, _expired)
-
-    def _on_coordination_timeout(self, tid: TransactionId) -> None:
-        state = self._coord.get(tid)
-        if state is None or not state.in_flight or not self.node.is_primary:
+        The exchange closes: its fully prepared members commit (a grouped
+        exchange commits them now; a per-transaction one already submitted
+        its commit), and the stalled rest are aborted through one ordered
+        abort per outcome — a retry with a new prepare, so overlapping
+        domains can re-order consistently, or a final abort after
+        ``MAX_ATTEMPTS``."""
+        if not self.node.is_primary:
             return
-        if state.attempt >= MAX_ATTEMPTS:
-            self._abort_coordination(state, will_retry=False, reason="max attempts")
-            return
-        # Deadlock resolution (§4.1): abort this attempt, then retry with a new
-        # prepare so overlapping domains can re-order consistently.
-        if self._bus is not None:
-            self._bus.observe("xdomain.retries")
-        abort = CrossAbort(
-            tid=tid,
-            coordinator_domain=self.node.domain.id,
-            request_digest=state.transaction.request_digest,
-            reason="deadlock-retry",
-            will_retry=True,
-        )
-        self.node.multicast_domains(list(state.transaction.involved_domains), abort)
-        state.prepared_parts.clear()
-        state.attempt += 1
-        retry_delay = self.node.config.timers.deadlock_backoff_ms
-        forward = CrossForward(
-            transaction=state.transaction,
-            origin_domain=state.origin_domain,
-            client_address=state.client_address,
-        )
-        self.node.set_timer(
-            retry_delay,
-            lambda: self._propose_coordinator_prepare(forward, attempt=state.attempt),
-        )
+        if isinstance(exchange, _GroupState):
+            if exchange.commit_submitted:
+                return
+            members = self._live_group_members(exchange)
+            prepared = [member for member in members if member.all_prepared]
+            if prepared:
+                self._submit_group_commit(exchange, prepared)
+            exchange.commit_submitted = True  # closed, with or without commits
+        else:
+            members = [exchange] if exchange.in_flight else []
+        stalled = [m for m in members if not m.all_prepared and not m.abort_submitted]
+        for will_retry in (True, False):
+            ending = [m for m in stalled if (m.attempt < MAX_ATTEMPTS) == will_retry]
+            if not ending:
+                continue
+            if will_retry and self._bus is not None:
+                for _ in ending:
+                    self._bus.observe("xdomain.retries")
+            for member in ending:
+                member.abort_submitted = True
+            order = CoordinatorAbortOrder(
+                members=tuple((m.transaction.tid, m.coordinator_sequence) for m in ending),
+                will_retry=will_retry,
+            )
+            self.node.engine.submit(order)
 
-    def _abort_coordination(
-        self, state: _CoordinationState, will_retry: bool, reason: str
-    ) -> None:
-        self._end_coordination(state, committed=False)
-        if state.timer is not None:
-            state.timer.cancel()
+    def _decided_coordinator_abort(self, order: CoordinatorAbortOrder) -> None:
+        """Every replica ends the named attempts that are still live — an
+        attempt whose commit was decided first stays committed — and then
+        the primary tells their participants in one ``CrossAbort``."""
+        ended: List[_CoordinationState] = []
+        members: List[Tuple[TransactionId, int]] = []
+        group_id = None
+        for tid, sequence in order.members:
+            state = self._coord.get(tid)
+            if state is None or not state.in_flight or state.coordinator_sequence != sequence:
+                continue
+            ended.append(state)
+            members.append((tid, sequence))
+            group_id = group_id or state.group_id
+            if not order.will_retry:
+                self._end_coordination(state, committed=False)
+                continue
+            # The attempt ends; the next one opens at its own decided prepare.
+            if state.timer is not None:
+                state.timer.cancel()
+            self._coord_live.discard(state)
+            state.coordinator_sequence, state.group_id = 0, None
+            state.attempt += 1
+            state.abort_submitted = False
+        if not ended or not self.node.is_primary:
+            return
+        reason = "deadlock-retry" if order.will_retry else "max attempts"
         self.node.record_trace(
             "handoff:abort",
-            tid=state.transaction.tid,
+            gid=group_id,
+            tids=[tid.name for tid, _ in members],
             reason=reason,
-            will_retry=will_retry,
+            will_retry=order.will_retry,
         )
         abort = CrossAbort(
-            tid=state.transaction.tid,
             coordinator_domain=self.node.domain.id,
-            request_digest=state.transaction.request_digest,
+            members=tuple(members),
             reason=reason,
-            will_retry=will_retry,
+            will_retry=order.will_retry,
         )
-        self.node.multicast_domains(list(state.transaction.involved_domains), abort)
+        participants = dict.fromkeys(
+            domain for state in ended for domain in state.transaction.involved_domains
+        )
+        self.node.multicast_domains(list(participants), abort)
+        if order.will_retry:
+            self.node.set_timer(
+                self.node.config.timers.deadlock_backoff_ms,
+                lambda: self._readmit(ended),
+            )
+
+    def _readmit(self, states: List[_CoordinationState]) -> None:
+        """Retry each aborted attempt that is still waiting for its next one."""
+        if not self.node.is_primary:
+            return
+        for state in states:
+            tid = state.transaction.tid
+            if not state.in_flight or state.coordinator_sequence or tid in self._coord_pending:
+                continue
+            self._admit(
+                CoordinatorPrepareOrder(
+                    transaction=state.transaction,
+                    origin_domain=state.origin_domain,
+                    client_address=state.client_address,
+                    attempt=state.attempt,
+                )
+            )
 
     def _on_prepared(self, message: CrossPrepared) -> bool:
         if self.node.domain.height < 2:
@@ -588,7 +686,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if not self.node.is_primary:
             return True
         state = self._coord.get(message.tid)
-        if state is None or not state.in_flight:
+        if state is None or not state.in_flight or state.abort_submitted:
             return True
         if message.coordinator_sequence != state.coordinator_sequence:
             return True  # belongs to a previous attempt
@@ -620,11 +718,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
 
     def _decided_coordinator_commit(self, order: CoordinatorCommitOrder) -> None:
         state = self._coord.get(order.tid)
-        if state is None or state.committed:
-            return
+        if state is None or not state.in_flight or not state.coordinator_sequence:
+            return  # unknown, decided already, or its attempt was aborted first
         self._end_coordination(state, committed=True)
-        if state.timer is not None:
-            state.timer.cancel()
         if self.node.is_primary:
             certificate = self.node.certify(order.request_digest)
             self.node.record_trace(
@@ -750,13 +846,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         for member in order.members:
             state = self._coordination_state(member)
             member_order.append(member.transaction.tid)
-            if state.committed or state.aborted:
-                continue  # already terminal (duplicate re-group)
-            state.coordinator_sequence = slot
-            state.attempt = member.attempt
-            state.group_id = group_id
-            state.all_prepared = False
-            state.prepared_parts.clear()
+            if state.in_flight:  # else already terminal (duplicate re-group)
+                self._open_attempt(state, slot, member.attempt, group_id)
         participants = tuple(sorted(order.members[0].transaction.involved_domains))
         group = _GroupState(
             group_id=group_id,
@@ -776,15 +867,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         )
         group.prepare_sent_at = self.node.now()
         self._send_group_prepare(group)
-        self._arm_group_timer(group)
-
-    def _group_digest(self, transactions: Tuple[Transaction, ...]) -> bytes:
-        return digest(b"xdomain-group", *[t.request_digest for t in transactions])
+        self._arm_deadlock_timer(group)
 
     def _send_group_prepare(self, group: _GroupState) -> None:
         states = [self._coord[tid] for tid in group.member_order]
         transactions = tuple(state.transaction for state in states)
-        group_digest = self._group_digest(transactions)
+        group_digest = digest(b"xdomain-group", *[t.request_digest for t in transactions])
         certificate = self.node.certify(group_digest)
         for domain_id in group.participants:
             # Union of the members' ordering dependencies.  Groupmates can
@@ -807,107 +895,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             )
             self.node.multicast_domain(domain_id, prepare)
 
-    def _arm_group_timer(self, group: _GroupState) -> None:
-        group_id = group.group_id
-
-        def _expired() -> None:
-            self._on_group_timer_expired(group_id)
-
-        if group.timer is not None:
-            group.timer.cancel()
-        group.timer = self.node.set_timer(self._cross_domain_delay(), _expired)
-
     def _live_group_members(self, group: _GroupState) -> List[_CoordinationState]:
-        """Members of ``group`` still driven by this grouped exchange."""
-        members = []
-        for tid in group.member_order:
-            state = self._coord.get(tid)
-            if state is None or not state.in_flight:
-                continue
-            if state.group_id != group.group_id:
-                continue  # re-grouped into a later exchange
-            members.append(state)
-        return members
-
-    def _on_group_timer_expired(self, group_id: str) -> None:
-        """Per-member timeout outcomes: commit the fully prepared members of
-        the group, abort-and-regroup (or finally abort) the rest."""
-        group = self._groups.get(group_id)
-        if group is None or group.commit_submitted or not self.node.is_primary:
-            return
-        prepared: List[_CoordinationState] = []
-        retry: List[_CoordinationState] = []
-        final: List[_CoordinationState] = []
-        for state in self._live_group_members(group):
-            if set(state.prepared_parts) == set(state.transaction.involved_domains):
-                prepared.append(state)
-            elif state.attempt >= MAX_ATTEMPTS:
-                final.append(state)
-            else:
-                retry.append(state)
-        if retry:
-            if self._bus is not None:
-                for _ in retry:
-                    self._bus.observe("xdomain.retries")
-            self._send_group_abort(group, retry, "group-timeout-retry", will_retry=True)
-            retry_tids = []
-            for state in retry:
-                state.prepared_parts.clear()
-                state.attempt += 1
-                state.group_id = None
-                retry_tids.append(state.transaction.tid)
-            backoff = self.node.config.timers.deadlock_backoff_ms
-            self.node.set_timer(backoff, lambda: self._regroup_members(retry_tids))
-        if final:
-            for state in final:
-                self._end_coordination(state, committed=False)
-                state.group_id = None
-            self._send_group_abort(group, final, "max attempts", will_retry=False)
-        if prepared:
-            self._submit_group_commit(group, prepared)
-        else:
-            group.commit_submitted = True  # exchange closed without commits
-
-    def _regroup_members(self, tids: List[TransactionId]) -> None:
-        """Re-enqueue abort-retried members into the next group (retry path)."""
-        if not self.node.is_primary:
-            return
-        for tid in tids:
-            state = self._coord.get(tid)
-            if state is None or not state.in_flight or state.group_id is not None:
-                continue
-            self._enqueue_group_member(
-                CoordinatorPrepareOrder(
-                    transaction=state.transaction,
-                    origin_domain=state.origin_domain,
-                    client_address=state.client_address,
-                    attempt=state.attempt,
-                )
-            )
-
-    def _send_group_abort(
-        self,
-        group: _GroupState,
-        states: List[_CoordinationState],
-        reason: str,
-        will_retry: bool,
-    ) -> None:
-        """One aggregated abort (retried or final) for part of a group."""
-        tids = tuple(state.transaction.tid for state in states)
-        self.node.record_trace(
-            "handoff:group-abort",
-            gid=group.group_id,
-            tids=[tid.name for tid in tids],
-            will_retry=will_retry,
-        )
-        abort = GroupCrossAbort(
-            group_id=group.group_id,
-            coordinator_domain=self.node.domain.id,
-            tids=tids,
-            reason=reason,
-            will_retry=will_retry,
-        )
-        self.node.multicast_domains(list(group.participants), abort)
+        """Members of ``group`` still driven by this grouped exchange (not
+        decided, nor retried into a later one)."""
+        states = (self._coord.get(tid) for tid in group.member_order)
+        return [s for s in states if s and s.in_flight and s.group_id == group.group_id]
 
     def _on_group_prepared(self, message: GroupCrossPrepared) -> bool:
         if self.node.domain.height < 2:
@@ -937,9 +929,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         accepted: List[TransactionId] = []
         for tid in tids:
             state = self._coord.get(tid)
-            if state is None or not state.in_flight:
-                continue
-            if state.group_id != group.group_id:
+            if state is None or not state.in_flight or state.group_id != group.group_id:
                 continue
             state.prepared_parts[participant] = participant_sequence
             if set(state.prepared_parts) == set(state.transaction.involved_domains):
@@ -964,11 +954,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if group.commit_submitted or not self.node.is_primary:
             return
         members = self._live_group_members(group)
-        if not members:
-            return
-        if not all(member.all_prepared for member in members):
-            return
-        self._submit_group_commit(group, members)
+        if members and all(member.all_prepared for member in members):
+            self._submit_group_commit(group, members)
 
     def _submit_group_commit(
         self, group: _GroupState, members: List[_CoordinationState]
@@ -990,18 +977,17 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
 
     def _decided_group_commit(self, order: GroupCommitOrder) -> None:
         group = self._groups.get(order.group_id)
-        if group is not None:
-            group.commit_submitted = True
-            if group.timer is not None:
-                group.timer.cancel()
+        if group is None:
+            return  # never prepared here, so no member belongs to it
+        group.commit_submitted = True
+        if group.timer is not None:
+            group.timer.cancel()
         committed: List[CoordinatorCommitOrder] = []
         for member in order.commits:
             state = self._coord.get(member.tid)
-            if state is None or state.committed:
-                continue
+            if state is None or not state.in_flight or state.group_id != order.group_id:
+                continue  # decided already, or its attempt was aborted first
             self._end_coordination(state, committed=True)
-            if state.timer is not None:
-                state.timer.cancel()
             committed.append(member)
         if not self.node.is_primary or not committed:
             return
@@ -1023,17 +1009,13 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             )
             for member in committed
         )
-        if group is not None:
-            participants = list(group.participants)
-        else:  # recovered state: derive the set from the first member's parts
-            participants = [d for d, _ in committed[0].sequence_parts]
         message = GroupCrossCommit(
             group_id=order.group_id,
             coordinator_domain=self.node.domain.id,
             commits=commits,
             certificate=certificate,
         )
-        self.node.multicast_domains(participants, message)
+        self.node.multicast_domains(list(group.participants), message)
 
     def _on_group_ack(self, message: GroupCrossAck) -> bool:
         if self.node.domain.height < 2:
@@ -1055,12 +1037,15 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if not self.node.is_primary:
             return True
         tid = transaction.tid
+        if self._aborted(tid, prepare.coordinator_sequence):
+            return True  # a late prepare of an aborted attempt
         existing = self._part.get(tid)
-        if existing is not None and existing.prepared:
-            # Duplicate prepare (e.g. after a prepared-query): re-send prepared.
+        if existing is not None:
+            # Duplicate prepare: re-send prepared.
             self._send_prepared(existing)
             return True
-        if tid in self._part_pending:
+        pending = self._part_pending.get(tid)
+        if pending is not None and pending[1] >= prepare.coordinator_sequence:
             return True
         # The coordinator took this member over on the per-transaction path
         # (e.g. a retry after its group disbanded): the lease is obsolete.
@@ -1069,7 +1054,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if missing is not None:
             # The coordinator ordered an earlier conflicting transaction that
             # this domain has not ordered yet: wait for it (pipelined hold).
-            self._waiting_on_dependency.setdefault(missing, []).append(prepare)
+            self._hold(missing, prepare)
             return True
         if self._conflicts_with_inflight_participation(
             transaction, prepare.coordinator_domain
@@ -1079,15 +1064,51 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self._propose_participant_prepare(prepare)
         return True
 
-    def _missing_dependency(self, prepare: CrossPrepare) -> Optional[TransactionId]:
-        """First dependency of ``prepare`` not yet ordered by this domain."""
+    def _aborted(self, tid: TransactionId, coordinator_sequence: int) -> bool:
+        """Whether this participant applied the abort of that attempt."""
+        return tid in self._aborted_tids or (tid, coordinator_sequence) in self._aborted_attempts
+
+    def _missing_dependency(self, prepare: _Prepare) -> Optional[TransactionId]:
+        """First dependency of ``prepare`` not yet ordered (nor finally
+        aborted) by this domain."""
         for dependency in prepare.after:
-            if dependency in self._part:
+            if dependency in self._part or dependency in self._aborted_tids:
                 continue
             if self.node.ledger is not None and dependency in self.node.ledger:
                 continue
             return dependency
         return None
+
+    def _hold(self, dependency: TransactionId, prepare: _Prepare) -> None:
+        """Hold ``prepare`` until ``dependency`` is ordered here.
+
+        One held copy per transaction: the newest coordinator sequence wins,
+        so a retransmitted or retried prepare replaces the older copy; an
+        aborted attempt is not held at all."""
+        held_at = {
+            tid: held.coordinator_sequence
+            for copies in self._waiting_on_dependency.values()
+            for held in copies
+            for tid in _prepared_tids(held)
+        }
+        newest = _without(
+            prepare, lambda tid, seq: self._aborted(tid, seq) or held_at.get(tid, 0) > seq
+        )
+        if newest is None:
+            return
+        tids = set(_prepared_tids(newest))
+        self._purge_held(lambda tid, _: tid in tids)
+        self._waiting_on_dependency.setdefault(dependency, []).append(newest)
+
+    def _purge_held(self, drop: Callable[[TransactionId, int], bool]) -> None:
+        """Drop the held prepare members ``drop(tid, coordinator_sequence)``
+        names; a held group keeps its other members."""
+        for dependency, copies in list(self._waiting_on_dependency.items()):
+            kept = [p for p in (_without(held, drop) for held in copies) if p is not None]
+            if kept:
+                self._waiting_on_dependency[dependency] = kept
+            else:
+                del self._waiting_on_dependency[dependency]
 
     def _release_dependents(self, tid: TransactionId) -> None:
         """Re-admit prepares that were waiting for ``tid`` to be ordered."""
@@ -1111,13 +1132,16 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         for state in self._part_live.overlapping(transaction):
             if coordinator_domain is None or state.coordinator_domain != coordinator_domain:
                 return True
-        for pending in self._part_pending.values():
+        for pending, _ in self._part_pending.values():
             if _overlaps_in_two(pending, transaction):
                 return True
         return False
 
     def _propose_participant_prepare(self, prepare: CrossPrepare) -> None:
-        self._part_pending[prepare.transaction.tid] = prepare.transaction
+        self._part_pending[prepare.transaction.tid] = (
+            prepare.transaction,
+            prepare.coordinator_sequence,
+        )
         order = ParticipantPrepareOrder(
             transaction=prepare.transaction,
             coordinator_domain=prepare.coordinator_domain,
@@ -1149,9 +1173,13 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     ) -> Optional[_ParticipantState]:
         """This domain ordered ``transaction``'s prepare at ``slot``: the state
         becomes prepared and enters the in-flight table (``None`` when the
-        transaction is already decided here)."""
+        transaction is already decided here, or the attempt was aborted)."""
         tid = transaction.tid
-        self._part_pending.pop(tid, None)
+        pending = self._part_pending.get(tid)
+        if pending is not None and pending[1] == coordinator_sequence:
+            del self._part_pending[tid]
+        if self._aborted(tid, coordinator_sequence):
+            return None  # decided late: the abort came first, so no vote
         state = self._part.get(tid)
         if state is None:
             state = _ParticipantState(
@@ -1165,7 +1193,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         state.coordinator_domain = coordinator_domain
         state.coordinator_sequence = coordinator_sequence
         state.participant_sequence = slot
-        state.prepared = True
         self._part_live.add(state)
         return state
 
@@ -1245,13 +1272,15 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if missing is not None:
             # The coordinator ordered an earlier conflicting transaction this
             # domain has not ordered yet: hold the whole group (pipelined).
-            self._waiting_on_dependency.setdefault(missing, []).append(prepare)
+            self._hold(missing, prepare)
             return True
         accepted: List[Transaction] = []
         for transaction in prepare.transactions:
             tid = transaction.tid
+            if self._aborted(tid, prepare.coordinator_sequence):
+                continue  # a late prepare of an aborted attempt
             existing = self._part.get(tid)
-            if existing is not None and existing.prepared:
+            if existing is not None:
                 # Already ordered by an earlier attempt: vote individually.
                 self._send_prepared(existing)
                 continue
@@ -1293,26 +1322,20 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             accepted.append(transaction)
         if accepted:
             for transaction in accepted:
-                self._part_pending[transaction.tid] = transaction
+                self._part_pending[transaction.tid] = (
+                    transaction,
+                    prepare.coordinator_sequence,
+                )
             adopted = self._adopt_leases()
             self._pgroup_pending[key] = prepare
+            order = GroupParticipantPrepareOrder(
+                group_id=prepare.group_id,
+                coordinator_domain=prepare.coordinator_domain,
+                coordinator_sequence=prepare.coordinator_sequence,
+                transactions=tuple(accepted),
+            )
             if adopted:
-                order: GroupParticipantPrepareOrder = (
-                    GroupParticipantPrepareOrderWithLeases(
-                        group_id=prepare.group_id,
-                        coordinator_domain=prepare.coordinator_domain,
-                        coordinator_sequence=prepare.coordinator_sequence,
-                        transactions=tuple(accepted),
-                        adopted=adopted,
-                    )
-                )
-            else:
-                order = GroupParticipantPrepareOrder(
-                    group_id=prepare.group_id,
-                    coordinator_domain=prepare.coordinator_domain,
-                    coordinator_sequence=prepare.coordinator_sequence,
-                    transactions=tuple(accepted),
-                )
+                order = GroupParticipantPrepareOrderWithLeases(**vars(order), adopted=adopted)
             self.node.engine.submit_group(order)
         return True
 
@@ -1376,7 +1399,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             del self._leased[tid]
             if lease.timer is not None:
                 lease.timer.cancel()
-            self._part_pending[tid] = lease.transaction
+            self._part_pending[tid] = (lease.transaction, lease.coordinator_sequence)
             adopted.append(
                 AdoptedMember(
                     transaction=lease.transaction,
@@ -1453,7 +1476,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 member.coordinator_sequence,
                 slot,
             )
-            if state is None:
+            if state is None:  # aborted while the order was in flight
+                if self.node.is_primary:  # the grant resolves without an adopt
+                    tid, coordinator = member.transaction.tid, member.coordinator_domain.name
+                    self.node.record_trace(
+                        "control:lease", action="drop", tid=tid, coordinator=coordinator
+                    )
                 continue
             adopted_states.append(state)
             self._arm_commit_query_timer(state)
@@ -1536,22 +1564,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             )
         return True
 
-    def _on_group_abort(self, message: GroupCrossAbort) -> bool:
-        if not self.node.is_height1:
-            return False
-        for tid in message.tids:
-            self._abort_participant_member(tid, message.reason, message.will_retry)
-        if self.node.is_primary:
-            self._drain_participant_queue()
-        return True
-
     def _on_commit(self, commit: CrossCommit) -> bool:
         if not self.node.is_height1:
             return False
         state = self._part.get(commit.tid)
-        if state is None:
-            return True
-        if state.committed:
+        if state is None or state.committed:
             return True
         if self._must_defer_commit(state):
             self._deferred_commits[commit.tid] = commit
@@ -1620,50 +1637,51 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def _on_abort(self, abort: CrossAbort) -> bool:
         if not self.node.is_height1:
             return False
-        self._abort_participant_member(abort.tid, abort.reason, abort.will_retry)
+        for tid, sequence in abort.members:
+            self._retire_attempt(tid, sequence, abort.will_retry, abort.reason)
         if self.node.is_primary:
             self._drain_participant_queue()
         return True
 
-    def _abort_participant_member(
-        self, tid: TransactionId, reason: str, will_retry: bool
+    def _retire_attempt(
+        self, tid: TransactionId, sequence: int, will_retry: bool, reason: str
     ) -> None:
-        """Participant-side handling of one aborted transaction (single path
-        and grouped path share this; group aborts never touch groupmates)."""
-        if not will_retry:
-            # A final abort resolves a still-leased member: without this the
-            # lease would expire into a prepare for a dead transaction.
-            self._drop_lease(tid)
-        if self.node.is_primary:
-            # Anything waiting for the aborted transaction's ordering can run.
-            self._release_dependents(tid)
+        """Apply one decided abort: remember it, purge every waiting copy of
+        the attempt, and end its prepared state.  A groupmate is untouched."""
         state = self._part.get(tid)
-        if state is not None and not state.committed:
+        if state is not None and state.committed:
+            return
+        if will_retry:
+            self._aborted_attempts.add((tid, sequence))
+        else:
+            self._aborted_tids.add(tid)
+        aborted = self._aborted
+        self._part_queue = [
+            p for p in self._part_queue if not aborted(p.transaction.tid, p.coordinator_sequence)
+        ]
+        self._purge_held(aborted)
+        pending = self._part_pending.get(tid)
+        if pending is not None and aborted(tid, pending[1]):
+            del self._part_pending[tid]  # its order is refused when decided
+        lease = self._leased.get(tid)
+        if lease is not None and aborted(tid, lease.coordinator_sequence):
+            self._drop_lease(tid)
+        if state is not None and state.in_flight and aborted(tid, state.coordinator_sequence):
             if state.timer is not None:
                 state.timer.cancel()
-            # A retried abort forgets this attempt: the coordinator will
-            # re-issue a prepare.
+            # A retried attempt is forgotten: the next one starts afresh.
             self._end_participation(state, forget=will_retry)
-            if not will_retry:
-                self.node.note_abort(tid, reason)
-                if self.node.is_primary and tid in self._client_of:
-                    self.node.reply_to_client(
-                        self._client_of.pop(tid),
-                        state.transaction,
-                        success=False,
-                    )
-        elif state is None and not will_retry:
-            # Final abort for an attempt this domain never ordered (e.g. the
-            # retried prepare was lost or wedged behind a faulty slot): the
-            # abort is still this transaction's final state, so record it and
-            # answer the waiting client instead of leaving it retransmitting.
-            self._part_pending.pop(tid, None)
-            self.node.note_abort(tid, reason)
-            if self.node.is_primary and tid in self._client_of:
-                reply = ClientReply(
-                    tid=tid, success=False, responder=self.node.address
-                )
+        if will_retry:
+            return
+        # The abort is this transaction's final state even where no attempt
+        # was ordered: record it, answer the waiting client, and release the
+        # prepares that waited for it to be ordered here.
+        self.node.note_abort(tid, reason)
+        if self.node.is_primary:
+            if tid in self._client_of:
+                reply = ClientReply(tid=tid, success=False, responder=self.node.address)
                 self.node.send(self._client_of.pop(tid), reply)
+            self._release_dependents(tid)
 
     def _drain_participant_queue(self) -> None:
         remaining: List[CrossPrepare] = []
@@ -1675,14 +1693,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             else:
                 self._propose_participant_prepare(prepare)
         self._part_queue = remaining
-
-    def _on_prepared_query(self, query: PreparedQuery) -> bool:
-        if not self.node.is_height1:
-            return False
-        state = self._part.get(query.tid)
-        if state is not None and state.prepared and self.node.is_primary:
-            self._send_prepared(state)
-        return True
 
     # ------------------------------------------------------------------ introspection (tests)
 

@@ -5,8 +5,7 @@ Two kinds of objects live here:
 * **Wire messages** exchanged between endpoints (clients, server nodes of
   different domains).  They correspond to the message names of the paper:
   ``request``, ``reply``, ``prepare``, ``prepared``, ``commit``, ``abort``,
-  ``ack``, ``commit-query``, ``prepared-query``, ``block``, ``state-query``
-  and ``state``.
+  ``ack``, ``commit-query``, ``block``, ``state-query`` and ``state``.
 * **Consensus payloads** — the values a domain orders through its internal
   consensus protocol ("establish consensus on X among nodes in d").  When a
   slot is decided, every node of the domain reacts to the payload type.
@@ -38,12 +37,10 @@ __all__ = [
     "CrossAbort",
     "CrossAck",
     "CommitQuery",
-    "PreparedQuery",
     # batch-aware cross-domain commit (grouped 2PC)
     "GroupCrossPrepare",
     "GroupCrossPrepared",
     "GroupCrossCommit",
-    "GroupCrossAbort",
     "GroupCrossAck",
     # optimistic protocol (§6)
     "OptimisticForward",
@@ -59,6 +56,7 @@ __all__ = [
     "CoordinatorPrepareOrder",
     "ParticipantPrepareOrder",
     "CoordinatorCommitOrder",
+    "CoordinatorAbortOrder",
     "GroupPrepareOrder",
     "GroupParticipantPrepareOrder",
     "AdoptedMember",
@@ -180,15 +178,18 @@ class CrossCommit:
 
 @dataclass(frozen=True)
 class CrossAbort:
-    """Coordinator -> participants: the transaction is aborted (retry or drop)."""
+    """Coordinator -> participants, once the abort is ordered: the attempts
+    ``(tid, coordinator_sequence)`` are aborted (retry or drop)."""
 
-    tid: TransactionId
     coordinator_domain: DomainId
-    request_digest: bytes
+    members: Tuple[Tuple[TransactionId, int], ...]
     reason: str = ""
     will_retry: bool = False
     verify_count: int = 1
-    size_kb: float = 0.2
+
+    @property
+    def size_kb(self) -> float:
+        return 0.18 + 0.02 * len(self.members)
 
 
 @dataclass(frozen=True)
@@ -210,19 +211,6 @@ class CommitQuery:
     participant_domain: DomainId
     coordinator_sequence: int
     participant_sequence: int
-    request_digest: bytes
-    sender: str = ""
-    verify_count: int = 1
-    size_kb: float = 0.2
-
-
-@dataclass(frozen=True)
-class PreparedQuery:
-    """LCA node -> participant nodes when a prepared message is overdue."""
-
-    tid: TransactionId
-    coordinator_domain: DomainId
-    coordinator_sequence: int
     request_digest: bytes
     sender: str = ""
     verify_count: int = 1
@@ -311,22 +299,6 @@ class GroupCrossCommit:
     @property
     def size_kb(self) -> float:
         return 0.1 + 0.15 * len(self.commits)
-
-
-@dataclass(frozen=True)
-class GroupCrossAbort:
-    """One grouped abort for the members of a group that did not prepare."""
-
-    group_id: str
-    coordinator_domain: DomainId
-    tids: Tuple[TransactionId, ...]
-    reason: str = ""
-    will_retry: bool = False
-    verify_count: int = 1
-
-    @property
-    def size_kb(self) -> float:
-        return 0.1 + 0.02 * len(self.tids)
 
 
 @dataclass(frozen=True)
@@ -484,6 +456,15 @@ class CoordinatorCommitOrder:
     tid: TransactionId
     sequence_parts: Tuple[Tuple[DomainId, int], ...]
     request_digest: bytes
+
+
+@dataclass(frozen=True)
+class CoordinatorAbortOrder:
+    """The LCA domain agrees to end the attempts ``(tid, coordinator_sequence)``
+    without a commit; with ``will_retry`` each is prepared again later."""
+
+    members: Tuple[Tuple[TransactionId, int], ...]
+    will_retry: bool
 
 
 @dataclass(frozen=True)

@@ -656,7 +656,7 @@ class InvariantChecker:
         Replays every grouped exchange from its coordinator-side events: the
         membership from ``group-prepare``, the per-participant vote receipts
         from ``group-vote``, and the per-member outcomes from ``group-commit``
-        / ``group-abort``.  Trace sequence numbers order evidence against
+        / ``abort``.  Trace sequence numbers order evidence against
         outcome: a commit may only cover members whose votes from *every*
         participant were received before it, a member fully voted before the
         group's first commit must be part of it (unless individually retried

@@ -189,16 +189,16 @@ class TraceRecorder:
         kinds on the trace — ``handoff:group-prepare`` (membership and
         participant set), ``handoff:group-vote`` (receipt of one participant's
         aggregated prepared votes), ``handoff:group-commit`` (the per-member
-        commit outcomes), and ``handoff:group-abort`` (per-member aborts,
-        retried or final).  This groups them per exchange, each bucket in
-        trace order, which is the evidence the group-atomicity invariant (and
-        tests) replay.
+        commit outcomes), and ``handoff:abort`` carrying the group's ``gid``
+        (decided per-member aborts, retried or final).  This groups them per
+        exchange, each bucket in trace order, which is the evidence the
+        group-atomicity invariant (and tests) replay.
         """
         kind_map = {
             "handoff:group-prepare": "prepare",
             "handoff:group-vote": "vote",
             "handoff:group-commit": "commit",
-            "handoff:group-abort": "abort",
+            "handoff:abort": "abort",
         }
         exchanges: Dict[Tuple[Optional[str], Any], Dict[str, List[TraceEvent]]] = {}
         for event in self._events:

@@ -1,19 +1,20 @@
-"""Known safety bugs, checked in red, and the three-domain quiescence sweep
-(ROADMAP item 1: three-domain cross-domain commit).
+"""Three-domain cross-domain commit (ROADMAP item 1): the known safety bugs
+and the quiescence sweep.
 
-Each JSON case must still violate the invariant it names, and must still end
-with participant state stuck; the sweep runs ``lease-rejoin`` over seeds 1-20
-at ``xdomain_batch_size`` 1 and 3 with static control and asks every run to
-end with nothing in flight.
+Each JSON case is a run that once broke the invariant it names.  Two pins per
+case: the invariant holds, and the participants end the run holding nothing.
+Cases in ``STILL_RED`` still break their invariant and are checked in red.
+The sweep runs ``lease-rejoin`` over seeds 1-20 at ``xdomain_batch_size`` 1
+and 3 with static control and asks every run to end with nothing in flight.
 
 Not part of tier-1 — the file name keeps it out of collection; CI's
 ``regressions`` job runs it by path::
 
     PYTHONPATH=src python -m pytest tests/regressions/run_regressions.py -q
 
-``xfail(strict=True)`` turns the job red the moment a pin stops failing, so
-the PR that fixes the protocol must also delete the mark (and may then move
-the cases into tier-1 as plain passing scenarios).
+``xfail(strict=True)`` turns the job red the moment a red case stops failing,
+so the PR that fixes it must also take it out of ``STILL_RED`` (and may then
+move the cases into tier-1 as plain passing scenarios).
 """
 
 import json
@@ -31,23 +32,10 @@ from tests.conftest import PARTICIPANT_HOLDINGS, stuck_cross_domain_state
 HERE = Path(__file__).parent
 CASES = sorted(HERE.glob("*.json"))
 
-#: Cases whose participants end the run still holding state.
-STUCK = {
-    "lease-rejoin-160tx-seed07",
-    "lease-rejoin-g1-static-seed02",
-    "lease-rejoin-g1-static-seed14",
-    "lease-rejoin-g1-static-seed16",
-    "lease-rejoin-seed02",
-    "lease-rejoin-seed10",
-}
-
-
-def _cases(red, raises):
-    mark = pytest.mark.xfail(strict=True, raises=raises)
-    return [
-        pytest.param(path, id=path.stem, marks=mark if path.stem in red else ())
-        for path in CASES
-    ]
+#: Cases that still break their invariant: conflicting transactions ordered
+#: differently across domains (lead B, left to ROADMAP 1(d)).
+STILL_RED = {"lease-rejoin-g3-static-seed09", "lease-rejoin-seed10"}
+RED = pytest.mark.xfail(strict=True, raises=InvariantViolationError)
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +48,11 @@ def _finished_run(path):
 
 
 @pytest.mark.parametrize(
-    "path", _cases({path.stem for path in CASES}, InvariantViolationError)
+    "path",
+    [
+        pytest.param(path, id=path.stem, marks=RED if path.stem in STILL_RED else ())
+        for path in CASES
+    ],
 )
 def test_known_violation(path):
     case, run = _finished_run(path)
@@ -73,10 +65,10 @@ def test_known_violation(path):
     report.raise_if_violated()
 
 
-@pytest.mark.parametrize("path", _cases(STUCK, AssertionError))
+@pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
 def test_participants_quiescent(path):
-    """Lead A at its source: held prepares, prepared-undecided states and
-    deferred commits outlive the run on the participants."""
+    """Lead A at its source: no held prepare, prepared-undecided state or
+    deferred commit outlives the run on the participants."""
     _, run = _finished_run(path)
     stuck = stuck_cross_domain_state(run.deployment)
     assert {key: stuck[key] for key in PARTICIPANT_HOLDINGS} == dict.fromkeys(
@@ -97,7 +89,6 @@ def three_domain_cell(cell):
     return group_size, seed, summary.pending, {k: v for k, v in stuck.items() if v}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError)
 def test_three_domain_sweep_quiescent(two_workers):
     """Every run of the sweep ends with nothing pending and nothing in flight
     on any replica: no coordinator state (``coord_live_replicas`` included),

@@ -441,19 +441,6 @@ def test_blocked_rebalancer_backs_off_instead_of_livelocking():
         assert plane.splits == 0
 
 
-def test_lease_rejoin_grants_and_adopts_leases():
-    run = ScenarioRunner(check_invariants=True).execute(registry.get("lease-rejoin"))
-    actions = Counter(
-        event.get("action") for event in run.trace.events("control:lease")
-    )
-    assert actions["grant"] > 0
-    assert actions["adopt"] > 0  # held members re-joined a following group
-    assert actions["grant"] == (
-        actions["adopt"] + actions["expire"] + actions["drop"]
-    )
-    assert run.summary.pending == 0
-
-
 def test_starved_latency_target_flips_the_valve_without_losing_transactions():
     shedding = ControlPolicy(
         policy="adaptive",

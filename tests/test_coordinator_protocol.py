@@ -12,7 +12,15 @@ from repro.core.coordinator import (
     _overlaps_in_two,
     _ParticipantState,
 )
-from repro.core.messages import CrossCommit, ParticipantPrepareOrder
+from repro.core.messages import (
+    CoordinatorAbortOrder,
+    CoordinatorCommitOrder,
+    CrossAbort,
+    CrossCommit,
+    CrossForward,
+    CrossPrepare,
+    ParticipantPrepareOrder,
+)
 from repro.scenarios import ScenarioRunner, registry
 from tests.conftest import (
     cross_transfer,
@@ -30,12 +38,15 @@ def _client(leaf: DomainId, index: int = 1) -> ClientId:
     return ClientId(home=leaf, index=index)
 
 
-def _coordinator_component(deployment, domain_id):
-    node = deployment.primary_node_of(domain_id)
+def _component_of(node) -> CoordinatorCrossDomainProtocol:
     for component in node.components:
         if isinstance(component, CoordinatorCrossDomainProtocol):
             return component
     raise AssertionError("coordinator component missing")
+
+
+def _coordinator_component(deployment, domain_id):
+    return _component_of(deployment.primary_node_of(domain_id))
 
 
 class TestSingleCrossDomainTransaction:
@@ -299,3 +310,129 @@ def test_nothing_stuck_once_every_transaction_resolved(name, group_size):
     assert run.summary.pending == 0 and run.summary.committed > 0
     stuck = stuck_cross_domain_state(run.deployment)
     assert stuck == dict.fromkeys(stuck, 0)
+
+
+class TestOrderedOutcomes:
+    """Commit and abort of one attempt are both ordered; the first decided wins."""
+
+    @pytest.mark.parametrize("first", ["commit", "abort", "retry"])
+    def test_first_decided_outcome_wins_on_every_replica(self, first):
+        """Three coordinator replicas decide a commit order and an abort order
+        for the same attempt, in both orders.  Every replica keeps the first
+        decided outcome, every participant replica applies exactly one, and a
+        late prepare of the aborted attempt is refused — queued or decided."""
+        deployment = make_deployment(latency_profile="wide-area")
+        coordinators = [_component_of(n) for n in deployment.nodes_of(D21)]
+        participants = {d: _coordinator_component(deployment, d) for d in (D11, D12)}
+        assert len(coordinators) == 3
+        transaction = cross_transfer((D11, D12), client=_client(D01))
+        tid = transaction.tid
+        forward = CrossForward(transaction=transaction, origin_domain=D11, client_address="probe")
+        assert _coordinator_component(deployment, D21).handle_message(forward, "probe")
+        # Both participants order the prepare; their votes are a wide-area hop away.
+        while not all(tid in p._part for p in participants.values()):
+            deployment.simulator.run(until_ms=deployment.simulator.now + 1.0)
+        sequence = coordinators[0]._coord[tid].coordinator_sequence
+        assert all(c._coord[tid].coordinator_sequence == sequence for c in coordinators)
+        assert not any(c._coord[tid].prepared_parts for c in coordinators)
+        commit = CoordinatorCommitOrder(
+            tid=tid,
+            sequence_parts=tuple(
+                (domain, p._part[tid].participant_sequence) for domain, p in participants.items()
+            ),
+            request_digest=transaction.request_digest,
+        )
+        abort = CoordinatorAbortOrder(members=((tid, sequence),), will_retry=first == "retry")
+        orders = (commit, abort) if first == "commit" else (abort, commit)
+        for coordinator in coordinators:
+            for slot, order in enumerate(orders, start=1000):
+                coordinator.on_decide(slot, order)
+        deployment.simulator.run(until_ms=deployment.simulator.now + 3_000.0)
+
+        # A retried attempt is followed by a second one, which commits.
+        committed = first != "abort"
+        for coordinator in coordinators:
+            state = coordinator._coord[tid]
+            assert (state.committed, state.aborted) == (committed, not committed)
+            assert state.attempt == (2 if first == "retry" else 1)
+            assert not len(coordinator._coord_live)
+        for domain in (D11, D12):
+            for node in deployment.nodes_of(domain):
+                state = _component_of(node)._part[tid]
+                appended = sum(e.transaction.tid == tid for e in node.ledger.entries())
+                assert (appended, state.committed, state.aborted) == (
+                    int(committed), committed, not committed
+                )
+
+        participant = participants[D11]
+        votes = len(deployment.trace.events("handoff:prepared"))
+        late = CrossPrepare(
+            transaction=transaction,
+            coordinator_domain=D21,
+            coordinator_sequence=sequence,
+            request_digest=transaction.request_digest,
+        )
+        decided_late = ParticipantPrepareOrder(
+            transaction=transaction, coordinator_domain=D21, coordinator_sequence=sequence
+        )
+        assert participant.handle_message(late, "D21:n0")
+        participant.on_decide(5000, decided_late)
+        if first == "commit":
+            # The committed attempt's duplicate prepare is answered, not re-ordered.
+            assert len(deployment.trace.events("handoff:prepared")) == votes + 1
+        else:
+            assert len(deployment.trace.events("handoff:prepared")) == votes
+        assert tid not in participant._part_pending and not participant._part_queue
+        assert participant._part[tid].committed == committed
+
+    def test_a_held_prepare_is_kept_once_per_transaction(self, coordinator_deployment):
+        """A retransmitted or retried prepare replaces the held copy; a stale
+        one is dropped; the abort of the held attempt purges it."""
+        participant = _coordinator_component(coordinator_deployment, D11)
+        transaction = cross_transfer((D11, D12), client=_client(D01))
+        never_ordered = cross_transfer((D11, D12), client=_client(D02)).tid
+
+        def prepare(sequence):
+            return CrossPrepare(
+                transaction=transaction,
+                coordinator_domain=D21,
+                coordinator_sequence=sequence,
+                request_digest=transaction.request_digest,
+                after=(never_ordered,),
+            )
+
+        for sequence in (5, 5, 9, 7):  # a retransmission, a retry, a stale copy
+            assert participant.handle_message(prepare(sequence), "D21:n0")
+        held = [p for copies in participant._waiting_on_dependency.values() for p in copies]
+        assert [(p.transaction.tid, p.coordinator_sequence) for p in held] == [
+            (transaction.tid, 9)
+        ]
+        abort = CrossAbort(
+            coordinator_domain=D21, members=((transaction.tid, 9),), will_retry=True
+        )
+        assert participant.handle_message(abort, "D21:n0")
+        assert not participant._waiting_on_dependency
+        # An order of the aborted attempt that consensus decides late casts no vote.
+        late = ParticipantPrepareOrder(
+            transaction=transaction, coordinator_domain=D21, coordinator_sequence=9
+        )
+        participant.on_decide(100, late)
+        assert transaction.tid not in participant._part
+
+    def test_a_finally_aborted_dependency_resolves(self, coordinator_deployment):
+        participant = _coordinator_component(coordinator_deployment, D11)
+        dependency = cross_transfer((D11, D12), client=_client(D02))
+        waiting = cross_transfer((D11, D12), client=_client(D01))
+        prepare = CrossPrepare(
+            transaction=waiting,
+            coordinator_domain=D21,
+            coordinator_sequence=7,
+            request_digest=waiting.request_digest,
+            after=(dependency.tid,),
+        )
+        assert participant.handle_message(prepare, "D21:n0")
+        assert waiting.tid not in participant._part_pending
+        final = CrossAbort(coordinator_domain=D21, members=((dependency.tid, 3),))
+        assert participant.handle_message(final, "D21:n0")
+        assert not participant._waiting_on_dependency
+        assert waiting.tid in participant._part_pending  # proposed

@@ -257,17 +257,23 @@ def test_mixed_group_one_member_aborts_while_siblings_commit(monkeypatch):
             tids=(survivor.tid,),
         )
         assert component.handle_message(message, "probe")
-    # Fire the group timer early (before the real wide-area votes land).
-    component._on_group_timer_expired(gid)
+    # Fire the group timer early (before the real wide-area votes land): the
+    # survivor's commit and the victim's final abort are both ordered.
+    component._on_deadlock_timeout(state)
     deployment.simulator.run(until_ms=deployment.simulator.now + 60.0)
-    survivor_state = component._coord[survivor.tid]
-    victim_state = component._coord[victim.tid]
-    assert survivor_state.committed and not survivor_state.aborted
-    assert victim_state.aborted and not victim_state.committed
+    for node in deployment.nodes_of(D21):
+        replica = next(
+            c for c in node.components if isinstance(c, CoordinatorCrossDomainProtocol)
+        )
+        survivor_state = replica._coord[survivor.tid]
+        victim_state = replica._coord[victim.tid]
+        assert survivor_state.committed and not survivor_state.aborted
+        assert victim_state.aborted and not victim_state.committed
     commit_events = deployment.trace.events("handoff:group-commit")
     assert commit_events and commit_events[0].get("tids") == [survivor.tid.name]
-    abort_events = deployment.trace.events("handoff:group-abort")
+    abort_events = deployment.trace.events("handoff:abort")
     assert abort_events and abort_events[0].get("tids") == [victim.tid.name]
+    assert abort_events[0].get("gid") == gid
     assert abort_events[0].get("will_retry") is False
 
 
@@ -309,8 +315,8 @@ def test_participant_that_never_orders_the_group_part_aborts_cleanly():
     assert report.ok
     aborts = [
         event
-        for event in run.trace.events("handoff:group-abort")
-        if event.get("will_retry") is False
+        for event in run.trace.events("handoff:abort")
+        if event.get("gid") is not None and event.get("will_retry") is False
     ]
     assert aborts
 
