@@ -87,7 +87,9 @@ class CrossDomainProtocol(enum.Enum):
 # that takes no part in ``repr``, comparison or ``__init__`` (so ``replace()``
 # recomputes it), and returns it from an explicit ``__hash__``.  It must equal
 # the generated hash exactly: any other value reorders set iteration and with
-# it protocol decisions and traces.
+# it protocol decisions and traces.  ``DomainId`` and ``NodeId`` keep their
+# ``name`` the same way, in ``_name``: every trace event and address lookup
+# reads it, and one shared string per id replaces an f-string per read.
 
 
 @dataclass(frozen=True, order=True)
@@ -101,6 +103,7 @@ class DomainId:
     height: int
     index: int
     _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _name: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.height < 0 or self.index < 1:
@@ -108,13 +111,14 @@ class DomainId:
                 f"invalid domain id: height={self.height} index={self.index}"
             )
         object.__setattr__(self, "_hash", hash((self.height, self.index)))
+        object.__setattr__(self, "_name", f"D{self.height}{self.index}")
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def name(self) -> str:
-        return f"D{self.height}{self.index}"
+        return self._name
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
@@ -127,16 +131,18 @@ class NodeId:
     domain: DomainId
     index: int
     _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _name: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.domain, self.index)))
+        object.__setattr__(self, "_name", f"{self.domain.name}/n{self.index}")
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def name(self) -> str:
-        return f"{self.domain.name}/n{self.index}"
+        return self._name
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

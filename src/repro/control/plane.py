@@ -2,9 +2,10 @@
 
 A :class:`ControlPlane` is registered as a protocol component on every node
 of a deployment whose :class:`~repro.control.policy.ControlPolicy` is
-adaptive.  On start it arms a repeating control timer on the *simulated*
-clock; every ``interval_ms`` it drains the node's telemetry bus, runs the
-controllers, and applies their decisions:
+adaptive.  On start it joins its simulator's :class:`ControlClock`, one
+repeating timer on the *simulated* clock shared by every plane; every
+``interval_ms`` a plane with something to do drains the node's telemetry
+bus, runs the controllers, and applies their decisions:
 
 * the consensus batcher's target size (``Batcher.resize``),
 * the coordinator's grouped-2PC target size (``set_group_size``),
@@ -25,6 +26,12 @@ on a single-resident hot lane either splits that shard's key range between
 execution windows or backs off exponentially instead of re-evaluating the
 same dead end every interval.
 
+A tick that would change nothing is skipped (:meth:`ControlPlane.idle`):
+with an empty telemetry window, no shed streak to end and no lane work the
+controllers decide exactly what they decided last time.  Skipping it keeps
+every decision, and one clock firing the planes in join order keeps the
+event order of the timer per node it replaces.
+
 This module deliberately imports nothing from :mod:`repro.core`: the node is
 duck-typed (the same host surface the consensus engines rely on), keeping the
 dependency arrow pointing from the node layer into the control package.
@@ -37,7 +44,51 @@ from typing import Any, List, Optional
 from repro.control.controllers import AdaptiveBatchController, LaneRebalancer
 from repro.control.policy import ControlPolicy
 
-__all__ = ["ControlPlane"]
+__all__ = ["ControlClock", "ControlPlane"]
+
+
+class ControlClock:
+    """One repeating control timer firing every plane of a simulator in turn.
+
+    Planes join in node start order, all at the deployment's start and with
+    the deployment's one policy; the clock arms when the first one joins, so
+    each firing takes the place the first plane's own timer had in the event
+    order, and the planes tick in the order their timers fired.
+    """
+
+    def __init__(self, simulator: Any, interval_ms: float) -> None:
+        self._simulator = simulator
+        self._interval_ms = interval_ms
+        self._planes: List[ControlPlane] = []
+        self.fires = 0
+
+    @classmethod
+    def join(cls, plane: ControlPlane) -> ControlClock:
+        """Add ``plane`` to its simulator's clock, arming one on first join."""
+        simulator = plane.node.simulator
+        clock = simulator.shared.get(cls)
+        if clock is None:
+            clock = simulator.shared[cls] = cls(simulator, plane.policy.interval_ms)
+            clock._arm()
+        clock._planes.append(plane)
+        return clock
+
+    def _arm(self) -> None:
+        self._simulator.set_timer(self._interval_ms, self._fire)
+
+    def _fire(self) -> None:
+        # A wiped node's plane is gone for good, as is any timer chain the
+        # generation guard of ``SaguaroNode.set_timer`` drops at a wipe
+        # (test_recovery.py::test_lazy_propagation_resumes_after_a_wipe pins
+        # what that costs lazy propagation).
+        planes = self._planes = [p for p in self._planes if not p.wiped]
+        if not planes:
+            return
+        self._arm()
+        self.fires += 1
+        for plane in planes:
+            if not plane.idle():
+                plane._tick()
 
 
 class ControlPlane:
@@ -53,7 +104,12 @@ class ControlPlane:
         )
         self._rebalancer = LaneRebalancer(self.policy)
         self._group_target: Optional[Any] = None
-        self.ticks = 0
+        self.clock: Optional[ControlClock] = None
+        self._wipes = 0
+        self._lane_work = False
+        #: Until the first live tick the controller's clamped targets may
+        #: differ from the actuators' configured sizes.
+        self._synced = False
         self.lane_moves = 0
         # Phase 2 state: shard splitting and load shedding.
         self.splits = 0
@@ -66,7 +122,14 @@ class ControlPlane:
     # ------------------------------------------------------------------ component surface
 
     def on_start(self) -> None:
-        self._arm()
+        node = self.node
+        self._wipes = node.wiped_total
+        self._lane_work = (
+            self.policy.rebalance_lanes
+            and node.lanes.enabled
+            and node.state is not None
+        )
+        self.clock = ControlClock.join(self)
 
     def handle_message(self, payload: Any, sender: str) -> bool:
         return False
@@ -85,17 +148,33 @@ class ControlPlane:
 
     # ------------------------------------------------------------------ the control loop
 
-    def _arm(self) -> None:
-        self.node.set_timer(self.policy.interval_ms, self._tick)
+    @property
+    def wiped(self) -> bool:
+        """Whether the node was wiped since the plane started."""
+        return self.node.wiped_total != self._wipes
+
+    def idle(self) -> bool:
+        """Whether a tick now would change nothing, so the clock skips it.
+
+        An empty window decides the targets already applied, ends no shed
+        streak and flips no valve; only lane work (the busy-window reset and
+        the rebalance back-off) happens on every tick regardless.
+        """
+        return (
+            self._synced
+            and self.node.control_bus.empty
+            and not self.node.shedding
+            and self._overrun_streak == 0
+            and not self._lane_work
+        )
 
     def _tick(self) -> None:
-        self._arm()
         if self.node.crashed:
             # A crashed node neither produces telemetry nor should act on the
             # stale window it accumulated before crashing; drain and move on.
             self.node.control_bus.snapshot(self.node.now())
             return
-        self.ticks += 1
+        self._synced = True
         snapshot = self.node.control_bus.snapshot(self.node.now())
         decision = self._controller.update(snapshot)
         self._apply_batch_target(decision)

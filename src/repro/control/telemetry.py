@@ -115,7 +115,12 @@ class MetricsWindow:
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    """One drained control window: per-metric aggregates plus its time span."""
+    """One drained control window: per-metric aggregates plus its time span.
+
+    ``duration_ms`` spans the time since the plane's last real tick, which
+    is longer than ``interval_ms`` after ticks the control clock skipped on
+    an empty window; nothing in the controllers reads it.
+    """
 
     at_ms: float
     duration_ms: float
@@ -162,8 +167,12 @@ class TelemetryBus:
         self._window = window
         self._metrics: Dict[str, MetricsWindow] = {}
         self._window_started_ms = 0.0
+        #: Nothing observed since the last snapshot (the control clock skips
+        #: a plane whose window is empty).
+        self.empty = True
 
     def observe(self, metric: str, value: float = 1.0) -> None:
+        self.empty = False
         ring = self._metrics.get(metric)
         if ring is None:
             ring = self._metrics[metric] = MetricsWindow(self._window)
@@ -180,6 +189,7 @@ class TelemetryBus:
             ring.reset()
         duration = at_ms - self._window_started_ms
         self._window_started_ms = at_ms
+        self.empty = True
         return TelemetrySnapshot(
             at_ms=at_ms, duration_ms=max(duration, 0.0), metrics=stats
         )

@@ -9,7 +9,7 @@ keeps runs fast and exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue, ScheduledEvent
@@ -42,6 +42,9 @@ class Simulator:
         self._queue = EventQueue()
         self._rng = RngRegistry(seed)
         self._events_executed = 0
+        #: Scratch space shared by everything this simulator drives (e.g. the
+        #: control planes' one shared clock), so it lives exactly as long.
+        self.shared: Dict[Any, Any] = {}
 
     @property
     def now(self) -> float:

@@ -1,5 +1,5 @@
 """Three-domain cross-domain commit (ROADMAP item 1): the known safety bugs
-and the quiescence sweep.
+and the quiescence sweep, plus one liveness loss under churn.
 
 Each JSON case is a run that once broke the invariant it names.  Two pins per
 case: the invariant holds, and the participants end the run holding nothing.
@@ -33,8 +33,14 @@ HERE = Path(__file__).parent
 CASES = sorted(HERE.glob("*.json"))
 
 #: Cases that still break their invariant: conflicting transactions ordered
-#: differently across domains (lead B, left to ROADMAP 1(d)).
-STILL_RED = {"lease-rejoin-g3-static-seed09", "lease-rejoin-seed10"}
+#: differently across domains (lead B, left to ROADMAP 1(d)), and a
+#: transaction that never finishes under adaptive control with churn
+#: (finding F).
+STILL_RED = {
+    "churn-sweep-adaptive-seed2023",
+    "lease-rejoin-g3-static-seed09",
+    "lease-rejoin-seed10",
+}
 RED = pytest.mark.xfail(strict=True, raises=InvariantViolationError)
 
 

@@ -1,7 +1,8 @@
 """Compute-once caches: a cached value never outlives the content it was derived from.
 
 ``Transaction`` / ``CommittedEntry`` keep their canonical bytes, the four
-identifier types keep their hash, and ``payload_digest_of`` keeps the
+identifier types keep their hash (``DomainId`` / ``NodeId`` their name too),
+and ``payload_digest_of`` keeps the
 ``repr``-digest of a frozen payload on the instance.  Every cache sits on a
 field that takes no part in ``__init__``, ``repr`` or comparison, so an object
 built from another one — ``replace()``, a hand-built copy, a forged payload —
@@ -151,6 +152,40 @@ class TestIdentifierHashes:
             check=True,
             timeout=60,
         )
+
+
+class TestIdentifierNames:
+    """``DomainId.name`` / ``NodeId.name`` are built once, in ``_name``."""
+
+    @pytest.mark.parametrize(
+        "ident, expected",
+        [(DomainId(1, 2), "D12"), (DomainId(0, 13), "D013"), (NodeId(D21, 3), "D21/n3")],
+    )
+    def test_name_is_the_f_string_it_replaces(self, ident, expected):
+        assert ident.name == str(ident) == expected
+        assert ident.name is ident.name  # one shared string, not one per read
+
+    @pytest.mark.parametrize("cls, args", [(DomainId, (1, 2)), (NodeId, (D11, 2))])
+    def test_cache_takes_no_part_in_init_repr_or_comparison(self, cls, args):
+        assert "_name" not in cls.__match_args__
+        with pytest.raises(TypeError):
+            cls(*args, _name="forged")
+        one, other = cls(*args), cls(*args)
+        assert "_name" not in repr(one)
+        object.__setattr__(other, "_name", "forged")
+        assert one == other and not one < other and hash(one) == hash(other)
+
+    def test_derived_ids_are_named_from_their_own_content(self):
+        assert replace(D11, index=4).name == "D14"
+        assert replace(NodeId(D11, 2), domain=D12).name == "D12/n2"
+        assert replace(NodeId(D11, 2), index=0).name == "D11/n0"
+        for original in (D21, NodeId(D21, 1)):
+            for clone in (
+                copy.copy(original),
+                copy.deepcopy(original),
+                pickle.loads(pickle.dumps(original)),
+            ):
+                assert clone.name == original.name and clone == original
 
 
 class TestPayloadDigests:

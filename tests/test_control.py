@@ -1,6 +1,6 @@
 """The self-tuning control plane: telemetry, controllers, wiring.
 
-Five layers of coverage:
+Six layers of coverage:
 
 * unit tests for the windowed telemetry bus (:class:`MetricsWindow` ring
   semantics, :class:`TelemetryBus` snapshot-and-reset, zero-duration and
@@ -18,7 +18,12 @@ Five layers of coverage:
   ``execute_ms`` cost override, and the Zipf-skewed workload generator;
 * end-to-end: adaptive-run determinism, ``control:*`` trace evidence (batch
   growth and lane moves), and every adversarial scenario passing full
-  invariant checking with controllers armed.
+  invariant checking with controllers armed;
+* the shared :class:`ControlClock`: one firing per interval whatever the
+  plane count, and the oracle for its skip predicate — ticking every plane
+  on every firing (``ControlPlane.idle`` patched to ``False``) gives the
+  same result, trace and event count as skipping the idle ones, on runs
+  that exercise the shed streak, crashes, lanes, retries and wipes.
 
 The golden pins (``policy="static"`` == the pre-control deployments, bit for
 bit) live in ``tests/test_goldens.py``.
@@ -30,14 +35,16 @@ import pytest
 
 from repro.common.config import WorkloadConfig
 from repro.control.controllers import AdaptiveBatchController, LaneRebalancer
+from repro.control.plane import ControlPlane
 from repro.control.policy import CONTROL_POLICIES, ControlPolicy
 from repro.control.telemetry import MetricsWindow, TelemetryBus
 from repro.errors import ConfigurationError, SimulationError, StateError
 from repro.ledger.state import StateStore
-from repro.scenarios import Scenario, ScenarioRunner, registry
+from repro.scenarios import Scenario, ScenarioRunner, materialize, registry
 from repro.sim.cpu import ExecutionLanes
 from repro.topology.builders import build_paper_figure1_tree
 from repro.workloads.generator import WorkloadGenerator
+from tests.conftest import run_digests
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +498,112 @@ def test_adversarial_scenarios_hold_invariants_with_controllers_armed(name):
         scenario, seed=scenario.seeds[0]
     )
     assert run.summary.pending == 0
+
+
+# ---------------------------------------------------------------------------
+# The shared control clock and its skip predicate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["fig07a", "byz-equivocation", "lease-rejoin"])
+def test_the_clock_fires_once_per_interval_whatever_the_plane_count(
+    name, monkeypatch
+):
+    ticks = []
+    tick = ControlPlane._tick
+    monkeypatch.setattr(
+        ControlPlane, "_tick", lambda plane: (ticks.append(plane), tick(plane))
+    )
+    scenario = registry.get(name).with_overrides(
+        control=ControlPolicy(policy="adaptive", interval_ms=2.0)
+    )
+    deployment = materialize(scenario).deployment
+    deployment.start()
+    deployment.simulator.run(until_ms=21.0)
+    planes = [node.control for node in deployment.nodes.values()]
+    clocks = {id(plane.clock) for plane in planes}
+    assert len(clocks) == 1 and len(planes) > 1
+    assert planes[0].clock.fires == 10
+    # Without clients every plane ticks once (to apply its clamped targets)
+    # and then mostly idles: only lazy-propagation rounds feed a bus.
+    assert {id(plane) for plane in ticks} == {id(plane) for plane in planes}
+    assert len(ticks) < 2 * len(planes)
+
+
+def test_the_first_firing_applies_clamped_targets_even_without_telemetry():
+    scenario = registry.get("fig07a").with_overrides(
+        batch_size=200,
+        control=ControlPolicy(policy="adaptive", interval_ms=2.0, batch_max=128),
+    )
+    deployment = materialize(scenario).deployment
+    deployment.start()
+    deployment.simulator.run(until_ms=2.5)
+    sizes = {node.engine.batcher.batch_size for node in deployment.nodes.values()}
+    assert sizes == {128}
+
+
+def _adaptive(interval_ms=2.0, **knobs):
+    return ControlPolicy(policy="adaptive", interval_ms=interval_ms, **knobs)
+
+
+#: (label, scenario, seed) — each exercises one reason a plane must not idle;
+#: longest first, so the two workers finish together.
+ORACLE_RUNS = [
+    ("retries", registry.get("lease-rejoin").with_overrides(num_transactions=120), 1),
+    (
+        "shed-streak",
+        registry.get("zipf-hot-nosplit").with_overrides(
+            name="zipf-shed",
+            num_transactions=300,
+            control=_adaptive(
+                batch_increase=16,
+                target_decide_latency_ms=0.5,
+                shed=True,
+                shed_after_windows=2,
+            ),
+        ),
+        None,
+    ),
+    (
+        "lanes",
+        registry.get("zipf-sweep-adaptive").with_overrides(num_transactions=96),
+        None,
+    ),
+    (
+        "crashes",
+        registry.get("byz-partition-flap").with_overrides(control=_adaptive()),
+        None,
+    ),
+    (
+        "wipes",
+        registry.get("churn-sweep").with_overrides(
+            num_transactions=120, max_simulated_ms=5000.0, control=_adaptive()
+        ),
+        2023,
+    ),
+]
+
+
+def oracle_cell(cell):
+    """One run's digests, with the clock skipping idle planes or not."""
+    scenario, seed, skip = cell
+    if skip:
+        return run_digests(scenario, seed)
+    idle = ControlPlane.idle
+    ControlPlane.idle = lambda plane: False  # tick every plane, every firing
+    try:
+        return run_digests(scenario, seed)
+    finally:
+        ControlPlane.idle = idle
+
+
+def test_skipping_idle_planes_changes_nothing(two_workers):
+    cells = [
+        (scenario, seed, skip)
+        for _, scenario, seed in ORACLE_RUNS
+        for skip in (True, False)
+    ]
+    digests = list(two_workers.map(oracle_cell, cells))
+    for index, (label, _, _) in enumerate(ORACLE_RUNS):
+        skipping, ticking = digests[2 * index], digests[2 * index + 1]
+        assert skipping == ticking, label

@@ -14,7 +14,8 @@ Covers the durability subsystem end to end:
   differential on fig07a and fig10a;
 * ``time_to_rejoin_ms`` reporting on :class:`RunResult`;
 * the ``recovery-safety`` invariant pass, against both real churn runs and
-  hand-forged traces that must be flagged.
+  hand-forged traces that must be flagged;
+* finding E, pinned red: lazy propagation stops for good at a wipe.
 """
 
 from __future__ import annotations
@@ -450,6 +451,38 @@ class TestChurnSweep:
         report = InvariantChecker(run.deployment, trace=run.trace).check()
         assert "recovery-safety" in report.checks_run
         assert report.ok, [str(v) for v in report.violations]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="finding E: a wipe drops the lazy-propagation round timer for good",
+)
+def test_lazy_propagation_resumes_after_a_wipe():
+    """Parents keep receiving rounds from children whose replicas were wiped.
+
+    The generation guard of ``SaguaroNode.set_timer`` disarms the
+    self-re-arming round timer of ``LazyPropagation`` at a wipe and nothing
+    re-arms it at rejoin, so once every replica of a height-1 domain has
+    been wiped its parent hears no more blocks from it: 2-5 rounds per child
+    under churn against 86-87 in the same run without faults.
+    """
+
+    def rounds_at_parents(name):
+        run = materialize(registry.get(name).with_overrides(num_transactions=300))
+        run.run()
+        deployment = run.deployment
+        return {
+            child.id.name: deployment.primary_node_of(
+                deployment.hierarchy.parent_of(child.id).id
+            ).dag.rounds_received_from(child.id)
+            for child in deployment.hierarchy.height1_domains()
+        }
+
+    baseline = rounds_at_parents("churn-sweep-nofault")
+    churned = rounds_at_parents("churn-sweep")
+    assert all(count > 80 for count in baseline.values()), baseline
+    assert all(churned[name] >= baseline[name] // 2 for name in baseline), churned
 
 
 class TestRecoverySafetyOnForgedTraces:
