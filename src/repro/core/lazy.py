@@ -9,6 +9,10 @@ consensus, fold them into their DAG-structured ledger and summarized view, and
 forward their own (further summarized) block messages upwards at a coarser
 round interval.  Under the optimistic protocol the block message additionally
 carries aborted transactions and dependency lists.
+
+A round that carries nothing new is not sent: the round counter still
+advances, so the parent sees a gap in the round numbers, which the DAG and the
+summarized view accept.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class LazyPropagation(ProtocolComponent):
         self._last_state_version = 0
         self._forwarded_dag_vertices = 0
         self._summary_cursor = None
+        #: Length of the cumulative aborted set the last summary block shipped.
+        self._aborts_sent = 0
         self._seen_child_rounds: Set[Tuple[DomainId, int]] = set()
         self._stopped = False
 
@@ -77,15 +83,28 @@ class LazyPropagation(ProtocolComponent):
         if self.node.is_primary:
             self._round += 1
             block = self._build_block()
-            propagate = BlockPropagate(
-                block=block,
-                child_domain=self.node.domain.id,
-                certificate=self.node.certify(block.merkle_root),
-            )
             parent = self._parent_domain()
-            if parent is not None:
+            if parent is not None and self._carries_news(block):
+                if self.node.ledger is None:  # a summary block: cumulative aborts
+                    self._aborts_sent = len(block.aborted)
+                propagate = BlockPropagate(
+                    block=block,
+                    child_domain=self.node.domain.id,
+                    certificate=self.node.certify(block.merkle_root),
+                )
                 self.node.multicast_domain(parent, propagate)
         self._schedule_next_round()
+
+    def _carries_news(self, block: BlockMessage) -> bool:
+        """Whether the round tells the parent anything it has not been sent.
+
+        A height-1 block's aborts are the round's own; a summary block ships
+        the cumulative aborted set, which only grows, so it is news only when
+        it is longer than the one last sent.
+        """
+        if block.entries or block.state_delta or block.dependencies:
+            return True
+        return len(block.aborted) > self._aborts_sent
 
     def _build_block(self) -> BlockMessage:
         if self.node.ledger is not None:

@@ -1,8 +1,9 @@
 """Abstraction functions (λ) and summarized views for higher-level domains.
 
-At the end of every round a height-1 domain sends its parent an
-application-dependent *abstract version* of the blockchain-state updates of
-that round, λ(D_rn − D_rn−1) (§5).  Height-2 and above domains maintain only
+At the end of every round with something new a height-1 domain sends its
+parent an application-dependent *abstract version* of the blockchain-state
+updates of that round, λ(D_rn − D_rn−1) (§5); skipped rounds leave gaps in
+the round numbers a view merges.  Height-2 and above domains maintain only
 this summarized view, which still supports aggregation queries — e.g. the
 total amount of exchanged assets in a micropayment application, or the total
 working hours per driver in ridesharing.

@@ -1,11 +1,12 @@
 """Block messages: the unit of lazy propagation up the hierarchy (§5).
 
-At the end of each round a domain sends its parent a ``block`` message
-containing (1) all transactions appended to its ledger in that round, (2) the
-Merkle hash tree of those transactions, and (3) an application-dependent
-abstract version of the blockchain-state updates of that round.  Under the
-optimistic protocol (§6) the message additionally carries the identifiers of
-aborted cross-domain transactions and the dependency lists of undecided ones.
+At the end of each round that has something new a domain sends its parent a
+``block`` message containing (1) all transactions appended to its ledger in
+that round, (2) the Merkle hash tree of those transactions, and (3) an
+application-dependent abstract version of the blockchain-state updates of that
+round.  Under the optimistic protocol (§6) the message additionally carries
+the identifiers of aborted cross-domain transactions and the dependency lists
+of undecided ones.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class BlockMessage:
 
     @property
     def is_empty(self) -> bool:
-        """Empty block messages are still sent so parents see round completion."""
+        """No entries; a round sends such a block only when it carries a state
+        delta, dependency lists or new aborts."""
         return not self.entries
 
     @property

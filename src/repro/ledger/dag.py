@@ -120,6 +120,8 @@ class DagLedger:
         return tid in self._aborted
 
     def rounds_received_from(self, child: DomainId) -> int:
+        """The latest round integrated from ``child`` (rounds with nothing new
+        are never sent, so this counts ticks, not blocks)."""
         return self._rounds_from_child.get(child, 0)
 
     def transactions(self) -> List[DagVertex]:
@@ -180,7 +182,7 @@ class DagLedger:
         return added
 
     def mark_aborted(self, tid: TransactionId) -> None:
-        # Children report their *cumulative* aborted set every round, so almost
+        # Summary blocks report their *cumulative* aborted set, so almost
         # every call repeats an abort already recorded.
         if tid not in self._aborted:
             self._aborted.add(tid)

@@ -35,11 +35,13 @@ CASES = sorted(HERE.glob("*.json"))
 #: Cases that still break their invariant: conflicting transactions ordered
 #: differently across domains (lead B, left to ROADMAP 1(d)), and a
 #: transaction that never finishes under adaptive control with churn
-#: (finding F).
+#: (finding F).  Lead B is timing-dependent: since lazy rounds with nothing
+#: new are no longer sent, ``lease-rejoin-g3-static-seed09`` and
+#: ``lease-rejoin-seed10`` pass and stay as plain pins, and the sweep's
+#: ``g=3`` seeds 1, 4 and 13 break replica-consistency instead.
 STILL_RED = {
     "churn-sweep-adaptive-seed2023",
-    "lease-rejoin-g3-static-seed09",
-    "lease-rejoin-seed10",
+    "lease-rejoin-g3-static-seed04",
 }
 RED = pytest.mark.xfail(strict=True, raises=InvariantViolationError)
 

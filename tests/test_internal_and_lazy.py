@@ -2,15 +2,27 @@
 
 import pytest
 
-from repro.common.types import ClientId, DomainId, TransactionStatus
+from repro.common.types import ClientId, DomainId, SequenceNumber, TransactionStatus
+from repro.core.lazy import SHARED_ROUND_ABORTS
+from repro.errors import LedgerError, StateError
+from repro.ledger.abstraction import SummarizedView
+from repro.ledger.block import BlockMessage
+from repro.ledger.dag import DagLedger
+from repro.ledger.transaction import CommittedEntry
 from tests.conftest import (
     height1_ids,
     internal_transfer,
     make_deployment,
+    make_tid,
 )
 
 D01 = DomainId(0, 1)
 D11 = DomainId(1, 1)
+D21 = DomainId(2, 1)
+D31 = DomainId(3, 1)
+
+#: ``quick_rounds()``: height-1 rounds every 10 ms, height-2 every 20 ms.
+INTERVAL_MS = 10.0
 
 
 def _run_internal_workload(deployment, per_domain=6):
@@ -105,15 +117,6 @@ class TestLazyPropagation:
         total = coordinator_deployment.root_summary().aggregate_sum("volume:")
         assert total == pytest.approx(expected_volume)
 
-    def test_rounds_are_emitted_even_when_idle(self):
-        deployment = make_deployment()
-        deployment.start()
-        deployment.simulator.run(until_ms=100.0)
-        deployment.stop_rounds()
-        d21 = deployment.primary_node_of(DomainId(2, 1))
-        # Empty block messages still arrive so the parent sees round completion.
-        assert d21.dag.rounds_received_from(DomainId(1, 1)) >= 3
-
     def test_commit_statuses_in_parent_dag(self, coordinator_deployment):
         _run_internal_workload(coordinator_deployment)
         root_dag = coordinator_deployment.primary_node_of(
@@ -121,3 +124,119 @@ class TestLazyPropagation:
         ).dag
         statuses = {v.entry.status for v in root_dag.transactions()}
         assert statuses == {TransactionStatus.COMMITTED}
+
+
+def _blocks_sent(deployment):
+    return deployment.network.stats.per_payload_type.get("BlockPropagate", 0)
+
+
+def _idle_deployment(until_ms=55.0):
+    """A started deployment run idle past its genesis rounds (h1 at 10 ms, h2 at 20 ms)."""
+    deployment = make_deployment()
+    deployment.start()
+    deployment.simulator.run(until_ms=until_ms)
+    return deployment
+
+
+def _dag(deployment, domain):
+    return deployment.primary_node_of(domain).dag
+
+
+class TestSendRule:
+    """A lazy round is sent only when it carries something new."""
+
+    def test_idle_deployment_sends_no_block_after_its_genesis_round(self):
+        deployment = _idle_deployment(until_ms=25.0)
+        # Round 1 ships each domain's genesis volume counters, and nothing else
+        # ever changes.
+        genesis = _blocks_sent(deployment)
+        assert genesis > 0
+        deployment.simulator.run(until_ms=200.0)
+        deployment.stop_rounds()
+        assert _blocks_sent(deployment) == genesis
+        assert _dag(deployment, D21).rounds_received_from(D11) == 1
+        assert _dag(deployment, D31).rounds_received_from(D21) == 1
+
+    def test_round_holding_one_entry_reaches_the_parent_within_one_interval(self):
+        deployment = _idle_deployment()
+        tx = internal_transfer(D11, client=ClientId(home=D01, index=1))
+        for client in deployment.create_clients([tx]):
+            client.start()
+        simulator = deployment.simulator
+        ledger = deployment.ledger_of(D11)
+        simulator.run(until_ms=200.0, stop_when=lambda: tx.tid in ledger)
+        committed_at = simulator.now
+        dag = _dag(deployment, D21)
+        simulator.run(until_ms=200.0, stop_when=lambda: tx.tid in dag)
+        deployment.stop_rounds()
+        assert tx.tid in dag
+        assert simulator.now - committed_at < INTERVAL_MS
+        # It rode the first round after its commit; rounds 2-5 were skipped.
+        assert dag.vertex(tx.tid).rounds[D11] == 6
+        assert dag.rounds_received_from(D11) == 6
+
+    def _abort_in_d11(self, deployment):
+        tid = make_tid()
+        primary = deployment.primary_node_of(D11)
+        primary.shared.setdefault(SHARED_ROUND_ABORTS, []).append(tid)
+        return tid
+
+    def test_height1_round_carrying_only_an_abort_is_sent(self):
+        deployment = _idle_deployment()
+        tid = self._abort_in_d11(deployment)
+        deployment.simulator.run(until_ms=70.0)
+        deployment.stop_rounds()
+        dag = _dag(deployment, D21)
+        assert dag.is_aborted(tid)
+        assert dag.rounds_received_from(D11) == 6
+
+    def test_summary_round_whose_aborted_set_grew_is_sent(self):
+        deployment = _idle_deployment()
+        tid = self._abort_in_d11(deployment)
+        # D21 learns the abort at ~61 ms and ships its cumulative set at 80 ms.
+        deployment.simulator.run(until_ms=90.0)
+        deployment.stop_rounds()
+        root = _dag(deployment, D31)
+        assert root.is_aborted(tid)
+        assert root.rounds_received_from(D21) == 4
+
+    def test_unchanged_summary_round_is_not_sent(self):
+        deployment = _idle_deployment()
+        self._abort_in_d11(deployment)
+        deployment.simulator.run(until_ms=90.0)
+        sent = _blocks_sent(deployment)
+        # D21's aborted set is still the one it shipped at 80 ms.
+        deployment.simulator.run(until_ms=300.0)
+        deployment.stop_rounds()
+        assert _blocks_sent(deployment) == sent
+        assert _dag(deployment, D31).rounds_received_from(D21) == 4
+
+    def test_round_numbers_with_gaps_integrate(self):
+        first, second = (
+            internal_transfer(D11, sender_index=i, recipient_index=i + 1) for i in (0, 2)
+        )
+        blocks = [
+            BlockMessage.build(
+                domain=D11,
+                round_number=round_number,
+                entries=(
+                    CommittedEntry(
+                        transaction=tx, sequence=SequenceNumber.multi([(D11, position)])
+                    ),
+                ),
+                state_delta={"volume:D11": 5.0 * position},
+            )
+            for round_number, position, tx in ((2, 1, first), (7, 2, second))
+        ]
+        dag, view = DagLedger(D21), SummarizedView(D21)
+        for block in blocks:
+            dag.integrate_block(block, D11)
+            view.merge_delta(D11, block.state_delta, block.round_number)
+        assert dag.rounds_received_from(D11) == 7
+        assert dag.vertex(second.tid).parents == {first.tid}
+        assert view.value(D11, "volume:D11") == 10.0
+        # A gap is not a licence to go backwards.
+        with pytest.raises(LedgerError):
+            dag.integrate_block(blocks[0], D11)
+        with pytest.raises(StateError):
+            view.merge_delta(D11, {}, 5)
