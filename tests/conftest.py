@@ -8,6 +8,7 @@ import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import pytest
 
@@ -28,8 +29,10 @@ from repro.common.types import (
     TransactionKind,
 )
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
+from repro.core.node import SaguaroNode
 from repro.core.system import SaguaroDeployment
 from repro.ledger.transaction import Transaction
+from repro.recovery import state_root_of
 from repro.scenarios import Scenario, materialize
 from repro.topology.builders import build_paper_figure1_tree, build_tree
 from repro.topology.regions import placement_for_profile
@@ -202,6 +205,33 @@ def stuck_cross_domain_state(deployment: SaguaroDeployment) -> Dict[str, int]:
             )
             counts["deferred_commits"] += len(component._deferred_commits)
     return counts
+
+
+def checkpoints_rehashed(scenario: Scenario, seed: Optional[int] = None):
+    """Run ``scenario`` with every checkpoint's root checked from scratch.
+
+    ``SaguaroNode.take_checkpoint`` is wrapped so that each certified root
+    must equal ``state_root_of`` over the checkpoint's own snapshot — a full
+    re-encode, re-digest and re-Merkle of every key.  Returns the finished
+    run and the number of checkpoints checked.
+    """
+    checked = []
+    original = SaguaroNode.take_checkpoint
+
+    def take_checkpoint(node, slot, view):
+        checkpoint = original(node, slot, view)
+        if checkpoint is not None:
+            assert checkpoint.state_root == state_root_of(checkpoint.snapshot), (
+                node.address,
+                slot,
+            )
+            checked.append(checkpoint)
+        return checkpoint
+
+    with mock.patch.object(SaguaroNode, "take_checkpoint", take_checkpoint):
+        run = materialize(scenario, seed)
+        run.run()
+    return run, len(checked)
 
 
 # ---------------------------------------------------------------------------

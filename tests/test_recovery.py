@@ -21,6 +21,8 @@ Covers the durability subsystem end to end:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -40,7 +42,7 @@ from repro.recovery import (
 )
 from repro.scenarios import ScenarioRunner, registry
 from repro.scenarios.runner import RunResult, materialize
-from tests.conftest import internal_transfer
+from tests.conftest import checkpoints_rehashed, internal_transfer
 
 
 def _durable_scenario(**overrides):
@@ -161,6 +163,67 @@ class TestCheckpointCertification:
         )
         assert original != checkpoint_digest(
             checkpoint.domain, checkpoint.slot, b"\x00" * 32
+        )
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint roots in real runs: the from-scratch root is the oracle
+# ---------------------------------------------------------------------------
+
+#: sha256 over every ``recovery:checkpoint`` event's (node, slot, digest) of
+#: ``churn-sweep`` seed 1, recorded while checkpoints still re-hashed every
+#: key.  How the root is computed must never move it.
+CHURN_SWEEP_CHECKPOINTS_SHA256 = (
+    "2254ffc844d67f3c1f3d6cf958cb311a6cfba152529a3a3edad91e8d15e6e5e7"
+)
+
+
+class TestCheckpointRoots:
+    @pytest.mark.parametrize("name", ["churn-sweep", "churn-sweep-primaries"])
+    def test_every_root_equals_a_full_rehash(self, name):
+        """Wipes, catch-up adoption and ``restore_from_checkpoint`` all run
+        between checkpoints here."""
+        _, checked = checkpoints_rehashed(registry.get(name), seed=1)
+        assert checked > 50
+
+    def test_speculative_durable_run_and_its_rollback(self):
+        """Speculation applies slots out of order between checkpoints.  Its
+        rollback (a ``put`` back for a key that existed, a ``remove`` for one
+        the speculation created) does not fire in these runs — a rollback
+        needs a late gap slot whose footprint overlaps a speculated one — so
+        it is driven by hand on a checkpointed replica afterwards."""
+        scenario = registry.get("pipeline-sweep-on").with_overrides(
+            num_transactions=120, num_clients=24, durability=True,
+            checkpoint_interval=4,
+        )
+        run, checked = checkpoints_rehashed(scenario, seed=1)
+        assert checked > 50
+        assert run.trace.events("spec:deliver"), "speculation never fired"
+
+        node = _height1_node(run.deployment, node_index=0)
+        state, slot = node.state, node.durable_checkpoint.slot
+        before = state.snapshot()
+        existing = sorted(before)[0]
+        transaction = internal_transfer(node.domain.id)
+        undo = {existing: (True, before[existing]), "spec:created": (False, None)}
+        state.put(existing, -1.0)
+        state.put("spec:created", 1.0)
+        speculated = node.take_checkpoint(slot + 1, 0)
+        assert speculated.state_root == state_root_of(speculated.snapshot)
+        node.speculative_unwind(transaction, undo)
+        unwound = node.take_checkpoint(slot + 2, 0)
+        assert unwound.snapshot == before
+        assert unwound.state_root == state_root_of(before)
+
+    def test_churn_sweep_checkpoint_digests_are_pinned(self):
+        run = materialize(registry.get("churn-sweep"), 1)
+        run.run()
+        events = run.trace.events("recovery:checkpoint")
+        assert len(events) > 50
+        cuts = json.dumps([(e.node, e.slot, e.digest) for e in events])
+        assert (
+            hashlib.sha256(cuts.encode()).hexdigest()
+            == CHURN_SWEEP_CHECKPOINTS_SHA256
         )
 
 
