@@ -38,7 +38,6 @@ from repro.recovery import (
     WalRecord,
     WriteAheadLog,
     checkpoint_digest,
-    state_root_of,
 )
 from repro.sim.cpu import CpuQueue, ExecutionLanes
 from repro.sim.network import Envelope, Network
@@ -639,12 +638,15 @@ class SaguaroNode:
         Called by the engine every ``checkpoint_interval`` delivered slots on
         durable deployments.  The cut binds the full state snapshot to its
         Merkle root, certifies ``(domain, slot, root)`` with a quorum
-        certificate, and truncates every WAL record the cut now covers.
+        certificate, and truncates every WAL record the cut now covers.  The
+        root is maintained from the state store's write log, so only the
+        keys written since the previous checkpoint are re-hashed;
+        :meth:`Checkpoint.verify` still recomputes it from the snapshot.
         """
         if self.wal is None or self.ledger is None or self.state is None:
             return None
         snapshot = self.state.snapshot()
-        root = state_root_of(snapshot)
+        root = self.state.state_root()
         certificate = self.certify(checkpoint_digest(self._domain.id, slot, root))
         checkpoint = Checkpoint(
             domain=self._domain.id,

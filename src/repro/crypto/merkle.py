@@ -5,28 +5,81 @@ of the transactions they carry so that higher-level domains can verify the
 content of a block without trusting the sending primary.  The implementation
 supports building the tree, obtaining the root, and generating / verifying
 inclusion proofs for individual leaves.
+
+The tree shape — leaf hash, node hash, an odd last node promoted unchanged —
+lives in :func:`hash_leaf`, :func:`_hash_node` and :func:`_parent_node`.
+:class:`MerkleTree` builds whole trees from them, and a state store's
+checkpoint root keeps its levels between checkpoints and re-hashes only the
+paths above changed leaves with :func:`refresh_paths`, so both roots are the
+same function of the same leaves.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import CryptoError
 
-__all__ = ["MerkleTree", "MerkleProof", "EMPTY_ROOT"]
+__all__ = [
+    "MerkleTree",
+    "MerkleProof",
+    "EMPTY_ROOT",
+    "hash_leaf",
+    "tree_levels",
+    "refresh_paths",
+]
 
 #: Root of a tree with no leaves.
 EMPTY_ROOT = hashlib.sha256(b"saguaro-empty-merkle").digest()
 
 
-def _hash_leaf(leaf: bytes) -> bytes:
+def hash_leaf(leaf: bytes) -> bytes:
+    """Hash of one leaf (domain-separated from interior nodes)."""
     return hashlib.sha256(b"\x00" + leaf).digest()
 
 
 def _hash_node(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def _parent_node(level: Sequence[bytes], index: int) -> bytes:
+    """Node ``index`` of the level above ``level``: its two children hashed,
+    or an odd last child promoted unchanged (Bitcoin-style duplication is
+    avoided to keep proofs unambiguous)."""
+    left = 2 * index
+    if left + 1 == len(level):
+        return level[left]
+    return _hash_node(level[left], level[left + 1])
+
+
+def tree_levels(leaf_hashes: Sequence[bytes]) -> List[List[bytes]]:
+    """Every level of the tree over already-hashed leaves, leaves first and
+    the one-node root level last (``[[EMPTY_ROOT]]`` for no leaves)."""
+    if not leaf_hashes:
+        return [[EMPTY_ROOT]]
+    level = list(leaf_hashes)
+    levels = [level]
+    while len(level) > 1:
+        level = [_parent_node(level, index) for index in range((len(level) + 1) // 2)]
+        levels.append(level)
+    return levels
+
+
+def refresh_paths(levels: List[List[bytes]], positions: Iterable[int]) -> None:
+    """Recompute, in place, every node above the leaves at ``positions``.
+
+    ``levels`` is a :func:`tree_levels` result whose leaf hashes at
+    ``positions`` were replaced (the leaf count is unchanged).  Each level
+    re-hashes only the parents of the nodes changed below it, so the work is
+    proportional to the changed leaves times the tree height.
+    """
+    changed = set(positions)
+    for below, level in zip(levels, levels[1:]):
+        changed = {index // 2 for index in changed}
+        for index in changed:
+            level[index] = _parent_node(below, index)
 
 
 @dataclass(frozen=True)
@@ -55,8 +108,7 @@ class MerkleProof:
 class MerkleTree:
     """A binary Merkle tree over an ordered sequence of byte-string leaves.
 
-    Odd nodes at any level are promoted unchanged (Bitcoin-style duplication is
-    avoided to keep proofs unambiguous).
+    Odd nodes at any level are promoted unchanged (see :func:`_parent_node`).
     """
 
     def __init__(self, leaves: Sequence[bytes]) -> None:
@@ -65,20 +117,7 @@ class MerkleTree:
         self._build()
 
     def _build(self) -> None:
-        if not self._leaves:
-            self._levels = [[EMPTY_ROOT]]
-            return
-        level = [_hash_leaf(leaf) for leaf in self._leaves]
-        self._levels = [level]
-        while len(level) > 1:
-            next_level: List[bytes] = []
-            for i in range(0, len(level), 2):
-                if i + 1 < len(level):
-                    next_level.append(_hash_node(level[i], level[i + 1]))
-                else:
-                    next_level.append(level[i])
-            level = next_level
-            self._levels.append(level)
+        self._levels = tree_levels([hash_leaf(leaf) for leaf in self._leaves])
 
     def __len__(self) -> int:
         return len(self._leaves)
@@ -104,7 +143,7 @@ class MerkleTree:
             position //= 2
         return MerkleProof(
             leaf_index=index,
-            leaf_hash=_hash_leaf(self._leaves[index]),
+            leaf_hash=hash_leaf(self._leaves[index]),
             path=tuple(path),
         )
 

@@ -17,6 +17,10 @@ shards a transaction actually names via the ``shards=`` arguments.
 Versions are global and sequential, so ``delta_since`` / ``write_log`` merge
 the per-shard logs back into the exact version order an unsharded store would
 produce: ``shards=1`` is bit-identical to the historical single-log store.
+
+The store's Merkle root (:meth:`StateStore.state_root`, what a durable
+checkpoint certifies) follows the same write log: each call re-hashes only the
+keys written since the previous one and the tree nodes on their paths.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.crypto.digests import digest
+from repro.crypto.merkle import hash_leaf, refresh_paths, tree_levels
 from repro.errors import InsufficientBalanceError, StateError, UnknownAccountError
 
-__all__ = ["StateStore", "WriteRecord", "shard_of_key"]
+__all__ = ["StateStore", "WriteRecord", "shard_of_key", "state_leaf"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,12 @@ def shard_of_key(key: str, shards: int) -> int:
     if shards <= 1:
         return 0
     return zlib.crc32(key.encode("utf-8")) % shards
+
+
+def state_leaf(key: str, value: Any) -> bytes:
+    """The hashed Merkle leaf of one key in a state root: sorted keys, each
+    leaf over ``digest(key, repr(value))``."""
+    return hash_leaf(digest(key, repr(value)))
 
 
 def _replace_leaf(node: Any, leaf: int, replacement: Any) -> Tuple[Any, bool]:
@@ -102,6 +114,12 @@ class StateStore:
         #: serves every shard): delta extraction filters superseded writes
         #: without re-hashing each merged record back to its shard.
         self._latest_version: Dict[str, int] = {}
+        #: The state root's Merkle levels over the sorted keys as of write
+        #: version ``_root_version``, and each key's leaf position there.
+        #: Only :meth:`state_root` reads or updates them; writes never do.
+        self._root_version = 0
+        self._root_levels: List[List[bytes]] = tree_levels(())
+        self._root_position: Dict[str, int] = {}
 
     # -- generic key-value interface --------------------------------------------
 
@@ -398,15 +416,49 @@ class StateStore:
         """Replace the content with ``snapshot`` (used for rollbacks).
 
         The version counter keeps advancing so deltas computed across a
-        restore still observe every key that changed.
+        restore still observe every key that changed.  Removed keys are
+        tombstoned in sorted order, so the write log does not depend on the
+        string-hash seed.
         """
-        removed = set(self._data) - set(snapshot)
+        removed = sorted(set(self._data) - set(snapshot))
         for key, value in snapshot.items():
-            if self._data.get(key) != value:
+            if key not in self._data or self._data[key] != value:
                 self.put(key, value)
         for key in removed:
             self.put(key, None)
             del self._data[key]
+
+    def state_root(self) -> bytes:
+        """Merkle root of the content, equal to
+        :func:`~repro.recovery.wal.state_root_of` over :meth:`snapshot`.
+
+        Maintained from the write log: a call re-hashes only the keys
+        written since the previous call and recomputes the tree nodes on
+        their paths.  A key inserted or removed since then changes the leaf
+        positions, so the interior is rebuilt from the kept leaf hashes.  A
+        new store starts from the empty tree.
+        """
+        changed = {
+            record.key
+            for shard in self._shards
+            for record in shard.records_after(self._root_version)
+        }
+        self._root_version = self._version
+        data, position = self._data, self._root_position
+        leaves = self._root_levels[0]
+        if all((key in data) == (key in position) for key in changed):
+            rewritten = [key for key in changed if key in position]
+            for key in rewritten:
+                leaves[position[key]] = state_leaf(key, data[key])
+            refresh_paths(self._root_levels, [position[key] for key in rewritten])
+        else:
+            keys = sorted(data)
+            self._root_levels = tree_levels([
+                state_leaf(key, data[key]) if key in changed else leaves[position[key]]
+                for key in keys
+            ])
+            self._root_position = {key: index for index, key in enumerate(keys)}
+        return self._root_levels[-1][0]
 
     def remove(self, key: str) -> None:
         """Remove ``key``, logging a ``None`` tombstone write first.

@@ -18,6 +18,15 @@ exactly what this module models:
   ever holds the suffix since the last checkpoint (plus view votes, which
   are promises that outlive any slot).
 
+The replica that takes a checkpoint does not re-hash its whole state: the
+root is maintained from the state store's own write log
+(:meth:`~repro.ledger.state.StateStore.state_root`), re-hashing only the keys
+written since the previous checkpoint.  A peer's snapshot carries no write
+log, so :meth:`Checkpoint.verify` still recomputes the root from scratch with
+:func:`state_root_of`.  Both build the same tree
+(:func:`~repro.ledger.state.state_leaf` leaves, :mod:`repro.crypto.merkle`'s
+shape).
+
 Recovery (``repro.recovery.catchup``) replays the checkpoint and the WAL to
 rebuild the pre-crash durable facts, then runs the peer catch-up protocol
 for everything decided while the node was down.
@@ -30,8 +39,9 @@ from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.common.types import DomainId
 from repro.crypto.digests import digest
-from repro.crypto.merkle import EMPTY_ROOT, MerkleTree
+from repro.crypto.merkle import tree_levels
 from repro.errors import RecoveryError
+from repro.ledger.state import state_leaf
 
 __all__ = [
     "WAL_RECORD_KINDS",
@@ -140,16 +150,17 @@ class WriteAheadLog:
 
 
 def state_root_of(snapshot: Mapping[str, Any]) -> bytes:
-    """Deterministic Merkle root of a state-store snapshot.
+    """Deterministic Merkle root of a state-store snapshot, from scratch.
 
     Leaves are ``digest(key, repr(value))`` in sorted key order, so every
     replica of a domain (whose stores are replicated deterministically)
     computes the identical root regardless of write order or shard count.
+    This is the check :meth:`Checkpoint.verify` runs on a carried snapshot;
+    a live store computes the same root incrementally with
+    :meth:`~repro.ledger.state.StateStore.state_root`.
     """
-    if not snapshot:
-        return EMPTY_ROOT
-    leaves = [digest(key, repr(snapshot[key])) for key in sorted(snapshot)]
-    return MerkleTree.root_of(leaves)
+    leaves = [state_leaf(key, snapshot[key]) for key in sorted(snapshot)]
+    return tree_levels(leaves)[-1][0]
 
 
 def checkpoint_digest(domain: DomainId, slot: int, state_root: bytes) -> bytes:

@@ -1,11 +1,16 @@
 """Three-domain cross-domain commit (ROADMAP item 1): the known safety bugs
-and the quiescence sweep, plus one liveness loss under churn.
+and the quiescence sweep, plus one liveness loss under churn, and the
+checkpoint-root sweep.
 
 Each JSON case is a run that once broke the invariant it names.  Two pins per
 case: the invariant holds, and the participants end the run holding nothing.
 Cases in ``STILL_RED`` still break their invariant and are checked in red.
 The sweep runs ``lease-rejoin`` over seeds 1-20 at ``xdomain_batch_size`` 1
 and 3 with static control and asks every run to end with nothing in flight.
+The checkpoint-root sweep runs ``churn-sweep`` and ``churn-sweep-primaries``
+over seeds 1-10 and checks every certified checkpoint root, which a replica
+maintains from its write log, against a full re-hash of the snapshot (tier-1
+runs seed 1 of each).
 
 Not part of tier-1 — the file name keeps it out of collection; CI's
 ``regressions`` job runs it by path::
@@ -26,8 +31,12 @@ import pytest
 from repro.common.config import ControlPolicy
 from repro.errors import InvariantViolationError
 from repro.faults.invariants import InvariantChecker
-from repro.scenarios import Scenario, materialize
-from tests.conftest import PARTICIPANT_HOLDINGS, stuck_cross_domain_state
+from repro.scenarios import Scenario, materialize, registry
+from tests.conftest import (
+    PARTICIPANT_HOLDINGS,
+    checkpoints_rehashed,
+    stuck_cross_domain_state,
+)
 
 HERE = Path(__file__).parent
 CASES = sorted(HERE.glob("*.json"))
@@ -109,3 +118,12 @@ def test_three_domain_sweep_quiescent(two_workers):
         if pending or stuck
     }
     assert not unfinished, unfinished
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("name", ["churn-sweep", "churn-sweep-primaries"])
+def test_checkpoint_roots_equal_a_full_rehash(name, seed):
+    """Every checkpoint a replica certifies under churn (wipes, catch-up
+    adoption, ``restore_from_checkpoint``) carries the from-scratch root."""
+    _, checked = checkpoints_rehashed(registry.get(name), seed)
+    assert checked > 50

@@ -5,6 +5,10 @@ Covers the durability subsystem end to end:
 * :mod:`repro.recovery.wal` unit behavior — record validation, truncation
   semantics, deterministic state roots, and checkpoint certification
   (including forgeries);
+* the state root a store maintains from its write log, against a full
+  re-hash: random histories (a Hypothesis property test) and, in real churn
+  and speculative runs, every checkpoint a replica certifies, plus a pin over
+  ``churn-sweep``'s checkpoint digests;
 * the capped exponential gap-recovery backoff in the consensus engine;
 * idempotent ``crash``/``wipe``/``recover`` at the node level (traced no-ops);
 * the :class:`~repro.recovery.catchup.RecoveryManager` peer rotation and
@@ -25,13 +29,15 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.consensus.base import GAP_RECOVERY_MAX_MS, GAP_RECOVERY_MS
 from repro.crypto.merkle import EMPTY_ROOT
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StateError
 from repro.faults import FaultAction, FaultPlan
 from repro.faults.invariants import InvariantChecker
 from repro.faults.trace import TraceRecorder
+from repro.ledger.state import StateStore
 from repro.recovery import (
     CATCHUP_TIMEOUT_MAX_MS,
     CATCHUP_TIMEOUT_MS,
@@ -109,6 +115,105 @@ class TestStateRoot:
 
     def test_root_is_value_sensitive(self):
         assert state_root_of({"x": 1}) != state_root_of({"x": 2})
+
+
+def _assert_root_matches(store: StateStore) -> bytes:
+    root = store.state_root()
+    assert root == state_root_of(store.snapshot())
+    return root
+
+
+#: One step of a random store history (see :func:`_apply`).
+_STEP = st.tuples(
+    st.sampled_from(
+        ["put", "increment", "create", "withdraw", "remove", "restore", "split", "root"]
+    ),
+    st.sampled_from([f"k{i}" for i in range(9)]),
+    st.one_of(st.none(), st.integers(-3, 50), st.floats(0, 20), st.text(max_size=3)),
+)
+
+
+def _apply(store: StateStore, step, saved: list) -> None:
+    """Apply one step; invalid ones (overdraft, missing key, ...) are skipped
+    by the store's own errors, exactly as callers see them."""
+    op, key, value = step
+    number = value if isinstance(value, (int, float)) else 1
+    index = int(abs(number))
+    try:
+        if op == "put":
+            store.put(key, value)
+            saved.append(store.snapshot())
+        elif op == "increment":
+            store.increment(key, number)
+        elif op == "create":
+            store.create_account(key, abs(number))
+        elif op == "withdraw":
+            store.withdraw(key, abs(number))
+        elif op == "remove":
+            store.remove(key)
+        elif op == "restore":
+            store.restore(saved[index % len(saved)] if saved else {})
+        elif op == "split":
+            store.split_shard(index % store.shard_count)
+        else:
+            _assert_root_matches(store)
+    except StateError:
+        pass
+
+
+class TestIncrementalStateRoot:
+    """``StateStore.state_root`` follows the write log; ``state_root_of`` over
+    the store's snapshot (a full re-hash) is its oracle at every call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_STEP, max_size=60), st.integers(1, 4))
+    def test_random_histories_match_a_full_rehash(self, steps, shards):
+        store = StateStore(shards=shards)
+        saved: list = []
+        for step in steps:
+            _apply(store, step, saved)
+        _assert_root_matches(store)
+
+    def test_empty_store_has_the_empty_root(self):
+        store = StateStore()
+        assert _assert_root_matches(store) == EMPTY_ROOT
+        store.put("x", 1)
+        store.remove("x")
+        assert _assert_root_matches(store) == EMPTY_ROOT
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 8, 9])
+    def test_every_leaf_count_and_each_single_leaf_change(self, count):
+        store = StateStore()
+        for index in range(count):
+            store.put(f"k{index}", index)
+        _assert_root_matches(store)
+        for index in range(count):
+            store.put(f"k{index}", -index - 1)
+            _assert_root_matches(store)
+
+    def test_key_removed_and_recreated_between_two_roots(self):
+        store = StateStore(shards=2)
+        for index in range(5):
+            store.put(f"k{index}", index)
+        before = _assert_root_matches(store)
+        store.remove("k2")
+        store.put("k2", 2)
+        assert _assert_root_matches(store) == before
+        store.remove("k4")
+        store.put("k4", "back")
+        assert _assert_root_matches(store) != before
+
+    def test_insertions_and_removals_between_roots(self):
+        store = StateStore()
+        for index in range(6):
+            store.put(f"k{index}", index)
+        _assert_root_matches(store)
+        store.remove("k0")
+        store.put("k9", 9)
+        store.put("k3", None)
+        _assert_root_matches(store)
+        store.restore({"k1": 1})
+        _assert_root_matches(store)
 
 
 # ---------------------------------------------------------------------------

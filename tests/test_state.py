@@ -132,6 +132,24 @@ class TestDeltasAndSnapshots:
         assert state.get("a") == 1
         assert state.get("b") is None
 
+    def test_restore_round_trips_none_values_and_removed_keys(self):
+        state = StateStore(shards=3)
+        state.put("a", 1)
+        state.put("kept-none", None)
+        state.put("gone-none", None)
+        snapshot = {"a": 1, "kept-none": None, "new-none": None, "b": 2}
+        state.put("a", 5)
+        state.remove("gone-none")
+        for key in ("z", "m", "c"):
+            state.put(key, key)
+        mark = state.version
+        state.restore(snapshot)
+        assert state.snapshot() == snapshot
+        # Removed keys are tombstoned in sorted order, whatever the
+        # string-hash seed makes of set iteration.
+        tombstones = [r.key for r in state.write_log(mark) if r.key not in snapshot]
+        assert tombstones == ["c", "m", "z"]
+
     def test_totals_by_prefix(self):
         state = StateStore()
         state.put("acct:1", 10)
