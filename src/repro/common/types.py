@@ -87,9 +87,9 @@ class CrossDomainProtocol(enum.Enum):
 # that takes no part in ``repr``, comparison or ``__init__`` (so ``replace()``
 # recomputes it), and returns it from an explicit ``__hash__``.  It must equal
 # the generated hash exactly: any other value reorders set iteration and with
-# it protocol decisions and traces.  ``DomainId`` and ``NodeId`` keep their
-# ``name`` the same way, in ``_name``: every trace event and address lookup
-# reads it, and one shared string per id replaces an f-string per read.
+# it protocol decisions and traces.  All four keep their ``name`` the same
+# way, in ``_name``: every trace event, address lookup and batch entry reads
+# it, and one shared string per id replaces an f-string per read.
 
 
 @dataclass(frozen=True, order=True)
@@ -159,16 +159,18 @@ class ClientId:
     home: DomainId
     index: int
     _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _name: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.home, self.index)))
+        object.__setattr__(self, "_name", f"{self.home.name}/c{self.index}")
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def name(self) -> str:
-        return f"{self.home.name}/c{self.index}"
+        return self._name
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
@@ -186,9 +188,12 @@ class TransactionId:
     number: int
     origin: Optional[ClientId] = None
     _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _name: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.number, self.origin)))
+        origin = self.origin.name if self.origin is not None else "system"
+        object.__setattr__(self, "_name", f"tx{self.number}@{origin}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -201,8 +206,7 @@ class TransactionId:
 
     @property
     def name(self) -> str:
-        origin = self.origin.name if self.origin is not None else "system"
-        return f"tx{self.number}@{origin}"
+        return self._name
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

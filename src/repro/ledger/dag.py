@@ -14,8 +14,8 @@ pair of domains.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import DomainId, TransactionId, TransactionStatus
 from repro.errors import LedgerError, UnknownBlockError
@@ -35,16 +35,34 @@ def deterministic_abort_choice(first: TransactionId, second: TransactionId) -> T
     return first if first.number <= second.number else second
 
 
-@dataclass
 class DagVertex:
-    """One transaction in the DAG, possibly merged from several children."""
+    """One transaction in the DAG, possibly merged from several children.
 
-    entry: CommittedEntry
-    parents: Set[TransactionId] = field(default_factory=set)
-    reported_by: Set[DomainId] = field(default_factory=set)
-    rounds: Dict[DomainId, int] = field(default_factory=dict)
-    #: Position in the owning ledger's insertion order.
-    ordinal: int = 0
+    One flat slotted record per vertex: every height-2+ replica holds one for
+    each descendant transaction, so its size is the ledger's size.  Which
+    involved domains have reported the transaction is a bitmask over
+    ``entry.transaction.involved_domains``; the parent edges are a tuple of
+    transaction ids, and the rounds that delivered the vertex a flat
+    ``(child, round, child, round, ...)`` tuple, keyed by the reporting child
+    (at the root a height-2 domain, not an involved one).  ``parents``,
+    ``reported_by`` and ``rounds`` are built from these on demand.
+    """
+
+    __slots__ = ("entry", "ordinal", "_reporters", "_parents", "_rounds")
+
+    def __init__(
+        self,
+        entry: CommittedEntry,
+        ordinal: int = 0,
+        parents: Tuple[TransactionId, ...] = (),
+        rounds: Tuple[object, ...] = (),
+    ) -> None:
+        self.entry = entry
+        #: Position in the owning ledger's insertion order.
+        self.ordinal = ordinal
+        self._reporters = _reporter_bits(entry)
+        self._parents = parents
+        self._rounds = rounds
 
     @property
     def tid(self) -> TransactionId:
@@ -57,7 +75,38 @@ class DagVertex:
     @property
     def fully_reported(self) -> bool:
         """True once every involved height-1 domain has reported the transaction."""
-        return self.reported_by.issuperset(self.entry.transaction.involved_domains)
+        involved = self.entry.transaction.involved_domains
+        return self._reporters == (1 << len(involved)) - 1
+
+    @property
+    def parents(self) -> FrozenSet[TransactionId]:
+        return frozenset(self._parents)
+
+    @property
+    def reported_by(self) -> FrozenSet[DomainId]:
+        involved = self.entry.transaction.involved_domains
+        return frozenset(d for i, d in enumerate(involved) if self._reporters >> i & 1)
+
+    @property
+    def rounds(self) -> Dict[DomainId, int]:
+        """The latest round each reporting child delivered this vertex in (a
+        child that reports the vertex again appends a pair; read back, the
+        later pair wins and the first keeps its place, as a dict insert)."""
+        rounds = self._rounds
+        return dict(zip(rounds[::2], rounds[1::2]))
+
+
+def _reporter_bits(entry: CommittedEntry) -> int:
+    """Bitmask over the involved domains that ``entry``'s sequence covers."""
+    involved = entry.transaction.involved_domains
+    parts = entry.sequence.parts
+    if len(parts) == len(involved):
+        # Sequence domains are distinct involved domains: all of them.
+        return (1 << len(involved)) - 1
+    bits = 0
+    for domain, _ in parts:
+        bits |= 1 << involved.index(domain)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -152,27 +201,34 @@ class DagLedger:
             )
 
         added: List[TransactionId] = []
+        vertices = self._vertices
         previous = self._last_from_child.get(child)
+        # Every vertex first delivered by this block shares one rounds tuple.
+        stamp = (child, block.round_number)
         for entry in block.entries:
             tid = entry.tid
-            existing = self._vertices.get(tid)
-            if existing is None:
-                vertex = DagVertex(entry=entry, ordinal=len(self._order))
-                self._vertices[tid] = vertex
+            vertex = vertices.get(tid)
+            if vertex is None:
+                parents = () if previous is None else (previous,)
+                vertex = DagVertex(entry, len(self._order), parents, stamp)
+                vertices[tid] = vertex
                 self._order.append(tid)
                 added.append(tid)
                 if vertex.is_cross_domain:
                     self._cross_domain.append(vertex)
-                    for pair in domain_pairs(vertex.entry.transaction):
+                    for pair in domain_pairs(entry.transaction):
                         self._by_pair.setdefault(pair, []).append(vertex)
             else:
-                merged_sequence = existing.entry.sequence.merged_with(entry.sequence)
-                existing.entry = existing.entry.with_sequence(merged_sequence)
-                vertex = existing
-            vertex.reported_by.update(entry.sequence.domains)
-            vertex.rounds[child] = block.round_number
-            if previous is not None and previous != tid:
-                vertex.parents.add(previous)
+                merged_sequence = vertex.entry.sequence.merged_with(entry.sequence)
+                vertex.entry = vertex.entry.with_sequence(merged_sequence)
+                vertex._reporters |= _reporter_bits(entry)
+                vertex._rounds += stamp
+                if (
+                    previous is not None
+                    and previous != tid
+                    and previous not in vertex._parents
+                ):
+                    vertex._parents += (previous,)
             previous = tid
         self._last_from_child[child] = previous
         self._rounds_from_child[child] = block.round_number
@@ -292,7 +348,7 @@ class DagLedger:
             tid: [] for tid in self._order
         }
         for tid, vertex in self._vertices.items():
-            for parent in vertex.parents:
+            for parent in vertex._parents:
                 if parent in in_degree:
                     in_degree[tid] += 1
                     children[parent].append(tid)

@@ -41,7 +41,7 @@ class ScheduledEvent:
 
     time: float
     sequence: int
-    callback: Callable[..., Any]
+    callback: Optional[Callable[..., Any]]
     label: str = ""
     cancelled: bool = False
     args: Tuple[Any, ...] = ()
@@ -51,11 +51,16 @@ class ScheduledEvent:
         """Prevent the callback from running.
 
         The owning queue is notified so it can drop (or periodically compact
-        away) the dead entry instead of carrying it until its fire time.
+        away) the dead entry instead of carrying it until its fire time.  The
+        callback and its arguments are let go: a protocol state often keeps
+        its cancelled timer for good, and the closure would keep everything
+        it captured alive with it.
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         queue = self._queue
         if queue is not None:
             self._queue = None

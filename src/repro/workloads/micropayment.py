@@ -61,6 +61,9 @@ class MicropaymentApplication(BaseApplication):
         self._initial_balance = initial_balance
         self._client_initial_balance = client_initial_balance
         self._client_homes: Dict[ClientId, DomainId] = {}
+        # Every transfer writes its domain's volume key, and the state's
+        # write log keeps each written key: one shared string per domain.
+        self._volume_keys: Dict[DomainId, str] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -124,8 +127,11 @@ class MicropaymentApplication(BaseApplication):
             written.append(recipient)
         if not written:
             return ExecutionResult(success=False, error="no local account involved")
-        state.increment(volume_key(domain), amount)
-        written.append(volume_key(domain))
+        volume = self._volume_keys.get(domain)
+        if volume is None:
+            volume = self._volume_keys[domain] = volume_key(domain)
+        state.increment(volume, amount)
+        written.append(volume)
         return ExecutionResult(success=True, written_keys=tuple(written))
 
     def _execute_deposit(

@@ -29,7 +29,10 @@ from repro.common.types import (
     TransactionKind,
 )
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
+from repro.core.internal import InternalTransactionProtocol
+from repro.core.mobile import MobileConsensusProtocol
 from repro.core.node import SaguaroNode
+from repro.core.optimistic import OptimisticCrossDomainProtocol
 from repro.core.system import SaguaroDeployment
 from repro.ledger.transaction import Transaction
 from repro.recovery import state_root_of
@@ -205,6 +208,61 @@ def stuck_cross_domain_state(deployment: SaguaroDeployment) -> Dict[str, int]:
             )
             counts["deferred_commits"] += len(component._deferred_commits)
     return counts
+
+
+#: The tables each protocol component keeps beside the ledger, one entry per
+#: transaction (mobile: per device, ``_buffered`` per device with requests
+#: waiting), under the label ``retained_state`` reports them by.
+RETAINED_TABLES = (
+    (
+        "coordinator",
+        CoordinatorCrossDomainProtocol,
+        ("_coord", "_part", "_client_of", "_groups", "_pgroups"),
+    ),
+    (
+        "internal",
+        InternalTransactionProtocol,
+        ("_in_flight", "_client_of", "_suspicion_timers"),
+    ),
+    (
+        "optimistic",
+        OptimisticCrossDomainProtocol,
+        (
+            "_pending",
+            "_dependents",
+            "_root_shards",
+            "_proposed",
+            "_client_of",
+            "_append_order",
+            "_decisions_sent",
+        ),
+    ),
+    (
+        "mobile",
+        MobileConsensusProtocol,
+        ("_visiting", "_buffered", "_querying", "_pending_forward"),
+    ),
+)
+
+
+def retained_state(deployment: SaguaroDeployment) -> Dict[str, Dict[str, int]]:
+    """What every node still keeps outside its ledger at the end of a run.
+
+    Maps each node address to ``{"<label>.<table>": entries}`` over
+    ``RETAINED_TABLES`` (components a node does not run are absent).  Unlike
+    :func:`stuck_cross_domain_state` this counts settled state too: it is
+    the per-transaction memory a retirement watermark would shrink.
+    """
+    retained = {}
+    for node in deployment.nodes.values():
+        counts = {}
+        for component in node.components:
+            for label, kind, tables in RETAINED_TABLES:
+                if isinstance(component, kind):
+                    for table in tables:
+                        counts[f"{label}.{table}"] = len(getattr(component, table))
+        retained[node.address] = counts
+    return retained
 
 
 def checkpoints_rehashed(scenario: Scenario, seed: Optional[int] = None):

@@ -1,8 +1,8 @@
 """Compute-once caches: a cached value never outlives the content it was derived from.
 
 ``Transaction`` / ``CommittedEntry`` keep their canonical bytes, the four
-identifier types keep their hash (``DomainId`` / ``NodeId`` their name too),
-and ``payload_digest_of`` keeps the
+identifier types keep their hash and their name, and ``payload_digest_of``
+keeps the
 ``repr``-digest of a frozen payload on the instance.  Every cache sits on a
 field that takes no part in ``__init__``, ``repr`` or comparison, so an object
 built from another one — ``replace()``, a hand-built copy, a forged payload —
@@ -155,17 +155,32 @@ class TestIdentifierHashes:
 
 
 class TestIdentifierNames:
-    """``DomainId.name`` / ``NodeId.name`` are built once, in ``_name``."""
+    """The four identifier types build their ``name`` once, in ``_name``."""
 
     @pytest.mark.parametrize(
         "ident, expected",
-        [(DomainId(1, 2), "D12"), (DomainId(0, 13), "D013"), (NodeId(D21, 3), "D21/n3")],
+        [
+            (DomainId(1, 2), "D12"),
+            (DomainId(0, 13), "D013"),
+            (NodeId(D21, 3), "D21/n3"),
+            (CLIENT, "D01/c3"),
+            (TransactionId(5, CLIENT), "tx5@D01/c3"),
+            (TransactionId(5), "tx5@system"),
+        ],
     )
     def test_name_is_the_f_string_it_replaces(self, ident, expected):
         assert ident.name == str(ident) == expected
         assert ident.name is ident.name  # one shared string, not one per read
 
-    @pytest.mark.parametrize("cls, args", [(DomainId, (1, 2)), (NodeId, (D11, 2))])
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (DomainId, (1, 2)),
+            (NodeId, (D11, 2)),
+            (ClientId, (D01, 3)),
+            (TransactionId, (5, CLIENT)),
+        ],
+    )
     def test_cache_takes_no_part_in_init_repr_or_comparison(self, cls, args):
         assert "_name" not in cls.__match_args__
         with pytest.raises(TypeError):
@@ -179,13 +194,40 @@ class TestIdentifierNames:
         assert replace(D11, index=4).name == "D14"
         assert replace(NodeId(D11, 2), domain=D12).name == "D12/n2"
         assert replace(NodeId(D11, 2), index=0).name == "D11/n0"
-        for original in (D21, NodeId(D21, 1)):
+        assert replace(CLIENT, index=4).name == "D01/c4"
+        assert replace(CLIENT, home=DomainId(0, 2)).name == "D02/c3"
+        assert replace(TransactionId(5, CLIENT), number=6).name == "tx6@D01/c3"
+        assert replace(TransactionId(5, CLIENT), origin=None).name == "tx5@system"
+        assert replace(TransactionId(5), origin=CLIENT).name == "tx5@D01/c3"
+        for original in (
+            D21,
+            NodeId(D21, 1),
+            CLIENT,
+            TransactionId(5, CLIENT),
+            TransactionId(5),
+        ):
             for clone in (
                 copy.copy(original),
                 copy.deepcopy(original),
                 pickle.loads(pickle.dumps(original)),
             ):
                 assert clone.name == original.name and clone == original
+
+    def test_names_match_in_another_process(self):
+        script = (
+            "import pickle, sys\n"
+            "client, tid, bare = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert client.name == 'D01/c3', client.name\n"
+            "assert tid.name == 'tx5@D01/c3' and tid.origin.name == 'D01/c3'\n"
+            "assert bare.name == 'tx5@system', bare.name\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps((CLIENT, TransactionId(5, CLIENT), TransactionId(5))),
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            check=True,
+            timeout=60,
+        )
 
 
 class TestPayloadDigests:

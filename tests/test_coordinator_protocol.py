@@ -1,5 +1,6 @@
 """Integration tests for the coordinator-based cross-domain protocol (§4)."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from tests.conftest import (
     cross_transfer,
     internal_transfer,
     make_deployment,
+    retained_state,
     stuck_cross_domain_state,
 )
 
@@ -310,6 +312,34 @@ def test_nothing_stuck_once_every_transaction_resolved(name, group_size):
     assert run.summary.pending == 0 and run.summary.committed > 0
     stuck = stuck_cross_domain_state(run.deployment)
     assert stuck == dict.fromkeys(stuck, 0)
+
+
+def test_settled_states_let_go_of_their_timer_callbacks():
+    """``retained_state`` on ``xbatch-sweep-g008`` at 200 transactions: the
+    coordinator keeps every settled coordinator and participant state (the
+    baseline ROADMAP item 9(a) will shrink), but none of them may keep the
+    closure of a timer it cancelled — a cancelled event drops its callback."""
+    scenario = registry.get("xbatch-sweep-g008").with_overrides(num_transactions=200)
+    run = ScenarioRunner().execute(scenario)
+    assert run.summary.pending == 0 and run.summary.committed == 200
+    totals = Counter()
+    for counts in retained_state(run.deployment).values():
+        totals.update(counts)
+    states = [
+        state
+        for node in run.deployment.nodes.values()
+        for component in node.components
+        if isinstance(component, CoordinatorCrossDomainProtocol)
+        for state in (*component._coord.values(), *component._part.values())
+    ]
+    assert len(states) == totals["coordinator._coord"] + totals["coordinator._part"]
+    assert states and not any(state.in_flight for state in states)
+    holding = [
+        state.transaction.tid
+        for state in states
+        if state.timer is not None and state.timer._event.callback is not None
+    ]
+    assert holding == [], f"{len(holding)} settled states keep a timer callback"
 
 
 class TestOrderedOutcomes:

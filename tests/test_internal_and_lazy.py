@@ -9,6 +9,7 @@ from repro.ledger.abstraction import SummarizedView
 from repro.ledger.block import BlockMessage
 from repro.ledger.dag import DagLedger
 from repro.ledger.transaction import CommittedEntry
+from repro.scenarios import materialize, registry
 from tests.conftest import (
     height1_ids,
     internal_transfer,
@@ -240,3 +241,40 @@ class TestSendRule:
             dag.integrate_block(blocks[0], D11)
         with pytest.raises(StateError):
             view.merge_delta(D11, {}, 5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="finding G: lazy propagation never resends a block a child lost",
+)
+def test_parent_dag_holds_every_child_entry():
+    """Every committed entry of a height-1 ledger reaches every replica of
+    its parent's DAG.
+
+    Lazy propagation sends each round's block once and moves its cursor on,
+    so a block that never arrives is never sent again.  Today, at every D21
+    replica: ``byz-leader-silence`` seed 1 misses 3 of D11's 14 entries (the
+    silent primary keeps building blocks the adversary swallows),
+    ``byz-partition-flap`` seed 2 misses 5 of 14, and ``byz-equivocation``
+    seed 1 misses 8 of 11 after D11 moves to view 1 (D21 has integrated D11
+    only through round 2; that cause is not isolated yet).
+    """
+    missing = {}
+    for name, seed in (
+        ("byz-leader-silence", 1),
+        ("byz-partition-flap", 2),
+        ("byz-equivocation", 1),
+    ):
+        run = materialize(registry.get(name), seed)
+        run.run()
+        deployment = run.deployment
+        for child in deployment.hierarchy.height1_domains():
+            parent = deployment.hierarchy.parent_of(child.id).id
+            ledger = deployment.ledger_of(child.id).committed_order()
+            assert ledger, (name, child.id.name)
+            for node in deployment.nodes_of(parent):
+                lost = sum(tid not in node.dag for tid in ledger)
+                if lost:
+                    missing[(name, child.id.name, node.address)] = lost
+    assert not missing, missing

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulator, CPU model, and RNG registry."""
 
+import gc
 from unittest import mock
 
 import pytest
@@ -279,6 +280,24 @@ class TestSimulator:
         sim.run_until_idle()
         assert not fired
         assert not timer.active
+
+    def test_cancelled_event_lets_go_of_its_callback(self):
+        # A state that keeps its cancelled timer must not keep the closure.
+        sim = Simulator()
+        fired = []
+        payload = ["captured"]
+
+        def callback(arg):
+            fired.append(arg)
+
+        event = sim.schedule(5.0, callback, args=(payload,))
+        assert callback in gc.get_referents(event)
+        event.cancel()
+        referents = gc.get_referents(event)
+        assert callback not in referents
+        assert not any(ref is payload for ref in referents)
+        sim.run_until_idle()
+        assert not fired
 
     def test_events_executed_counter(self):
         sim = Simulator()
