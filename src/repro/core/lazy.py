@@ -13,16 +13,22 @@ carries aborted transactions and dependency lists.
 A round that carries nothing new is not sent: the round counter still
 advances, so the parent sees a gap in the round numbers, which the DAG and the
 summarized view accept.
+
+A block names the positions it covers; the parent integrates by position and
+acknowledges the position it holds and the rounds it integrated
+(:class:`BlockAck`, every quarter of the cross-domain timeout).  A child primary re-sends everything past the
+acknowledged position, with every unacknowledged round's aborts, once its
+oldest unacknowledged block is older than the cross-domain timeout.  Every
+replica counts rounds, and a promoted backup's first block covers its ledger.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.common.types import DomainId, TransactionId
-from repro.core.messages import BlockOrder, BlockPropagate
+from repro.core.messages import BlockAck, BlockOrder, BlockPropagate
 from repro.core.node import ProtocolComponent, SaguaroNode
-from repro.errors import StateError
 from repro.ledger.block import BlockMessage
 
 __all__ = ["LazyPropagation"]
@@ -32,28 +38,48 @@ SHARED_ROUND_ABORTS = "round_aborts"
 SHARED_DEPENDENCIES = "dependency_lists"
 
 
+class _Sent(NamedTuple):
+    """An unacknowledged block: its round, send time, delta base and aborts."""
+
+    round: int
+    sent_at: float
+    base: Any
+    aborted: Tuple[TransactionId, ...]
+
+
 class LazyPropagation(ProtocolComponent):
     """Round-based block emission (any non-root domain) and integration (parents)."""
 
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         self._round = 0
-        self._last_ledger_position = 0
-        self._last_state_version = 0
-        self._forwarded_dag_vertices = 0
-        self._summary_cursor = None
+        #: Where the next block starts, and the base its delta is taken from:
+        #: a state version at height 1, a summarized-view cursor above.
+        self._position = 0
+        self._base: Any = 0
+        #: The position the parent last acknowledged, and what was sent since.
+        self._acked = 0
+        self._unacked: List[_Sent] = []
+        #: How many times this node re-sent (none on a run without faults).
+        self.resends = 0
         #: Length of the cumulative aborted set the last summary block shipped.
         self._aborts_sent = 0
-        self._seen_child_rounds: Set[Tuple[DomainId, int]] = set()
+        #: Child blocks this primary has submitted for ordering, undecided.
+        self._ordering: Set[Tuple[DomainId, int]] = set()
+        #: Per (child, sending node), the rounds of its blocks integrated since
+        #: the last ack.  Acks draw latency from their own stream, re-timing
+        #: nothing, and go out a quarter of the cross-domain timeout apart.
+        self._acks_due: Dict[Tuple[DomainId, str], List[int]] = {}
+        self._timeout = node.config.timers.cross_domain_timeout_ms
+        self._ack_every = max(1, int(self._timeout / (4 * self._interval_ms())))
+        self._ack_rng = node.simulator.rng.stream("block-acks")
         self._stopped = False
 
     # ------------------------------------------------------------------ lifecycle
 
     def on_start(self) -> None:
-        if self._parent_domain() is None:
-            return  # the root does not propagate further
         if self.node.summary is not None:
-            self._summary_cursor = self.node.summary.cursor()
+            self._base = self.node.summary.cursor()
         self._schedule_next_round()
 
     def stop(self) -> None:
@@ -80,20 +106,35 @@ class LazyPropagation(ProtocolComponent):
     def _round_tick(self) -> None:
         if self._stopped:
             return
+        self._round += 1
         if self.node.is_primary:
-            self._round += 1
-            block = self._build_block()
-            parent = self._parent_domain()
-            if parent is not None and self._carries_news(block):
-                if self.node.ledger is None:  # a summary block: cumulative aborts
-                    self._aborts_sent = len(block.aborted)
-                propagate = BlockPropagate(
-                    block=block,
-                    child_domain=self.node.domain.id,
-                    certificate=self.node.certify(block.merkle_root),
-                )
-                self.node.multicast_domain(parent, propagate)
+            self._send_acks()
+            if self._parent_domain() is not None:  # the root emits nothing
+                self._emit()
         self._schedule_next_round()
+
+    def _emit(self) -> None:
+        now, unacked = self.node.now(), self._unacked
+        summary = self.node.ledger is None
+        build = self._build_summary_block if summary else self._build_height1_block
+        if unacked and now - unacked[0].sent_at >= self._timeout:
+            # Everything past the acknowledged position, with all unacked aborts.
+            self.resends += 1
+            base = unacked[0].base
+            carried = tuple(tid for sent in unacked for tid in sent.aborted)
+            block = build(self._acked, base, carried)
+            unacked.clear()
+        else:
+            base = self._base
+            block = build(self._position, base, ())
+            if not self._carries_news(block):
+                return
+        if summary:  # cumulative aborts
+            self._aborts_sent = len(block.aborted)
+        unacked.append(_Sent(block.round_number, now, base, block.aborted))
+        certificate = self.node.certify(block.merkle_root)
+        propagate = BlockPropagate(block, self.node.domain.id, certificate)
+        self.node.multicast_domain(self._parent_domain(), propagate)
 
     def _carries_news(self, block: BlockMessage) -> bool:
         """Whether the round tells the parent anything it has not been sent.
@@ -106,23 +147,20 @@ class LazyPropagation(ProtocolComponent):
             return True
         return len(block.aborted) > self._aborts_sent
 
-    def _build_block(self) -> BlockMessage:
-        if self.node.ledger is not None:
-            return self._build_height1_block()
-        return self._build_summary_block()
+    # Each builder returns the block covering ``(start, tip]`` with the delta
+    # since ``base``, and moves the next block's start and base to the tip.
 
-    def _build_height1_block(self) -> BlockMessage:
-        ledger = self.node.ledger
-        state = self.node.state
+    def _build_height1_block(
+        self, start: int, base: int, carried: Tuple[TransactionId, ...]
+    ) -> BlockMessage:
+        ledger, state = self.node.ledger, self.node.state
         assert ledger is not None and state is not None
-        new_entries = tuple(
-            ledger.entries_between(self._last_ledger_position + 1, len(ledger))
-        )
-        self._last_ledger_position = len(ledger)
-        raw_delta = state.delta_since(self._last_state_version)
-        self._last_state_version = state.version
+        self._position = len(ledger)
+        new_entries = tuple(ledger.entries_between(start + 1, self._position))
+        raw_delta = state.delta_since(base)
+        self._base = state.version
         abstract_delta = self.node.application.abstraction()(raw_delta)
-        aborted = tuple(self.node.shared.pop(SHARED_ROUND_ABORTS, ()))
+        aborted = carried + tuple(self.node.shared.pop(SHARED_ROUND_ABORTS, ()))
         dependencies = dict(self.node.shared.get(SHARED_DEPENDENCIES, {}))
         return BlockMessage.build(
             domain=self.node.domain.id,
@@ -131,69 +169,97 @@ class LazyPropagation(ProtocolComponent):
             state_delta=abstract_delta,
             aborted=aborted,
             dependencies=dependencies,
+            start=start,
         )
 
-    def _build_summary_block(self) -> BlockMessage:
-        dag = self.node.dag
-        summary = self.node.summary
+    def _build_summary_block(
+        self, start: int, base: Any, carried: Tuple[TransactionId, ...]
+    ) -> BlockMessage:
+        # A summary block ships the cumulative aborted set, so it carries none.
+        dag, summary = self.node.dag, self.node.summary
         assert dag is not None and summary is not None
-        new_entries = dag.entries_from(self._forwarded_dag_vertices)
-        self._forwarded_dag_vertices = len(dag)
-        if self._summary_cursor is None:
-            self._summary_cursor = summary.cursor()
-        delta = summary.own_abstract_delta(self._summary_cursor)
-        self._summary_cursor = summary.cursor()
+        new_entries = dag.entries_from(start)
+        self._position = len(dag)
+        delta = summary.own_abstract_delta(base)
+        self._base = summary.cursor()
         return BlockMessage.build(
             domain=self.node.domain.id,
             round_number=self._round,
             entries=new_entries,
             state_delta=delta,
             aborted=dag.aborted(),
+            start=start,
         )
 
     # ------------------------------------------------------------------ integrating (parent side)
 
     def handle_message(self, payload: Any, sender: str) -> bool:
+        if isinstance(payload, BlockAck):
+            self._acked = payload.position
+            self._unacked = [s for s in self._unacked if s.round not in payload.rounds]
+            return True
         if not isinstance(payload, BlockPropagate):
             return False
-        if self.node.dag is None:
+        dag = self.node.dag
+        if dag is None:
             return True  # height-1 nodes never receive block messages
         if not self.node.is_primary:
             return True  # replicas learn through internal consensus
-        key = (payload.child_domain, payload.block.round_number)
-        if key in self._seen_child_rounds:
+        child, round_number = payload.child_domain, payload.block.round_number
+        if round_number <= dag.rounds_received_from(child):
+            self._acks_due.setdefault((child, sender), [])  # say how far we are
             return True
-        self._seen_child_rounds.add(key)
+        key = (child, round_number)
+        if key in self._ordering:
+            return True
+        self._ordering.add(key)
         self.node.engine.submit(
-            BlockOrder(block=payload.block, child_domain=payload.child_domain)
+            BlockOrder(block=payload.block, child_domain=child, sender=sender)
         )
         return True
+
+    def _send_acks(self) -> None:
+        if self._round % self._ack_every:
+            return
+        for (child, sender), rounds in self._acks_due.items():  # parents only
+            ack = BlockAck(child, self.node.dag.position_from(child), tuple(rounds))
+            self.node.send(sender, ack, rng=self._ack_rng)
+        self._acks_due.clear()
 
     def on_submission_dropped(self, payload: Any) -> bool:
         if not isinstance(payload, BlockOrder):
             return False
         # Forget the round so a retransmitted block message can re-propose it.
-        self._seen_child_rounds.discard(
-            (payload.child_domain, payload.block.round_number)
-        )
+        self._ordering.discard((payload.child_domain, payload.block.round_number))
         return True
 
     def on_decide(self, slot: int, payload: Any) -> bool:
         if not isinstance(payload, BlockOrder):
             return False
-        dag = self.node.dag
-        summary = self.node.summary
+        dag, summary = self.node.dag, self.node.summary
         if dag is None or summary is None:
             return True
-        block = payload.block
-        child = payload.child_domain
-        if block.round_number <= dag.rounds_received_from(child):
-            return True  # duplicate delivery after a view change
-        dag.integrate_block(block, child)
-        if block.state_delta:
-            try:
+        block, child = payload.block, payload.child_domain
+        self._ordering.discard((child, block.round_number))
+        # A replayed round is a no-op, and a block past the held position
+        # is not integrated: the child re-sends from the acknowledged one.
+        integrated = block.round_number > dag.rounds_received_from(child) and (
+            block.start <= dag.position_from(child)
+        )
+        if integrated:
+            # Replicas may append non-conflicting commits in different
+            # orders, so what a block overlaps is found by transaction.
+            fresh = tuple(e for e in block.entries if not dag.reported(e.tid, child))
+            if len(fresh) < len(block.entries):
+                if not block.verify_merkle_root():
+                    return True
+                block = block.narrowed_to(fresh)
+            dag.integrate_block(block, child)
+            if block.state_delta:
                 summary.merge_delta(child, block.state_delta, block.round_number)
-            except StateError:
-                pass  # stale round replay; the DAG already rejected real regressions
-        self.node.notify_block_integrated(block, child)
+            self.node.notify_block_integrated(block, child)
+        if self.node.is_primary and payload.sender:
+            rounds = self._acks_due.setdefault((child, payload.sender), [])
+            if integrated:
+                rounds.append(block.round_number)
         return True

@@ -48,6 +48,7 @@ __all__ = [
     "OptimisticCommitQuery",
     # lazy propagation (§5)
     "BlockPropagate",
+    "BlockAck",
     # mobile consensus (§7, Algorithm 2)
     "StateQuery",
     "StateMessage",
@@ -377,6 +378,17 @@ class BlockPropagate:
         return self.block.size_kb
 
 
+@dataclass(frozen=True)
+class BlockAck:
+    """Parent primary -> a child node that sent it blocks: the parent's DAG
+    holds ``child_domain``'s ledger through ``position``, and integrated that
+    node's blocks of ``rounds`` since the last acknowledgement."""
+
+    child_domain: DomainId
+    position: int
+    rounds: Tuple[int, ...] = ()
+
+
 # ---------------------------------------------------------------------------
 # Mobile consensus (§7)
 # ---------------------------------------------------------------------------
@@ -534,10 +546,12 @@ class OptimisticOrder:
 
 @dataclass(frozen=True)
 class BlockOrder:
-    """A parent domain orders a block message received from a child (§5)."""
+    """A parent domain orders a block message received from a child (§5);
+    ``sender`` is the child node its acknowledgement goes back to."""
 
     block: BlockMessage
     child_domain: DomainId
+    sender: str = ""
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ summarized ledger and the summarized view (§3, §5).
 
 from __future__ import annotations
 
+from random import Random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.metrics import MetricsCollector
@@ -367,11 +368,11 @@ class SaguaroNode:
 
     # ------------------------------------------------------------------ messaging helpers
 
-    def send(self, to_address: str, message: Any) -> None:
+    def send(self, to_address: str, message: Any, rng: Optional[Random] = None) -> None:
         message = self.adversary.outbound(self, to_address, message)
         if message is None:
             return
-        self.network.send(self.address, to_address, message)
+        self.network.send(self.address, to_address, message, rng=rng)
 
     # ------------------------------------------------------------------ tracing
 

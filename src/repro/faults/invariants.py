@@ -354,9 +354,8 @@ class InvariantChecker:
         a bucket, instead of scanning all committed-cross pairs (the O(cross²)
         walk that used to dominate checked 3 200-transaction runs), and only
         within buckets that one sort shows to be out of order.  The bucket
-        walk visits exactly the pairs the naive scan would flag —
-        :meth:`_check_cross_domain_order_naive` keeps the old scan for
-        equivalence testing.
+        walk visits exactly the pairs the naive scan would flag (the tests keep
+        the old scan as the equivalence oracle).
         """
         from itertools import combinations
 
@@ -407,20 +406,6 @@ class InvariantChecker:
                         )
                         if violation is not None:
                             violations.append(violation)
-        return violations
-
-    def _check_cross_domain_order_naive(self) -> List[InvariantViolation]:
-        """The pre-index O(cross²) pairwise scan, kept as the equivalence
-        oracle for the indexed path (tests only — never run in checks)."""
-        violations: List[InvariantViolation] = []
-        positions, transactions, ordered_tids = self._collect_cross_positions()
-        for i, first in enumerate(ordered_tids):
-            for second in ordered_tids[i + 1 :]:
-                violation = self._compare_cross_pair(
-                    first, second, positions, transactions
-                )
-                if violation is not None:
-                    violations.append(violation)
         return violations
 
     def _reference_ledger(self, domain_id) -> Optional[Any]:

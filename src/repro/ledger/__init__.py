@@ -15,7 +15,7 @@ from repro.ledger.dag import (
     OrderInconsistency,
     deterministic_abort_choice,
 )
-from repro.ledger.state import StateStore, WriteRecord, shard_of_key
+from repro.ledger.state import StateStore, shard_of_key
 from repro.ledger.transaction import CommittedEntry, Transaction
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "OrderInconsistency",
     "deterministic_abort_choice",
     "StateStore",
-    "WriteRecord",
     "shard_of_key",
     "CommittedEntry",
     "Transaction",

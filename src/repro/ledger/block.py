@@ -30,7 +30,9 @@ _HEADER_KB = 0.5
 
 @dataclass(frozen=True)
 class BlockMessage:
-    """One round's worth of ledger growth, shipped from a domain to its parent."""
+    """One round's worth of ledger growth, shipped from a domain to its parent;
+    its entries are the sender's positions ``start + 1 .. end`` (ledger
+    positions at height 1, DAG vertex ordinals above)."""
 
     domain: DomainId
     round_number: int
@@ -42,7 +44,7 @@ class BlockMessage:
         default_factory=dict
     )
     certificate: Optional[QuorumCertificate] = None
-    is_cut: bool = True
+    start: int = 0
 
     def __post_init__(self) -> None:
         if self.round_number < 1:
@@ -58,6 +60,7 @@ class BlockMessage:
         aborted: Tuple[TransactionId, ...] = (),
         dependencies: Optional[Mapping[TransactionId, Tuple[TransactionId, ...]]] = None,
         certificate: Optional[QuorumCertificate] = None,
+        start: int = 0,
     ) -> "BlockMessage":
         """Assemble a block message, computing the Merkle root of its entries."""
         leaves = [entry.canonical_bytes() for entry in entries]
@@ -70,6 +73,25 @@ class BlockMessage:
             aborted=tuple(aborted),
             dependencies=dict(dependencies or {}),
             certificate=certificate,
+            start=start,
+        )
+
+    @property
+    def end(self) -> int:
+        """The sender's position of the last entry (``start`` when empty)."""
+        return self.start + len(self.entries)
+
+    def narrowed_to(self, entries: Tuple[CommittedEntry, ...]) -> "BlockMessage":
+        """The same block carrying only ``entries`` (its own, in order), same end."""
+        return BlockMessage.build(
+            domain=self.domain,
+            round_number=self.round_number,
+            entries=entries,
+            state_delta=self.state_delta,
+            aborted=self.aborted,
+            dependencies=self.dependencies,
+            certificate=self.certificate,
+            start=self.end - len(entries),
         )
 
     @property

@@ -132,6 +132,7 @@ class DagLedger:
         self._order: List[TransactionId] = []
         self._last_from_child: Dict[DomainId, Optional[TransactionId]] = {}
         self._rounds_from_child: Dict[DomainId, int] = {}
+        self._positions_from_child: Dict[DomainId, int] = {}
         self._aborted: Set[TransactionId] = set()
         self._aborted_sorted: Optional[Tuple[TransactionId, ...]] = ()
         # Cross-domain vertices in insertion order, and the same vertices
@@ -172,6 +173,15 @@ class DagLedger:
         """The latest round integrated from ``child`` (rounds with nothing new
         are never sent, so this counts ticks, not blocks)."""
         return self._rounds_from_child.get(child, 0)
+
+    def position_from(self, child: DomainId) -> int:
+        """Where the last block integrated from ``child`` ends in its sender's log."""
+        return self._positions_from_child.get(child, 0)
+
+    def reported(self, tid: TransactionId, child: DomainId) -> bool:
+        """Whether a block from ``child`` has already delivered ``tid``."""
+        vertex = self._vertices.get(tid)
+        return vertex is not None and child in vertex._rounds[::2]
 
     def transactions(self) -> List[DagVertex]:
         return [self._vertices[tid] for tid in self._order]
@@ -232,6 +242,7 @@ class DagLedger:
             previous = tid
         self._last_from_child[child] = previous
         self._rounds_from_child[child] = block.round_number
+        self._positions_from_child[child] = block.end
 
         for tid in block.aborted:
             self.mark_aborted(tid)

@@ -7,44 +7,33 @@ function λ (§5), managed by :mod:`repro.ledger.abstraction`.
 
 The store is a versioned key-value map whose *versioned bookkeeping* is
 **sharded**: keys map to one of ``shards`` account shards by a stable hash,
-and each shard keeps its own write log and per-key latest-version map.  The
+and each shard counts its writes, in total and per key.  The
 key-value content itself stays one map (reads are O(1) and key iteration
-order is shard-count independent), but everything that used to scan
-whole-domain write history — delta extraction, conflicting-key detection,
-the optimistic protocol's undo machinery — can now restrict itself to the
-shards a transaction actually names via the ``shards=`` arguments.
+order is shard-count independent); the shard counts are what the control
+plane's heat measurement and shard splitting read.
 
-Versions are global and sequential, so ``delta_since`` / ``write_log`` merge
-the per-shard logs back into the exact version order an unsharded store would
-produce: ``shards=1`` is bit-identical to the historical single-log store.
+The store keeps values, not history: every write bumps a global version and
+moves its key to the end of one version-ordered ``key -> latest version``
+map.  ``delta_since(v)`` walks that map backwards until a version <= v, so it
+costs the keys written since ``v`` and returns each with its current value,
+in the order of their latest writes, for every ``v`` (0 included).  Retained
+bookkeeping is bounded by the keys, not by the writes.
 
 The store's Merkle root (:meth:`StateStore.state_root`, what a durable
-checkpoint certifies) follows the same write log: each call re-hashes only the
+checkpoint certifies) follows the same map: each call re-hashes only the
 keys written since the previous one and the tree nodes on their paths.
 """
 
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
-from dataclasses import dataclass
-from heapq import merge as _heap_merge
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.crypto.digests import digest
 from repro.crypto.merkle import hash_leaf, refresh_paths, tree_levels
 from repro.errors import InsufficientBalanceError, StateError, UnknownAccountError
 
-__all__ = ["StateStore", "WriteRecord", "shard_of_key", "state_leaf"]
-
-
-@dataclass(frozen=True)
-class WriteRecord:
-    """One entry of the write log: (version, key, new value)."""
-
-    version: int
-    key: str
-    value: Any
+__all__ = ["StateStore", "shard_of_key", "state_leaf"]
 
 
 def shard_of_key(key: str, shards: int) -> int:
@@ -73,26 +62,6 @@ def _replace_leaf(node: Any, leaf: int, replacement: Any) -> Tuple[Any, bool]:
     return [node[0], right], found
 
 
-class _Shard:
-    """One account shard's versioned bookkeeping.
-
-    ``versions`` mirrors ``log`` (version of the record at the same index) so
-    range extraction can bisect without touching the records themselves.
-    """
-
-    __slots__ = ("log", "versions", "latest_version")
-
-    def __init__(self) -> None:
-        self.log: List[WriteRecord] = []
-        self.versions: List[int] = []
-        self.latest_version: Dict[str, int] = {}
-
-    def records_after(self, version: int) -> List[WriteRecord]:
-        """The shard's records with version > ``version`` (a direct slice:
-        each shard's log is version-sorted, so no scan of earlier writes)."""
-        return self.log[bisect_right(self.versions, version):]
-
-
 class StateStore:
     """A sharded, versioned key-value store with numeric-balance helpers."""
 
@@ -102,7 +71,10 @@ class StateStore:
         self._name = name
         self._data: Dict[str, Any] = {}
         self._version = 0
-        self._shards: Tuple[_Shard, ...] = tuple(_Shard() for _ in range(shards))
+        #: Per shard, the writes each of its keys has taken (keys in the
+        #: order of their first write to the shard), and their sum.
+        self._key_writes: List[Dict[str, int]] = [{} for _ in range(shards)]
+        self._shard_writes: List[int] = [0] * shards
         #: Key routing.  While empty, keys route by ``shard_of_key`` over the
         #: original shard count (the historical fast path, bit-identical to
         #: pre-split stores).  After the first :meth:`split_shard` it becomes
@@ -110,9 +82,9 @@ class StateStore:
         #: of ``crc32(key) // base`` and whose leaves are shard indices.
         self._base = shards
         self._routing: List[Any] = []
-        #: Global per-key latest-version map (versions are global, so one map
-        #: serves every shard): delta extraction filters superseded writes
-        #: without re-hashing each merged record back to its shard.
+        #: Every key ever written and the version of its latest write, ordered
+        #: by that version (a write moves its key to the end), so the keys
+        #: written after any version are a suffix of the map.
         self._latest_version: Dict[str, int] = {}
         #: The state root's Merkle levels over the sorted keys as of write
         #: version ``_root_version``, and each key's leaf position there.
@@ -134,7 +106,7 @@ class StateStore:
 
     @property
     def shard_count(self) -> int:
-        return len(self._shards)
+        return len(self._key_writes)
 
     @property
     def base_shards(self) -> int:
@@ -144,7 +116,7 @@ class StateStore:
     @property
     def split_count(self) -> int:
         """How many :meth:`split_shard` calls this store has absorbed."""
-        return len(self._shards) - self._base
+        return len(self._key_writes) - self._base
 
     def shard_of(self, key: str) -> int:
         """The shard ``key`` lives in (stable across runs and processes)."""
@@ -166,34 +138,17 @@ class StateStore:
         """Current keys living in ``shard`` (never-written keys cannot exist)."""
         self._check_shard(shard)
         return tuple(
-            key for key in self._shards[shard].latest_version if key in self._data
+            key for key in self._key_writes[shard] if key in self._data
         )
 
     def shard_write_counts(self) -> Tuple[int, ...]:
-        """Write-log length per shard (sums to the global version counter)."""
-        return tuple(len(shard.log) for shard in self._shards)
-
-    def shard_write_deltas(
-        self, baseline: Optional[Iterable[int]] = None
-    ) -> Tuple[int, ...]:
-        """Per-shard writes since ``baseline`` (a prior
-        :meth:`shard_write_counts` result); the full counts when ``baseline``
-        is None.  This is the control plane's window heat measurement."""
-        current = self.shard_write_counts()
-        if baseline is None:
-            return current
-        previous = tuple(baseline)
-        if len(previous) != len(current):
-            raise StateError(
-                f"{self._name}: baseline covers {len(previous)} shards, "
-                f"store has {len(current)}"
-            )
-        return tuple(now - before for now, before in zip(current, previous))
+        """Writes taken per shard (sums to the global version counter)."""
+        return tuple(self._shard_writes)
 
     def _check_shard(self, shard: int) -> None:
-        if not 0 <= shard < len(self._shards):
+        if not 0 <= shard < len(self._key_writes):
             raise StateError(
-                f"{self._name}: shard {shard} outside [0, {len(self._shards)})"
+                f"{self._name}: shard {shard} outside [0, {len(self._key_writes)})"
             )
 
     # -- shard splitting ----------------------------------------------------------
@@ -204,18 +159,15 @@ class StateStore:
         Keys currently routed to ``parent`` re-partition by the next unused
         bit of their hash: roughly half stay, the rest move to the child
         shard (index ``shard_count`` before the call).  Both shards inherit
-        the parent's write-log entries for their own keys — per-shard logs
-        stay version-sorted, the global version counter and key-value
-        content are untouched, and ``delta_since``/``write_log`` merges are
-        unchanged — so the split only redirects *future* bookkeeping (and
-        with it execution-lane placement), never commit order.
+        the parent's write counts for their own keys — the global version
+        counter, the key-value content and ``delta_since`` are untouched — so
+        the split only redirects *future* bookkeeping (and with it
+        execution-lane placement), never commit order.
         """
         self._check_shard(parent)
         if not self._routing:
             self._routing = list(range(self._base))
-        child_index = len(self._shards)
-        child = _Shard()
-        self._shards = (*self._shards, child)
+        child_index = len(self._key_writes)
         for slot, node in enumerate(self._routing):
             replaced, found = _replace_leaf(node, parent, [parent, child_index])
             if found:
@@ -223,53 +175,38 @@ class StateStore:
                 break
         else:  # pragma: no cover - _check_shard already rejects bad indices
             raise StateError(f"{self._name}: shard {parent} is not routable")
-        source = self._shards[parent]
-        keep = _Shard()
-        for record, version in zip(source.log, source.versions):
-            target = keep if self.shard_of(record.key) == parent else child
-            target.log.append(record)
-            target.versions.append(version)
-            target.latest_version[record.key] = version
-        shards = list(self._shards)
-        shards[parent] = keep
-        self._shards = tuple(shards)
+        kept: Dict[str, int] = {}
+        moved: Dict[str, int] = {}
+        for key, count in self._key_writes[parent].items():
+            (kept if self.shard_of(key) == parent else moved)[key] = count
+        self._key_writes[parent] = kept
+        self._key_writes.append(moved)
+        self._shard_writes.append(sum(moved.values()))
+        self._shard_writes[parent] -= self._shard_writes[-1]
         return child_index
 
     def verify_partition(self) -> Tuple[str, ...]:
         """Check the shards exactly partition the bookkeeping (post-split).
 
         Returns human-readable violations (empty tuple = store is sound):
-        every log record and latest-version entry must sit in the shard its
-        key routes to, no version may appear twice, and the per-shard logs
-        must sum to the global version counter.
+        every per-key count must sit in the shard its key routes to, each
+        shard's total must be its keys' sum, and the totals must sum to the
+        global version counter.
         """
         problems: List[str] = []
-        seen_versions: set = set()
-        total_records = 0
-        for index, shard in enumerate(self._shards):
-            total_records += len(shard.log)
-            for record in shard.log:
-                route = self.shard_of(record.key)
-                if route != index:
-                    problems.append(
-                        f"record v{record.version} ({record.key!r}) sits in "
-                        f"shard {index} but routes to {route}"
-                    )
-                if record.version in seen_versions:
-                    problems.append(
-                        f"version {record.version} appears in two shards"
-                    )
-                seen_versions.add(record.version)
-            for key in shard.latest_version:
+        for index, counts in enumerate(self._key_writes):
+            for key in counts:
                 route = self.shard_of(key)
                 if route != index:
                     problems.append(
-                        f"latest-version entry {key!r} sits in shard {index} "
-                        f"but routes to {route}"
+                        f"key {key!r} sits in shard {index} but routes to {route}"
                     )
-        if total_records != self._version:
+            if sum(counts.values()) != self._shard_writes[index]:
+                problems.append(f"shard {index}'s write total is not its keys' sum")
+        total_writes = sum(self._shard_writes)
+        if total_writes != self._version:
             problems.append(
-                f"shard logs hold {total_records} records, version counter "
+                f"shards took {total_writes} writes, version counter "
                 f"is {self._version}"
             )
         return tuple(problems)
@@ -294,14 +231,15 @@ class StateStore:
 
     def put(self, key: str, value: Any) -> int:
         """Write ``value`` under ``key``; returns the new store version."""
-        self._version += 1
+        version = self._version = self._version + 1
         self._data[key] = value
-        shard = self._shards[self.shard_of(key)]
-        shard.log.append(WriteRecord(version=self._version, key=key, value=value))
-        shard.versions.append(self._version)
-        shard.latest_version[key] = self._version
-        self._latest_version[key] = self._version
-        return self._version
+        shard = self.shard_of(key)
+        counts = self._key_writes[shard]
+        counts[key] = counts.get(key, 0) + 1
+        self._shard_writes[shard] += 1
+        self._latest_version.pop(key, None)
+        self._latest_version[key] = version
+        return version
 
     def increment(self, key: str, amount: float = 1) -> Any:
         """Add ``amount`` to a numeric key (creating it at 0 when absent)."""
@@ -361,52 +299,28 @@ class StateStore:
 
     # -- versions, deltas, snapshots -----------------------------------------------
 
-    def _merged_records_after(
-        self, version: int, shards: Optional[Iterable[int]] = None
-    ) -> Iterator[WriteRecord]:
-        """Records with version > ``version``, in global version order.
+    def _written_after(self, version: int) -> List[str]:
+        """Keys whose latest write is newer than ``version``, newest first."""
+        keys: List[str] = []
+        for key, written in reversed(self._latest_version.items()):
+            if written <= version:
+                break
+            keys.append(key)
+        return keys
 
-        Versions are globally sequential and each shard's log is sorted, so a
-        k-way merge of the per-shard slices reproduces exactly the record
-        order of a single whole-domain log.  With ``shards`` given, only the
-        named shards contribute — the slice a caller holding a transaction's
-        footprint needs.
-        """
-        if shards is None:
-            selected = self._shards
-        else:
-            indices = sorted({index for index in shards})
-            for index in indices:
-                self._check_shard(index)
-            selected = tuple(self._shards[index] for index in indices)
-        slices = [shard.records_after(version) for shard in selected]
-        slices = [part for part in slices if part]
-        if not slices:
-            return iter(())
-        if len(slices) == 1:
-            return iter(slices[0])
-        return _heap_merge(*slices, key=lambda record: record.version)
+    def delta_since(self, version: int) -> Dict[str, Any]:
+        """Current value of every key written after ``version``, in the order
+        of their latest writes; a removed key reads ``None``.
 
-    def delta_since(
-        self, version: int, shards: Optional[Iterable[int]] = None
-    ) -> Dict[str, Any]:
-        """Latest value of every key written after ``version``.
-
-        Extraction is proportional to the writes since ``version`` in the
-        selected shards, never to the whole log: per-shard logs are
-        version-sorted slices and the per-key latest-version maps skip
-        superseded writes so each changed key is materialised exactly once.
-        With ``shards`` given, only keys living in those shards appear.
+        Extraction is proportional to the keys written since ``version``,
+        never to the store.
         """
         if version < 0 or version > self._version:
             raise StateError(
                 f"{self._name}: version {version} outside [0, {self._version}]"
             )
-        delta: Dict[str, Any] = {}
-        for record in self._merged_records_after(version, shards):
-            if self._latest_version[record.key] == record.version:
-                delta[record.key] = record.value
-        return delta
+        data = self._data
+        return {key: data.get(key) for key in reversed(self._written_after(version))}
 
     def snapshot(self) -> Dict[str, Any]:
         """A copy of the full key-value content."""
@@ -417,8 +331,8 @@ class StateStore:
 
         The version counter keeps advancing so deltas computed across a
         restore still observe every key that changed.  Removed keys are
-        tombstoned in sorted order, so the write log does not depend on the
-        string-hash seed.
+        tombstoned in sorted order, so the write order (and with it a
+        delta's key order) does not depend on the string-hash seed.
         """
         removed = sorted(set(self._data) - set(snapshot))
         for key, value in snapshot.items():
@@ -432,17 +346,13 @@ class StateStore:
         """Merkle root of the content, equal to
         :func:`~repro.recovery.wal.state_root_of` over :meth:`snapshot`.
 
-        Maintained from the write log: a call re-hashes only the keys
-        written since the previous call and recomputes the tree nodes on
+        Maintained from the latest-version map: a call re-hashes only the
+        keys written since the previous call and recomputes the tree nodes on
         their paths.  A key inserted or removed since then changes the leaf
         positions, so the interior is rebuilt from the kept leaf hashes.  A
         new store starts from the empty tree.
         """
-        changed = {
-            record.key
-            for shard in self._shards
-            for record in shard.records_after(self._root_version)
-        }
+        changed = set(self._written_after(self._root_version))
         self._root_version = self._version
         data, position = self._data, self._root_position
         leaves = self._root_levels[0]
@@ -461,7 +371,7 @@ class StateStore:
         return self._root_levels[-1][0]
 
     def remove(self, key: str) -> None:
-        """Remove ``key``, logging a ``None`` tombstone write first.
+        """Remove ``key``, writing a ``None`` tombstone first.
 
         Used by speculative rollback to unwind a write that *created* a key:
         the version counter keeps advancing (exactly as :meth:`restore` does
@@ -481,20 +391,8 @@ class StateStore:
             if key.startswith(prefix) and isinstance(value, (int, float))
         )
 
-    def write_log(
-        self, since_version: int = 0, shards: Optional[Iterable[int]] = None
-    ) -> Tuple[WriteRecord, ...]:
-        """Records written after ``since_version``, in version order.
-
-        Merged across the selected per-shard logs (all of them by default);
-        each shard contributes a direct bisected slice, so no scan of the
-        earlier log is needed."""
-        if since_version < 0:
-            since_version = 0
-        return tuple(self._merged_records_after(since_version, shards))
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return (
             f"StateStore({self._name}, keys={len(self._data)}, "
-            f"v={self._version}, shards={len(self._shards)})"
+            f"v={self._version}, shards={len(self._key_writes)})"
         )

@@ -10,6 +10,7 @@ is what a real crash looks like from the outside).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Protocol, Set
 
@@ -155,13 +156,15 @@ class Network:
         recipient: str,
         payload: Any,
         size_kb: Optional[float] = None,
+        rng: Optional[random.Random] = None,
     ) -> Optional[Envelope]:
         """Send ``payload`` from ``sender`` to ``recipient``.
 
         Returns the in-flight envelope, or ``None`` when the message was
         dropped (loss, partition, crashed sender or recipient).  A ``None``
         return is not an error: protocols are expected to mask losses with
-        retransmissions and timeouts.
+        retransmissions and timeouts.  Loss and latency draw from ``rng`` when
+        given, so a protocol's extra messages need not re-time all the others.
         """
         source = self.endpoint(sender)
         destination = self.endpoint(recipient)
@@ -176,12 +179,13 @@ class Network:
         if self._partitions and frozenset({sender, recipient}) in self._partitions:
             self.stats.messages_dropped += 1
             return None
-        if self._drop_rate > 0 and self._rng.random() < self._drop_rate:
+        rng = self._rng if rng is None else rng
+        if self._drop_rate > 0 and rng.random() < self._drop_rate:
             self.stats.messages_dropped += 1
             return None
 
         delay = self._latency.one_way_ms(
-            source.region, destination.region, size_kb=size, rng=self._rng
+            source.region, destination.region, size_kb=size, rng=rng
         )
         now = self._simulator.now
         envelope = Envelope(sender, recipient, payload, size, now, now + delay)

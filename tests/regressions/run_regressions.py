@@ -9,8 +9,8 @@ The sweep runs ``lease-rejoin`` over seeds 1-20 at ``xdomain_batch_size`` 1
 and 3 with static control and asks every run to end with nothing in flight.
 The checkpoint-root sweep runs ``churn-sweep`` and ``churn-sweep-primaries``
 over seeds 1-10 and checks every certified checkpoint root, which a replica
-maintains from its write log, against a full re-hash of the snapshot (tier-1
-runs seed 1 of each).
+maintains from its state store's version-ordered key map, against a full
+re-hash of the snapshot (tier-1 runs seed 1 of each).
 
 Not part of tier-1 — the file name keeps it out of collection; CI's
 ``regressions`` job runs it by path::

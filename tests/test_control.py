@@ -12,7 +12,7 @@ Six layers of coverage:
   moves that would just relocate the bottleneck);
 * the :class:`ExecutionLanes` control surface the plane actuates
   (``snapshot``/``reset_window``/``assign``/``assignments``) and the
-  :meth:`StateStore.shard_write_deltas` heat measurement;
+  :meth:`StateStore.shard_write_counts` heat measurement;
 * the configuration surface: :class:`ControlPolicy` validation and JSON
   round-trip, the scenario field + builder ``.control()``, the
   ``execute_ms`` cost override, and the Zipf-skewed workload generator;
@@ -38,7 +38,7 @@ from repro.control.controllers import AdaptiveBatchController, LaneRebalancer
 from repro.control.plane import ControlPlane
 from repro.control.policy import CONTROL_POLICIES, ControlPolicy
 from repro.control.telemetry import MetricsWindow, TelemetryBus
-from repro.errors import ConfigurationError, SimulationError, StateError
+from repro.errors import ConfigurationError, SimulationError
 from repro.ledger.state import StateStore
 from repro.scenarios import Scenario, ScenarioRunner, materialize, registry
 from repro.sim.cpu import ExecutionLanes
@@ -307,19 +307,17 @@ def test_lanes_assign_pins_and_unpins_shards():
         lanes.assign(-1, 0)
 
 
-def test_shard_write_deltas_measure_window_heat():
+def test_shard_write_counts_measure_window_heat():
     store = StateStore("s", shards=4)
     for i in range(8):
         store.put(f"k{i}", i)
     baseline = store.shard_write_counts()
-    assert store.shard_write_deltas() == baseline  # None baseline: full counts
+    assert sum(baseline) == 8
     store.put("k0", 99)
     store.put("k0", 100)
-    deltas = store.shard_write_deltas(baseline)
+    deltas = [now - before for now, before in zip(store.shard_write_counts(), baseline)]
     assert sum(deltas) == 2
     assert deltas[store.shard_of("k0")] == 2
-    with pytest.raises(StateError):
-        store.shard_write_deltas((0, 0))  # wrong shard count
 
 
 # ---------------------------------------------------------------------------

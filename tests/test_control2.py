@@ -138,21 +138,24 @@ def test_split_shard_rehashes_only_the_parents_keys():
     assert store.verify_partition() == ()
 
 
-def test_split_preserves_content_versions_and_log_order():
+def test_split_preserves_content_versions_and_write_counts():
     store = _warm_store(shards=2)
     values = {key: store.read(key) for key in store.keys()}
     version = store.version
+    delta = list(store.delta_since(0).items())
+    counts = store.shard_write_counts()
     child = store.split_shard(0)
     assert store.version == version  # the counter never rewinds
     for key, value in values.items():
         assert store.read(key) == value
-    # The global merged log is still one run of versions 1..N, and every
-    # per-shard record now routes to the shard whose log holds it.
-    log = store.write_log()
-    assert [record.version for record in log] == list(range(1, version + 1))
+    # Deltas are untouched, the parent's writes are shared between it and
+    # the child, and every key now sits in the shard it routes to.
+    assert list(store.delta_since(0).items()) == delta
+    after = store.shard_write_counts()
+    assert after[0] + after[child] == counts[0] and after[1] == counts[1]
     for shard in range(store.shard_count):
-        for record in store.write_log(shards=[shard]):
-            assert store.shard_of(record.key) == shard
+        for key in store.keys_of_shard(shard):
+            assert store.shard_of(key) == shard
     assert child == 2
 
 
@@ -176,17 +179,15 @@ def test_split_rejects_out_of_range_shards():
         store.split_shard(-1)
 
 
-def test_verify_partition_catches_a_misrouted_record():
+def test_verify_partition_catches_a_misrouted_key():
     store = _warm_store(shards=2)
     store.split_shard(0)
     donor = next(
-        shard
-        for shard in range(store.shard_count)
-        if store.write_log(shards=[shard])
+        shard for shard in range(store.shard_count) if store.keys_of_shard(shard)
     )
     recipient = (donor + 1) % store.shard_count
-    record = store._shards[donor].log.pop()
-    store._shards[recipient].log.append(record)
+    key = store.keys_of_shard(donor)[-1]
+    store._key_writes[recipient][key] = store._key_writes[donor].pop(key)
     problems = store.verify_partition()
     assert problems  # the audit sees through the corrupted bookkeeping
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.types import ClientId, DomainId, SequenceNumber, TransactionStatus
-from repro.core.lazy import SHARED_ROUND_ABORTS
+from repro.core.lazy import SHARED_ROUND_ABORTS, LazyPropagation
+from repro.core.messages import BlockOrder, BlockPropagate
 from repro.errors import LedgerError, StateError
 from repro.ledger.abstraction import SummarizedView
 from repro.ledger.block import BlockMessage
@@ -243,22 +244,18 @@ class TestSendRule:
             view.merge_delta(D11, {}, 5)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="finding G: lazy propagation never resends a block a child lost",
-)
 def test_parent_dag_holds_every_child_entry():
     """Every committed entry of a height-1 ledger reaches every replica of
-    its parent's DAG.
+    its parent's DAG (finding G, closed).
 
-    Lazy propagation sends each round's block once and moves its cursor on,
-    so a block that never arrives is never sent again.  Today, at every D21
-    replica: ``byz-leader-silence`` seed 1 misses 3 of D11's 14 entries (the
-    silent primary keeps building blocks the adversary swallows),
-    ``byz-partition-flap`` seed 2 misses 5 of 14, and ``byz-equivocation``
-    seed 1 misses 8 of 11 after D11 moves to view 1 (D21 has integrated D11
-    only through round 2; that cause is not isolated yet).
+    These three runs lost entries while each block was sent once: at every
+    D21 replica ``byz-leader-silence`` seed 1 missed 3 of D11's 14 entries
+    (the silent primary kept building blocks the adversary swallowed),
+    ``byz-partition-flap`` seed 2 missed 5 of 14, and ``byz-equivocation``
+    seed 1 missed 8 of 11 (the backup promoted to D11's primary numbered its
+    blocks from round 1 again, and D21 dropped them as duplicates).  Blocks
+    are now acknowledged and re-sent, and a promoted backup covers its whole
+    ledger.
     """
     missing = {}
     for name, seed in (
@@ -278,3 +275,187 @@ def test_parent_dag_holds_every_child_entry():
                 if lost:
                     missing[(name, child.id.name, node.address)] = lost
     assert not missing, missing
+
+
+def _lazy(node):
+    return next(c for c in node.components if isinstance(c, LazyPropagation))
+
+
+def _entries(deployment, domain, count):
+    """``count`` committed entries of ``domain``'s ledger, issued and run."""
+    transactions = [
+        internal_transfer(domain, sender_index=i, recipient_index=i + 1,
+                          client=ClientId(home=D01, index=1))
+        for i in range(count)
+    ]
+    for client in deployment.create_clients(transactions):
+        client.start()
+    ledger = deployment.ledger_of(domain)
+    deployment.simulator.run(
+        until_ms=deployment.simulator.now + 500.0,
+        stop_when=lambda: all(tx.tid in ledger for tx in transactions),
+    )
+    return ledger.entries_between(1, len(ledger))
+
+
+class TestAcknowledgedBlocks:
+    """Blocks are named by position, acknowledged, and re-sent."""
+
+    def test_a_swallowed_tail_block_is_resent_and_integrated_once(self):
+        deployment = _idle_deployment()
+        primary = deployment.primary_node_of(D11)
+        send, swallowed = primary.send, []
+
+        def swallow_first_block_with_entries(address, message):
+            if isinstance(message, BlockPropagate) and message.block.entries:
+                if not swallowed or swallowed[0] is message:
+                    swallowed.append(message)
+                    return
+            send(address, message)
+
+        primary.send = swallow_first_block_with_entries
+        (entry,) = _entries(deployment, D11, 1)
+        simulator = deployment.simulator
+        timeout = deployment.config.timers.cross_domain_timeout_ms
+        simulator.run(until_ms=simulator.now + timeout / 2)
+        parents = deployment.nodes_of(D21)
+        assert swallowed and all(entry.tid not in n.dag for n in parents)
+        simulator.run(until_ms=simulator.now + timeout * 1.5)
+        deployment.stop_rounds()
+        assert _lazy(primary).resends == 1
+        lost_round = swallowed[0].block.round_number
+        for node in parents:
+            vertex = node.dag.vertex(entry.tid)
+            (round_number,) = vertex.rounds.values()  # integrated once
+            assert round_number > lost_round
+            assert node.dag.position_from(D11) == 1
+        assert _lazy(primary)._acked == 1 and not _lazy(primary)._unacked
+
+    def test_a_lost_abort_only_block_is_resent(self):
+        """An abort-only block ends where the block before it ended, so the
+        next block's acknowledged position does not settle it: its round
+        does, and a lost one is re-sent with its aborts."""
+        deployment = _idle_deployment()
+        primary = deployment.primary_node_of(D11)
+        send, swallowed = primary.send, []
+
+        def swallow_the_abort_only_block(address, message):
+            if isinstance(message, BlockPropagate) and message.block.aborted:
+                if not swallowed or swallowed[0] is message:
+                    swallowed.append(message)
+                    return
+            send(address, message)
+
+        primary.send = swallow_the_abort_only_block
+        tid = make_tid()
+        primary.shared.setdefault(SHARED_ROUND_ABORTS, []).append(tid)
+        simulator = deployment.simulator
+        simulator.run(until_ms=simulator.now + 20.0)
+        assert swallowed and not swallowed[0].block.entries
+        (entry,) = _entries(deployment, D11, 1)
+        parents = deployment.nodes_of(D21)
+        timeout = deployment.config.timers.cross_domain_timeout_ms
+        lost_round = swallowed[0].block.round_number
+        (lost,) = [s for s in _lazy(primary)._unacked if s.round == lost_round]
+        simulator.run(until_ms=lost.sent_at + timeout / 2)
+        # The entry's block was integrated and acknowledged past the lost one.
+        assert all(entry.tid in n.dag and not n.dag.is_aborted(tid) for n in parents)
+        assert _lazy(primary)._acked == 1 and _lazy(primary)._unacked == [lost]
+        simulator.run(until_ms=simulator.now + timeout * 1.5)
+        deployment.stop_rounds()
+        assert _lazy(primary).resends == 1 and not _lazy(primary)._unacked
+        assert all(n.dag.is_aborted(tid) for n in parents)
+
+    def test_a_promoted_backups_overlapping_block_adds_only_the_suffix(self):
+        deployment = _idle_deployment()
+        entries = _entries(deployment, D11, 3)
+        deployment.simulator.run(until_ms=deployment.simulator.now + 100.0)
+        deployment.stop_rounds()
+        backup = next(n for n in deployment.nodes_of(D11) if not n.is_primary)
+        lazy = _lazy(backup)
+        # A backup never built a block, so its first one covers its whole
+        # ledger with the exact delta since version 0.
+        block = lazy._build_height1_block(lazy._position, lazy._base, ())
+        assert (block.start, block.end) == (0, 3)
+        assert block.entries == tuple(backup.ledger.entries_between(1, 3))
+        assert block.transaction_ids == tuple(e.tid for e in entries)
+        abstraction = backup.application.abstraction()
+        assert block.state_delta == abstraction(backup.state.delta_since(0))
+        # A parent that holds the first two entries (from the old primary)
+        # adds the third alone, and tells the optimistic protocol only that.
+        parent = DagLedger(D21)
+        node = deployment.nodes_of(D21)[1]
+        node.dag, node.summary = parent, SummarizedView(D21)
+        integrated = []
+        node.notify_block_integrated = lambda b, child: integrated.append(b)
+        lazy_parent = _lazy(node)
+        first = BlockMessage.build(
+            domain=D11, round_number=3, entries=block.entries[:2]
+        )
+        lazy_parent.on_decide(1, BlockOrder(block=first, child_domain=D11))
+        promoted = BlockMessage.build(
+            domain=D11, round_number=9, entries=block.entries,
+            state_delta=block.state_delta,
+        )
+        lazy_parent.on_decide(2, BlockOrder(block=promoted, child_domain=D11))
+        assert [v.tid for v in parent.transactions()] == [e.tid for e in entries]
+        assert [v.rounds for v in parent.transactions()] == [
+            {D11: 3}, {D11: 3}, {D11: 9}
+        ]
+        assert parent.position_from(D11) == 3
+        assert [b.transaction_ids for b in integrated] == [
+            first.transaction_ids, (entries[2].tid,)
+        ]
+        assert node.summary.value(D11, "volume:D11") == block.state_delta["volume:D11"]
+        # A block starting past the held position adds nothing.
+        past = BlockMessage.build(
+            domain=D11, round_number=12, entries=block.entries[2:], start=5
+        )
+        lazy_parent.on_decide(3, BlockOrder(block=past, child_domain=D11))
+        assert parent.position_from(D11) == 3 and len(integrated) == 2
+        # Replicas may append non-conflicting commits in different orders: a
+        # promoted backup's ledger holds the parent's second entry third.
+        def at(entry, position):
+            sequence = SequenceNumber.multi([(D11, position)])
+            return CommittedEntry(transaction=entry.transaction, sequence=sequence)
+
+        node.dag = reordered = DagLedger(D21)
+        node.summary = SummarizedView(D21)
+        old = BlockMessage.build(
+            domain=D11, round_number=3, entries=(at(entries[0], 1), at(entries[1], 2))
+        )
+        new = BlockMessage.build(
+            domain=D11, round_number=9,
+            entries=(at(entries[0], 1), at(entries[2], 2), at(entries[1], 3)),
+        )
+        lazy_parent.on_decide(4, BlockOrder(block=old, child_domain=D11))
+        lazy_parent.on_decide(5, BlockOrder(block=new, child_domain=D11))
+        assert len(reordered) == 3 and reordered.position_from(D11) == 3
+        assert reordered.vertex(entries[1].tid).entry.position_in(D11) == 2
+        assert integrated[-1].transaction_ids == (entries[2].tid,)
+
+    def test_a_stale_block_is_acknowledged_but_not_integrated(self):
+        deployment = _idle_deployment()
+        (entry,) = _entries(deployment, D11, 1)
+        deployment.simulator.run(until_ms=deployment.simulator.now + 100.0)
+        parent = deployment.primary_node_of(D21)
+        dag, lazy_parent = parent.dag, _lazy(parent)
+        assert dag.position_from(D11) == 1
+        held = (len(dag), dag.rounds_received_from(D11))
+        backup = next(n for n in deployment.nodes_of(D11) if not n.is_primary)
+        submitted = []
+        parent.engine.submit = submitted.append
+        stale = BlockMessage.build(domain=D11, round_number=1, entries=(entry,))
+        lazy_parent.handle_message(
+            BlockPropagate(block=stale, child_domain=D11), backup.address
+        )
+        # A decided replay of the same round is a no-op too.
+        lazy_parent.on_decide(
+            99, BlockOrder(block=stale, child_domain=D11, sender=backup.address)
+        )
+        deployment.simulator.run(until_ms=deployment.simulator.now + 50.0)
+        deployment.stop_rounds()
+        assert submitted == []
+        assert (len(dag), dag.rounds_received_from(D11)) == held
+        assert dag.vertex(entry.tid).rounds[D11] > 1
+        assert _lazy(backup)._acked == 1

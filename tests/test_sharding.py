@@ -3,8 +3,8 @@
 Five layers of coverage:
 
 * unit tests for the sharded :class:`~repro.ledger.state.StateStore`
-  (stable key→shard hash, per-shard write logs, merged ``delta_since`` /
-  ``write_log`` slices, shard-restricted extraction, empty shards);
+  (stable key→shard hash, per-shard write counts, ``delta_since`` equal
+  to an unsharded store's, empty shards);
 * unit tests for :class:`~repro.sim.cpu.ExecutionLanes` (span = max over
   lanes, lane accounting, the ``lanes=1`` no-op);
 * the scenario-spec surface (validation, JSON round-trip, builder
@@ -78,45 +78,33 @@ def test_shards_of_returns_sorted_distinct_footprint():
 
 
 @pytest.mark.parametrize("shards", [2, 5, 16])
-def test_merged_delta_and_write_log_match_unsharded(shards):
-    """Merged-slice semantics: any shard count reproduces the single log."""
+def test_delta_matches_unsharded(shards):
+    """Any shard count reproduces the unsharded store's deltas."""
     plain, sharded = _mirrored_stores(shards, _random_writes())
     assert sharded.version == plain.version
     assert sharded.snapshot() == plain.snapshot()
     for since in (0, 1, 57, plain.version - 1, plain.version):
-        assert sharded.delta_since(since) == plain.delta_since(since)
-        # Same records, same (version) order — not just the same set.
-        assert sharded.write_log(since) == plain.write_log(since)
+        # Same keys, same values, same (latest-write) order.
+        assert list(sharded.delta_since(since).items()) == list(
+            plain.delta_since(since).items()
+        )
     assert list(sharded.keys()) == list(plain.keys())
 
 
-def test_per_shard_logs_partition_the_merged_log():
-    _, sharded = _mirrored_stores(8, _random_writes())
-    per_shard = [sharded.write_log(shards=[i]) for i in range(8)]
-    assert sum(len(part) for part in per_shard) == sharded.version
-    assert sharded.shard_write_counts() == tuple(len(p) for p in per_shard)
-    for index, part in enumerate(per_shard):
-        assert all(sharded.shard_of(r.key) == index for r in part)
-        # Each shard's log is version-sorted.
-        assert [r.version for r in part] == sorted(r.version for r in part)
-    merged = sorted(
-        (record for part in per_shard for record in part),
-        key=lambda record: record.version,
+def test_per_shard_write_counts_partition_the_writes():
+    writes = _random_writes()
+    _, sharded = _mirrored_stores(8, writes)
+    counts = sharded.shard_write_counts()
+    assert sum(counts) == sharded.version == len(writes)
+    assert counts == tuple(
+        sum(sharded.shard_of(key) == index for key, _ in writes) for index in range(8)
     )
-    assert tuple(merged) == sharded.write_log()
-
-
-def test_shard_restricted_delta_touches_only_named_shards():
-    _, sharded = _mirrored_stores(8, _random_writes())
-    full = sharded.delta_since(0)
-    for subset in ([0], [3, 5], list(range(8))):
-        restricted = sharded.delta_since(0, shards=subset)
-        expected = {
-            key: value
-            for key, value in full.items()
-            if sharded.shard_of(key) in set(subset)
-        }
-        assert restricted == expected
+    for index in range(8):
+        assert all(sharded.shard_of(k) == index for k in sharded.keys_of_shard(index))
+    assert sorted(k for i in range(8) for k in sharded.keys_of_shard(i)) == sorted(
+        sharded.keys()
+    )
+    assert sharded.verify_partition() == ()
 
 
 def test_empty_shard_domains_are_harmless():
@@ -133,9 +121,7 @@ def test_empty_shard_domains_are_harmless():
         )
         assert store.keys_of_shard(shard) == expected
     assert store.delta_since(0) == {"only": 1, "keys": 2}
-    assert len(store.write_log()) == 2
-    empty = next(s for s in range(64) if s not in occupied)
-    assert store.delta_since(0, shards=[empty]) == {}
+    assert sum(store.shard_write_counts()) == 2
 
 
 def test_restore_spans_shards_and_keeps_delta_semantics():
@@ -158,8 +144,6 @@ def test_state_store_validates_shard_arguments():
     store = StateStore("s", shards=4)
     with pytest.raises(StateError):
         store.keys_of_shard(4)
-    with pytest.raises(StateError):
-        store.write_log(shards=[7])
     with pytest.raises(StateError):
         store.delta_since(99)
 

@@ -1,10 +1,17 @@
 """Unit and property tests for the blockchain state store."""
 
+import tracemalloc
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import InsufficientBalanceError, StateError, UnknownAccountError
 from repro.ledger.state import StateStore
+from repro.recovery.wal import state_root_of
+
+#: One write of the oracle's full history.
+_Write = namedtuple("_Write", "version key value")
 
 
 class TestKeyValue:
@@ -147,7 +154,7 @@ class TestDeltasAndSnapshots:
         assert state.snapshot() == snapshot
         # Removed keys are tombstoned in sorted order, whatever the
         # string-hash seed makes of set iteration.
-        tombstones = [r.key for r in state.write_log(mark) if r.key not in snapshot]
+        tombstones = [key for key in state.delta_since(mark) if key not in snapshot]
         assert tombstones == ["c", "m", "z"]
 
     def test_totals_by_prefix(self):
@@ -157,13 +164,14 @@ class TestDeltasAndSnapshots:
         state.put("other", 99)
         assert state.totals("acct:") == 25
 
-    def test_write_log_filters_by_version(self):
+    def test_delta_keys_follow_their_latest_writes(self):
         state = StateStore()
         state.put("a", 1)
-        mark = state.version
         state.put("b", 2)
-        log = state.write_log(mark)
-        assert [record.key for record in log] == ["b"]
+        state.put("a", 3)
+        assert list(state.delta_since(0).items()) == [("b", 2), ("a", 3)]
+        assert list(state.delta_since(1)) == ["b", "a"]
+        assert list(state.delta_since(2)) == ["a"]
 
 
 class _MirroredStore(StateStore):
@@ -174,25 +182,25 @@ class _MirroredStore(StateStore):
         self.mirror = []
 
     def put(self, key, value):
-        from repro.ledger.state import WriteRecord
-
         version = super().put(key, value)
-        self.mirror.append(WriteRecord(version=version, key=key, value=value))
+        self.mirror.append(_Write(version=version, key=key, value=value))
         return version
 
 
-class TestDeltaIndexPinning:
-    """The indexed (now per-shard) delta/write-log fast paths return exactly
-    what the naive single-full-log scan returned before the per-key
-    latest-version index (and the shard split) landed."""
+def _naive_delta(mirror, version):
+    """The latest value of every key written after ``version``, in the order
+    of those latest writes, from the full write history."""
+    delta = {}
+    for record in mirror:
+        if record.version > version:
+            delta.pop(record.key, None)
+            delta[record.key] = record.value
+    return delta
 
-    @staticmethod
-    def _naive_delta(state, version):
-        delta = {}
-        for record in state.mirror:
-            if record.version > version:
-                delta[record.key] = record.value
-        return delta
+
+class TestDeltaIndexPinning:
+    """The log-free delta returns exactly what the naive scan of the full
+    write history returns."""
 
     @staticmethod
     def _churned_store(shards=1):
@@ -216,14 +224,14 @@ class TestDeltaIndexPinning:
     def test_deltas_match_the_naive_full_log_scan(self, shards):
         state = self._churned_store(shards)
         for version in (0, 1, 7, 100, 399, state.version - 1, state.version):
-            assert state.delta_since(version) == self._naive_delta(state, version)
+            assert state.delta_since(version) == _naive_delta(state.mirror, version)
 
     @pytest.mark.parametrize("shards", [1, 5])
-    def test_write_log_matches_the_naive_filter(self, shards):
+    def test_delta_key_order_matches_the_naive_scan(self, shards):
         state = self._churned_store(shards)
-        for since in (-3, 0, 1, 100, state.version):
-            expected = tuple(r for r in state.mirror if r.version > since)
-            assert state.write_log(since) == expected
+        for since in range(state.version + 1):
+            expected = list(_naive_delta(state.mirror, since).items())
+            assert list(state.delta_since(since).items()) == expected
 
     def test_delta_extraction_is_proportional_to_the_suffix(self):
         state = StateStore("hot")
@@ -231,6 +239,90 @@ class TestDeltaIndexPinning:
             state.put(f"k{i % 50}", i)
         mark = state.version
         state.put("fresh", 1)
-        # The slice after `mark` holds one record; the naive scan walked 5001.
+        # The walk stops at the first key written at or before `mark`; the
+        # naive scan walked 5001 writes.
         assert state.delta_since(mark) == {"fresh": 1}
-        assert len(state.write_log(mark)) == 1
+        assert state._written_after(mark) == ["fresh"]
+
+
+_KEYS = [f"k{i}" for i in range(12)]
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(_KEYS), st.integers(0, 9)),
+        st.tuples(st.just("increment"), st.sampled_from(_KEYS), st.integers(1, 5)),
+        st.tuples(st.just("remove"), st.sampled_from(_KEYS)),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore")),
+        st.tuples(st.just("split"), st.integers(0, 15)),
+        st.tuples(st.just("root")),
+    ),
+    max_size=60,
+)
+
+
+class TestLogFreeStoreOracle:
+    """Random write histories against the full-history mirror: the store
+    keeps values, not history, and still answers every version exactly."""
+
+    @pytest.mark.parametrize("shards", [1, 5, 8])
+    @given(operations=_OPERATIONS)
+    def test_store_matches_its_full_history(self, shards, operations):
+        state = _MirroredStore("oracle", shards=shards)
+        saved = None
+        for operation in operations:
+            kind, args = operation[0], operation[1:]
+            if kind == "put":
+                state.put(*args)
+            elif kind == "increment":
+                if isinstance(state.get(args[0], 0), (int, float)):
+                    state.increment(*args)
+            elif kind == "remove":
+                if args[0] in state:
+                    state.remove(args[0])
+            elif kind == "snapshot":
+                saved = state.snapshot()
+            elif kind == "restore":
+                if saved is not None:
+                    state.restore(saved)
+            elif kind == "split":
+                state.split_shard(args[0] % state.shard_count)
+            else:
+                assert state.state_root() == state_root_of(state.snapshot())
+        mirror = state.mirror
+        for version in range(state.version + 1):
+            expected = _naive_delta(mirror, version)
+            assert list(state.delta_since(version).items()) == list(expected.items())
+        assert state.state_root() == state_root_of(state.snapshot())
+        first_written = list(dict.fromkeys(record.key for record in mirror))
+        for index in range(state.shard_count):
+            routed = [r for r in mirror if state.shard_of(r.key) == index]
+            assert state.shard_write_counts()[index] == len(routed)
+            assert state.keys_of_shard(index) == tuple(
+                key
+                for key in first_written
+                if key in state and state.shard_of(key) == index
+            )
+        assert sum(state.shard_write_counts()) == state.version == len(mirror)
+        assert state.verify_partition() == ()
+
+
+def test_retained_state_is_bounded_by_the_keys():
+    """10 k more writes over the same 200 keys retain (almost) nothing: a
+    store that kept its write history grew by 2.3 MiB here."""
+    state = StateStore("bounded", shards=4)
+
+    def write(count):
+        for i in range(count):
+            state.put(f"k{i % 200}", i)
+
+    write(10_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write(10_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert state.version == 20_000
+    assert grown < 64 * 1024
