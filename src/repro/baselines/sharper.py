@@ -119,6 +119,14 @@ class _InstanceState:
 class SharperCrossShardProtocol(ProtocolComponent):
     """Flattened cross-shard consensus on every height-1 node."""
 
+    wire = {
+        ClientRequest: "_on_client_request",
+        SharperPropose: "_on_propose",
+        SharperVote: "_on_vote",
+        SharperCommit: "_on_commit",
+        SharperAbort: "_on_abort",
+    }
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         self._instances: Dict[TransactionId, _InstanceState] = {}
@@ -131,17 +139,7 @@ class SharperCrossShardProtocol(ProtocolComponent):
     # ------------------------------------------------------------------ dispatch
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        if isinstance(payload, ClientRequest):
-            return self._on_client_request(payload)
-        if isinstance(payload, SharperPropose):
-            return self._on_propose(payload)
-        if isinstance(payload, SharperVote):
-            return self._on_vote(payload)
-        if isinstance(payload, SharperCommit):
-            return self._on_commit(payload)
-        if isinstance(payload, SharperAbort):
-            return self._on_abort(payload)
-        return False
+        return getattr(self, self.wire[type(payload)])(payload)
 
     # ------------------------------------------------------------------ helpers
 

@@ -514,6 +514,17 @@ class _SpeculatedSlot:
 class ConsensusEngine(abc.ABC):
     """Common state for the intra-domain consensus engines."""
 
+    #: Wire message type -> handler name ``(message, sender)``: the types
+    #: every engine takes, which each engine extends with its own ordering
+    #: messages.  The node routes exactly these types to the engine.
+    wire: Dict[type, str] = {
+        SlotStatusQuery: "_on_slot_query",
+        CatchUpQuery: "_serve_catchup",
+        CatchUpReply: "_on_catchup_reply",
+        ViewChange: "_on_view_change",
+        NewView: "_on_new_view",
+    }
+
     def __init__(self, host: ConsensusHost) -> None:
         self._host = host
         self._domain = host.hosted_domain
@@ -680,7 +691,7 @@ class ConsensusEngine(abc.ABC):
 
     @abc.abstractmethod
     def handle_message(self, message: Any, sender: str) -> bool:
-        """Process an engine message.  Returns ``False`` if not recognised."""
+        """Process one message of a type in :attr:`wire`; returns ``True``."""
 
     # -- helpers shared by the engines ---------------------------------------------------
 
@@ -1032,17 +1043,13 @@ class ConsensusEngine(abc.ABC):
         original payloads and digests, so they are idempotent at receivers.
         """
 
-    def _handle_slot_query(self, message: Any, sender: str) -> bool:
-        """Shared handling of :class:`SlotStatusQuery`; engines call this first."""
-        if not isinstance(message, SlotStatusQuery):
-            return False
+    def _on_slot_query(self, message: SlotStatusQuery, sender: str) -> None:
         if self._log.is_decided(message.slot):
             payload = self._log.payload_of(message.slot)
             if payload is not None:
                 self._host.send_protocol_message(
                     sender, self._decide_echo(message.slot, payload)
                 )
-        return True
 
     def _decide_echo(self, slot: int, payload: Any) -> Any:
         """The engine-specific decided-slot echo message."""
@@ -1109,7 +1116,7 @@ class ConsensusEngine(abc.ABC):
             if not self.is_decided(slot):
                 self._repropose_in_slot(slot, payload)
 
-    def _on_new_view(self, message: NewView) -> None:
+    def _on_new_view(self, message: NewView, sender: str) -> None:
         if message.view <= self.view:
             return
         self._view = message.view
@@ -1118,17 +1125,10 @@ class ConsensusEngine(abc.ABC):
 
     # -- crash recovery ----------------------------------------------------------------
 
-    def _handle_recovery(self, message: Any, sender: str) -> bool:
-        """Shared handling of the catch-up messages; engines call this first."""
-        if isinstance(message, CatchUpQuery):
-            self._serve_catchup(message, sender)
-            return True
-        if isinstance(message, CatchUpReply):
-            manager = getattr(self._host, "recovery", None)
-            if manager is not None:
-                manager.on_reply(message)
-            return True
-        return False
+    def _on_catchup_reply(self, message: CatchUpReply, sender: str) -> None:
+        manager = getattr(self._host, "recovery", None)
+        if manager is not None:
+            manager.on_reply(message)
 
     def _serve_catchup(self, message: CatchUpQuery, sender: str) -> None:
         """Answer a recovering peer: checkpoint (if it helps) + decided run.

@@ -12,13 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.consensus.base import ConsensusEngine, ConsensusHost
-from repro.consensus.messages import (
-    NewView,
-    PaxosAccept,
-    PaxosAccepted,
-    PaxosLearn,
-    ViewChange,
-)
+from repro.consensus.messages import PaxosAccept, PaxosAccepted, PaxosLearn
 from repro.errors import ConsensusError
 from repro.recovery.wal import WalRecord
 
@@ -27,6 +21,13 @@ __all__ = ["PaxosEngine"]
 
 class PaxosEngine(ConsensusEngine):
     """Multi-Paxos with a stable leader inside one crash-only domain."""
+
+    wire = {
+        **ConsensusEngine.wire,
+        PaxosAccept: "_on_accept",
+        PaxosAccepted: "_on_accepted",
+        PaxosLearn: "_on_learn",
+    }
 
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
@@ -76,22 +77,7 @@ class PaxosEngine(ConsensusEngine):
         )
 
     def handle_message(self, message: Any, sender: str) -> bool:
-        if self._handle_slot_query(message, sender):
-            return True
-        if self._handle_recovery(message, sender):
-            return True
-        if isinstance(message, PaxosAccept):
-            self._on_accept(message, sender)
-        elif isinstance(message, PaxosAccepted):
-            self._on_accepted(message, sender)
-        elif isinstance(message, PaxosLearn):
-            self._on_learn(message)
-        elif isinstance(message, ViewChange):
-            self._on_view_change(message, sender)
-        elif isinstance(message, NewView):
-            self._on_new_view(message)
-        else:
-            return False
+        getattr(self, self.wire[type(message)])(message, sender)
         return True
 
     def _on_accept(self, message: PaxosAccept, sender: str) -> None:
@@ -141,7 +127,7 @@ class PaxosEngine(ConsensusEngine):
         )
         self._broadcast(learn)
 
-    def _on_learn(self, message: PaxosLearn) -> None:
+    def _on_learn(self, message: PaxosLearn, sender: str) -> None:
         self._observe_slot(message.slot)
         self._record_decision(message.slot, message.payload)
 

@@ -26,7 +26,6 @@ from repro.consensus.messages import (
     PbftDecide,
     PbftPrePrepare,
     PbftPrepare,
-    ViewChange,
 )
 from repro.recovery.wal import WalRecord
 
@@ -38,6 +37,14 @@ _VoteKey = Tuple[int, bytes]
 
 class PbftEngine(ConsensusEngine):
     """PBFT normal case plus a simplified view change, inside one domain."""
+
+    wire = {
+        **ConsensusEngine.wire,
+        PbftPrePrepare: "_on_pre_prepare",
+        PbftPrepare: "_on_prepare",
+        PbftCommit: "_on_commit",
+        PbftDecide: "_on_decide_echo",
+    }
 
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
@@ -88,24 +95,7 @@ class PbftEngine(ConsensusEngine):
         )
 
     def handle_message(self, message: Any, sender: str) -> bool:
-        if self._handle_slot_query(message, sender):
-            return True
-        if self._handle_recovery(message, sender):
-            return True
-        if isinstance(message, PbftPrePrepare):
-            self._on_pre_prepare(message, sender)
-        elif isinstance(message, PbftPrepare):
-            self._on_prepare(message, sender)
-        elif isinstance(message, PbftCommit):
-            self._on_commit(message, sender)
-        elif isinstance(message, PbftDecide):
-            self._on_decide_echo(message, sender)
-        elif isinstance(message, ViewChange):
-            self._on_view_change(message, sender)
-        elif isinstance(message, NewView):
-            self._on_new_view(message)
-        else:
-            return False
+        getattr(self, self.wire[type(message)])(message, sender)
         return True
 
     def _on_pre_prepare(self, message: PbftPrePrepare, sender: str) -> None:
@@ -311,14 +301,14 @@ class PbftEngine(ConsensusEngine):
         self._broadcast(message)
         self._maybe_commit_phase(slot)
 
-    def _on_new_view(self, message: NewView) -> None:
+    def _on_new_view(self, message: NewView, sender: str) -> None:
         if message.view > self.view:
             # Commits sent in the old view do not carry over: an undecided
             # slot must be free to re-vote under the new primary.
             self._commit_sent = {
                 slot for slot in self._commit_sent if self.is_decided(slot)
             }
-        super()._on_new_view(message)
+        super()._on_new_view(message, sender)
 
     # -- crash recovery --------------------------------------------------------------------
 

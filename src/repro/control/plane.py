@@ -15,22 +15,19 @@ bus, runs the controllers, and applies their decisions:
 
 Every applied change is recorded as a ``control:*`` trace event
 (``control:batch``, ``control:group``, ``control:rebalance``, and the phase-2
-``control:split`` / ``control:shed``), which is what reporting, the
-invariant checker's control passes, and the controller-determinism tests
-read back.
+``control:split``), which is what reporting, the invariant checker's control
+passes, and the controller-determinism tests read back.
 
-Phase 2 extends the loop with two more actuators (both policy-gated, both
-off by default): sustained decide-latency overrun flips the node's
-admission valve (load shedding), and a lane rebalance blocked repeatedly
-on a single-resident hot lane either splits that shard's key range between
-execution windows or backs off exponentially instead of re-evaluating the
-same dead end every interval.
+Phase 2 extends the loop (policy-gated, off by default): a lane rebalance
+blocked repeatedly on a single-resident hot lane either splits that shard's
+key range between execution windows or backs off exponentially instead of
+re-evaluating the same dead end every interval.
 
 A tick that would change nothing is skipped (:meth:`ControlPlane.idle`):
-with an empty telemetry window, no shed streak to end and no lane work the
-controllers decide exactly what they decided last time.  Skipping it keeps
-every decision, and one clock firing the planes in join order keeps the
-event order of the timer per node it replaces.
+with an empty telemetry window and no lane work the controllers decide
+exactly what they decided last time.  Skipping it keeps every decision, and
+one clock firing the planes in join order keeps the event order of the timer
+per node it replaces.
 
 This module deliberately imports nothing from :mod:`repro.core`: the node is
 duck-typed (the same host surface the consensus engines rely on), keeping the
@@ -103,7 +100,9 @@ class ControlPlane:
             group_size=node.config.xdomain_batch_size,
         )
         self._rebalancer = LaneRebalancer(self.policy)
-        self._group_target: Optional[Any] = None
+        #: The coordinator component owning the grouped-2PC target size; it
+        #: sets this itself when it joins the node (coordinator deployments).
+        self.group_target: Optional[Any] = None
         self.clock: Optional[ControlClock] = None
         self._wipes = 0
         self._lane_work = False
@@ -111,13 +110,12 @@ class ControlPlane:
         #: differ from the actuators' configured sizes.
         self._synced = False
         self.lane_moves = 0
-        # Phase 2 state: shard splitting and load shedding.
+        # Phase 2 state: shard splitting.
         self.splits = 0
         self.rebalance_evals = 0
         self._blocked_streak = 0
         self._backoff_exp = 0
         self._rebalance_skip = 0
-        self._overrun_streak = 0
 
     # ------------------------------------------------------------------ component surface
 
@@ -131,21 +129,6 @@ class ControlPlane:
         )
         self.clock = ControlClock.join(self)
 
-    def handle_message(self, payload: Any, sender: str) -> bool:
-        return False
-
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        return False
-
-    def on_submission_dropped(self, payload: Any) -> bool:
-        return False
-
-    def on_block_integrated(self, block: Any, child_domain: Any) -> None:
-        pass
-
-    def on_transaction_appended(self, entry: Any) -> None:
-        pass
-
     # ------------------------------------------------------------------ the control loop
 
     @property
@@ -156,16 +139,12 @@ class ControlPlane:
     def idle(self) -> bool:
         """Whether a tick now would change nothing, so the clock skips it.
 
-        An empty window decides the targets already applied, ends no shed
-        streak and flips no valve; only lane work (the busy-window reset and
-        the rebalance back-off) happens on every tick regardless.
+        An empty window decides the targets already applied; only lane work
+        (the busy-window reset and the rebalance back-off) happens on every
+        tick regardless.
         """
         return (
-            self._synced
-            and self.node.control_bus.empty
-            and not self.node.shedding
-            and self._overrun_streak == 0
-            and not self._lane_work
+            self._synced and self.node.control_bus.empty and not self._lane_work
         )
 
     def _tick(self) -> None:
@@ -179,7 +158,6 @@ class ControlPlane:
         decision = self._controller.update(snapshot)
         self._apply_batch_target(decision)
         self._apply_group_target(decision)
-        self._update_shedding(decision)
         self._rebalance_lanes()
 
     # ------------------------------------------------------------------ actuators
@@ -199,7 +177,7 @@ class ControlPlane:
         )
 
     def _apply_group_target(self, decision: Any) -> None:
-        coordinator = self._find_group_target()
+        coordinator = self.group_target
         if coordinator is None:
             return
         if decision.group_size == coordinator.group_size:
@@ -214,52 +192,6 @@ class ControlPlane:
             vote_rtt_ms=decision.vote_rtt_ms,
             retries=decision.retries,
         )
-
-    def _update_shedding(self, decision: Any) -> None:
-        """Flip the node's admission valve on sustained decide-latency overrun.
-
-        ``shed_after_windows`` consecutive windows above the latency target
-        turn shedding on; the first window at/below target (or with nothing
-        decided at all — an idle window cannot be overloaded) turns it off.
-        Every flip is traced; the rejects themselves are traced by
-        ``SaguaroNode.shed_admission`` so no transaction disappears silently.
-        """
-        if not self.policy.shed:
-            return
-        node = self.node
-        latency = decision.decide_latency_ms
-        overrun = (
-            latency is not None
-            and latency > self.policy.target_decide_latency_ms
-        )
-        if overrun:
-            self._overrun_streak += 1
-        else:
-            self._overrun_streak = 0
-        if not node.shedding and self._overrun_streak >= self.policy.shed_after_windows:
-            node.shedding = True
-            node.record_trace(
-                "control:shed",
-                action="on",
-                windows=self._overrun_streak,
-                decide_latency_ms=round(latency, 4),
-            )
-        elif node.shedding and not overrun:
-            node.shedding = False
-            node.record_trace(
-                "control:shed",
-                action="off",
-                decide_latency_ms=None if latency is None else round(latency, 4),
-            )
-
-    def _find_group_target(self) -> Optional[Any]:
-        """The component owning the grouped-2PC target (duck-typed), if any."""
-        if self._group_target is None:
-            for component in self.node.components:
-                if hasattr(component, "set_group_size"):
-                    self._group_target = component
-                    break
-        return self._group_target
 
     def _rebalance_lanes(self) -> None:
         """Re-place hot shards using the *cumulative* write distribution.

@@ -21,7 +21,7 @@ and is bit-identical to a deployment built before the control plane existed.
   exceeds ``imbalance_ratio`` (at most ``max_moves_per_interval`` shard
   moves per control tick, applied only between execution windows).
 
-Phase 2 adds three opt-in mechanisms (all default off, all requiring an
+Phase 2 adds two opt-in mechanisms (both default off, both requiring an
 adaptive policy):
 
 * ``conflict_leases`` — a grouped-2PC member held back by a *foreign*
@@ -31,11 +31,7 @@ adaptive policy):
 * ``split_shards`` — when the lane rebalancer's single-resident guard
   blocks ``split_after_blocked`` consecutive evaluations, the hot shard's
   key range is split into two child shards between execution windows
-  (at most ``max_splits`` splits per node);
-* ``shed`` — when the windowed decide latency overruns
-  ``target_decide_latency_ms`` for ``shed_after_windows`` consecutive
-  windows, new client admissions are rejected (traced, never silently
-  dropped) until a window recovers.
+  (at most ``max_splits`` splits per node).
 """
 
 from __future__ import annotations
@@ -85,9 +81,6 @@ class ControlPolicy(DictSerializable):
     split_shards: bool = False
     split_after_blocked: int = 3
     max_splits: int = 8
-    # Phase 2: load shedding of new client admissions under overload.
-    shed: bool = False
-    shed_after_windows: int = 4
 
     def __post_init__(self) -> None:
         if self.policy not in CONTROL_POLICIES:
@@ -127,13 +120,9 @@ class ControlPolicy(DictSerializable):
             raise ConfigurationError("split_after_blocked must be >= 1")
         if self.max_splits < 1:
             raise ConfigurationError("max_splits must be >= 1")
-        if self.shed_after_windows < 1:
-            raise ConfigurationError("shed_after_windows must be >= 1")
-        if not self.enabled and (
-            self.conflict_leases or self.split_shards or self.shed
-        ):
+        if not self.enabled and (self.conflict_leases or self.split_shards):
             raise ConfigurationError(
-                "phase-2 mechanisms (conflict_leases, split_shards, shed) "
+                "phase-2 mechanisms (conflict_leases, split_shards) "
                 "require an adaptive policy"
             )
 

@@ -245,6 +245,42 @@ class _ConflictLease:
 class CoordinatorCrossDomainProtocol(ProtocolComponent):
     """Implements Algorithm 1 on both coordinator and participant nodes."""
 
+    wire = {
+        ClientRequest: "_on_client_request",
+        CrossForward: "_on_forward",
+        CrossPrepare: "_on_prepare",
+        CrossPrepared: "_on_prepared",
+        CrossCommit: "_on_commit",
+        CrossAbort: "_on_abort",
+        CrossAck: "_on_ack",
+        CommitQuery: "_on_commit_query",
+        GroupCrossPrepare: "_on_group_prepare",
+        GroupCrossPrepared: "_on_group_prepared",
+        GroupCrossCommit: "_on_group_commit",
+        GroupCrossAck: "_on_group_ack",
+    }
+    decided = {
+        CoordinatorPrepareOrder: "_decided_coordinator_prepare",
+        ParticipantPrepareOrder: "_decided_participant_prepare",
+        CoordinatorCommitOrder: "_decided_coordinator_commit",
+        CoordinatorAbortOrder: "_decided_coordinator_abort",
+        GroupPrepareOrder: "_decided_group_prepare",
+        GroupParticipantPrepareOrder: "_decided_group_participant_prepare",
+        GroupParticipantPrepareOrderWithLeases: "_decided_group_participant_prepare",
+        GroupCommitOrder: "_decided_group_commit",
+    }
+    #: A dropped commit or abort order needs no local clean-up: participants'
+    #: commit queries re-drive a commit through the current primary (see
+    #: :meth:`_on_commit_query`), and an unordered abort leaves its attempts
+    #: live.
+    dropped = {
+        CoordinatorPrepareOrder: "_dropped_coordinator_prepare",
+        ParticipantPrepareOrder: "_dropped_participant_prepare",
+        GroupPrepareOrder: "_dropped_group_prepare",
+        GroupParticipantPrepareOrder: "_dropped_group_participant_prepare",
+        GroupParticipantPrepareOrderWithLeases: "_dropped_group_participant_prepare",
+    }
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         # Coordinator role.
@@ -292,100 +328,50 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         #: (adaptive deployments only) — the coordinator produces the
         #: ``group.*`` / ``xdomain.*`` metrics.
         self._bus = getattr(node, "control_bus", None)
+        if node.control is not None:
+            node.control.group_target = self  # the plane resizes our groups
 
     # ------------------------------------------------------------------ dispatch
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        if isinstance(payload, ClientRequest):
-            return self._on_client_request(payload)
-        if isinstance(payload, CrossForward):
-            return self._on_forward(payload)
-        if isinstance(payload, CrossPrepare):
-            return self._on_prepare(payload)
-        if isinstance(payload, CrossPrepared):
-            return self._on_prepared(payload)
-        if isinstance(payload, CrossCommit):
-            return self._on_commit(payload)
-        if isinstance(payload, CrossAbort):
-            return self._on_abort(payload)
-        if isinstance(payload, CrossAck):
-            return self._on_ack(payload)
-        if isinstance(payload, CommitQuery):
-            return self._on_commit_query(payload)
-        if isinstance(payload, GroupCrossPrepare):
-            return self._on_group_prepare(payload)
-        if isinstance(payload, GroupCrossPrepared):
-            return self._on_group_prepared(payload)
-        if isinstance(payload, GroupCrossCommit):
-            return self._on_group_commit(payload)
-        if isinstance(payload, GroupCrossAck):
-            return self._on_group_ack(payload)
-        return False
+        return getattr(self, self.wire[type(payload)])(payload)
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if isinstance(payload, CoordinatorPrepareOrder):
-            self._decided_coordinator_prepare(slot, payload)
-            return True
-        if isinstance(payload, ParticipantPrepareOrder):
-            self._decided_participant_prepare(slot, payload)
-            return True
-        if isinstance(payload, CoordinatorCommitOrder):
-            self._decided_coordinator_commit(payload)
-            return True
-        if isinstance(payload, CoordinatorAbortOrder):
-            self._decided_coordinator_abort(payload)
-            return True
-        if isinstance(payload, GroupPrepareOrder):
-            self._decided_group_prepare(slot, payload)
-            return True
-        if isinstance(payload, GroupParticipantPrepareOrder):
-            self._decided_group_participant_prepare(slot, payload)
-            return True
-        if isinstance(payload, GroupCommitOrder):
-            self._decided_group_commit(payload)
-            return True
-        return False
+    def on_decide(self, slot: int, payload: Any) -> None:
+        getattr(self, self.decided[type(payload)])(slot, payload)
 
-    def on_submission_dropped(self, payload: Any) -> bool:
+    def on_submission_dropped(self, payload: Any) -> None:
         """Clear the pending-dedup entries of a never-proposed order.
 
         Without this, a deposed-then-re-elected primary would treat every
         retransmitted forward/prepare of the dropped transaction as a
-        duplicate and never propose it.  A dropped commit order needs no
-        local cleanup: the participants' periodic commit queries make the
-        current primary re-order it (see :meth:`_on_commit_query`).
+        duplicate and never propose it.
         """
-        if isinstance(payload, CoordinatorPrepareOrder):
-            self._coord_pending.pop(payload.transaction.tid, None)
-            return True
-        if isinstance(payload, ParticipantPrepareOrder):
-            self._part_pending.pop(payload.transaction.tid, None)
-            return True
-        if isinstance(payload, GroupPrepareOrder):
-            # A deposed coordinator dropped a never-proposed group: forget the
-            # members so client retransmissions re-group through the current
-            # primary (and through this node, if it is re-elected later).
-            self._group_pending.pop(payload.group_id, None)
-            for member in payload.members:
-                self._coord_pending.pop(member.transaction.tid, None)
-            return True
-        if isinstance(payload, GroupParticipantPrepareOrder):
-            self._pgroup_pending.pop(
-                (payload.coordinator_domain, payload.group_id), None
-            )
-            for transaction in payload.transactions:
-                self._part_pending.pop(transaction.tid, None)
-            for member in getattr(payload, "adopted", ()):
-                # Adopted leases of a dropped order: their home coordinators
-                # retry the prepare, which re-enters the normal member flow.
-                self._part_pending.pop(member.transaction.tid, None)
-            return True
-        if isinstance(payload, (GroupCommitOrder, CoordinatorAbortOrder)):
-            # No local cleanup: participants' commit queries re-drive a
-            # commit through the current primary (see `_on_commit_query`);
-            # an unordered abort leaves its attempts live.
-            return True
-        return False
+        getattr(self, self.dropped[type(payload)])(payload)
+
+    def _dropped_coordinator_prepare(self, order: CoordinatorPrepareOrder) -> None:
+        self._coord_pending.pop(order.transaction.tid, None)
+
+    def _dropped_participant_prepare(self, order: ParticipantPrepareOrder) -> None:
+        self._part_pending.pop(order.transaction.tid, None)
+
+    def _dropped_group_prepare(self, order: GroupPrepareOrder) -> None:
+        # A deposed coordinator dropped a never-proposed group: forget the
+        # members so client retransmissions re-group through the current
+        # primary (and through this node, if it is re-elected later).
+        self._group_pending.pop(order.group_id, None)
+        for member in order.members:
+            self._coord_pending.pop(member.transaction.tid, None)
+
+    def _dropped_group_participant_prepare(
+        self, order: GroupParticipantPrepareOrder
+    ) -> None:
+        self._pgroup_pending.pop((order.coordinator_domain, order.group_id), None)
+        for transaction in order.transactions:
+            self._part_pending.pop(transaction.tid, None)
+        for member in getattr(order, "adopted", ()):
+            # Adopted leases of a dropped order: their home coordinators
+            # retry the prepare, which re-enters the normal member flow.
+            self._part_pending.pop(member.transaction.tid, None)
 
     # ------------------------------------------------------------------ client request (participant primary)
 
@@ -403,15 +389,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             return True
         if not self.node.is_primary:
             self.node.send(self.node.engine.primary_address, request)
-            return True
-        if (
-            self.node.shedding
-            and transaction.tid not in self._part
-            and transaction.tid not in self._part_pending
-        ):
-            # Load shedding (control plane, phase 2): refuse admissions that
-            # have not yet entered 2PC; in-flight work always finishes.
-            self.node.shed_admission(transaction, request.client_address)
             return True
         lca = self.node.hierarchy.lowest_common_ancestor(
             list(transaction.involved_domains)
@@ -613,7 +590,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             )
             self.node.engine.submit(order)
 
-    def _decided_coordinator_abort(self, order: CoordinatorAbortOrder) -> None:
+    def _decided_coordinator_abort(
+        self, slot: int, order: CoordinatorAbortOrder
+    ) -> None:
         """Every replica ends the named attempts that are still live — an
         attempt whose commit was decided first stays committed — and then
         the primary tells their participants in one ``CrossAbort``."""
@@ -716,7 +695,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             self.node.engine.submit(order)
         return True
 
-    def _decided_coordinator_commit(self, order: CoordinatorCommitOrder) -> None:
+    def _decided_coordinator_commit(
+        self, slot: int, order: CoordinatorCommitOrder
+    ) -> None:
         state = self._coord.get(order.tid)
         if state is None or not state.in_flight or not state.coordinator_sequence:
             return  # unknown, decided already, or its attempt was aborted first
@@ -975,7 +956,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             GroupCommitOrder(group_id=group.group_id, commits=commits)
         )
 
-    def _decided_group_commit(self, order: GroupCommitOrder) -> None:
+    def _decided_group_commit(self, slot: int, order: GroupCommitOrder) -> None:
         group = self._groups.get(order.group_id)
         if group is None:
             return  # never prepared here, so no member belongs to it

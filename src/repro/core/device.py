@@ -13,7 +13,7 @@ single on-chain transaction when the channel closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.types import (
     ClientId,
@@ -191,9 +191,9 @@ class PaymentChannel:
 class DeviceBatchProtocol(ProtocolComponent):
     """Height-1 handling of transaction batches agreed by a leaf quorum."""
 
-    def handle_message(self, payload: Any, sender: str) -> bool:
-        if not isinstance(payload, DeviceBatchOrder):
-            return False
+    wire = decided = dropped = (DeviceBatchOrder,)
+
+    def handle_message(self, payload: DeviceBatchOrder, sender: str) -> bool:
         if not self.node.is_height1:
             return True
         if self.node.is_primary:
@@ -202,22 +202,16 @@ class DeviceBatchProtocol(ProtocolComponent):
             self.node.send(self.node.engine.primary_address, payload)
         return True
 
-    def on_submission_dropped(self, payload: Any) -> bool:
-        if not isinstance(payload, DeviceBatchOrder):
-            return False
+    def on_submission_dropped(self, payload: DeviceBatchOrder) -> None:
         # Nothing upstream retransmits a device batch (the leaf quorum has
         # already consumed it), so losing it here would lose the devices'
         # agreed transactions for good: hand it to the current primary
         # instead.  Re-delivery is idempotent — decided entries are deduped
         # against the ledger.
         self.node.send(self.node.engine.primary_address, payload)
-        return True
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if not isinstance(payload, DeviceBatchOrder):
-            return False
+    def on_decide(self, slot: int, payload: DeviceBatchOrder) -> None:
         for transaction in payload.transactions:
             if self.node.ledger is not None and transaction.tid not in self.node.ledger:
                 self.node.append_and_execute(transaction, TransactionStatus.COMMITTED)
                 self.node.note_commit(transaction.tid)
-        return True

@@ -22,6 +22,9 @@ __all__ = ["InternalTransactionProtocol"]
 class InternalTransactionProtocol(ProtocolComponent):
     """Orders and executes internal transactions of a height-1 domain."""
 
+    wire = (ClientRequest,)
+    decided = dropped = (InternalOrder,)
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         self._in_flight: Set[TransactionId] = set()
@@ -30,9 +33,7 @@ class InternalTransactionProtocol(ProtocolComponent):
 
     # -- wire messages ------------------------------------------------------------
 
-    def handle_message(self, payload: Any, sender: str) -> bool:
-        if not isinstance(payload, ClientRequest):
-            return False
+    def handle_message(self, payload: ClientRequest, sender: str) -> bool:
         transaction = payload.transaction
         if transaction.kind is not TransactionKind.INTERNAL:
             return False
@@ -62,11 +63,6 @@ class InternalTransactionProtocol(ProtocolComponent):
         tid = payload.transaction.tid
         if tid in self._in_flight:
             return
-        if self.node.shedding:
-            # Load shedding (control plane, phase 2): refuse *new* admissions
-            # while the valve is on; anything already in flight finishes.
-            self.node.shed_admission(payload.transaction, payload.client_address)
-            return
         self._in_flight.add(tid)
         order = InternalOrder(
             transaction=payload.transaction,
@@ -91,18 +87,13 @@ class InternalTransactionProtocol(ProtocolComponent):
 
         self._suspicion_timers[tid] = self.node.set_timer(timeout, _suspect)
 
-    def on_submission_dropped(self, payload: Any) -> bool:
-        if not isinstance(payload, InternalOrder):
-            return False
+    def on_submission_dropped(self, payload: InternalOrder) -> None:
         # Unblock re-proposal when the client retransmits to this node again.
         self._in_flight.discard(payload.transaction.tid)
-        return True
 
     # -- decided payloads -----------------------------------------------------------
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if not isinstance(payload, InternalOrder):
-            return False
+    def on_decide(self, slot: int, payload: InternalOrder) -> None:
         transaction = payload.transaction
         if self.node.ledger is not None and transaction.tid not in self.node.ledger:
             self.node.append_and_execute(transaction, TransactionStatus.COMMITTED)
@@ -114,4 +105,3 @@ class InternalTransactionProtocol(ProtocolComponent):
         if self.node.is_primary:
             client = self._client_of.pop(transaction.tid, payload.client_address)
             self.node.reply_to_client(client, transaction, success=True)
-        return True

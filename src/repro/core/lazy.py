@@ -50,6 +50,9 @@ class _Sent(NamedTuple):
 class LazyPropagation(ProtocolComponent):
     """Round-based block emission (any non-root domain) and integration (parents)."""
 
+    wire = {BlockPropagate: "_on_block", BlockAck: "_on_ack"}
+    decided = dropped = (BlockOrder,)
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         self._round = 0
@@ -194,12 +197,14 @@ class LazyPropagation(ProtocolComponent):
     # ------------------------------------------------------------------ integrating (parent side)
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        if isinstance(payload, BlockAck):
-            self._acked = payload.position
-            self._unacked = [s for s in self._unacked if s.round not in payload.rounds]
-            return True
-        if not isinstance(payload, BlockPropagate):
-            return False
+        return getattr(self, self.wire[type(payload)])(payload, sender)
+
+    def _on_ack(self, payload: BlockAck, sender: str) -> bool:
+        self._acked = payload.position
+        self._unacked = [s for s in self._unacked if s.round not in payload.rounds]
+        return True
+
+    def _on_block(self, payload: BlockPropagate, sender: str) -> bool:
         dag = self.node.dag
         if dag is None:
             return True  # height-1 nodes never receive block messages
@@ -226,19 +231,14 @@ class LazyPropagation(ProtocolComponent):
             self.node.send(sender, ack, rng=self._ack_rng)
         self._acks_due.clear()
 
-    def on_submission_dropped(self, payload: Any) -> bool:
-        if not isinstance(payload, BlockOrder):
-            return False
+    def on_submission_dropped(self, payload: BlockOrder) -> None:
         # Forget the round so a retransmitted block message can re-propose it.
         self._ordering.discard((payload.child_domain, payload.block.round_number))
-        return True
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if not isinstance(payload, BlockOrder):
-            return False
+    def on_decide(self, slot: int, payload: BlockOrder) -> None:
         dag, summary = self.node.dag, self.node.summary
         if dag is None or summary is None:
-            return True
+            return
         block, child = payload.block, payload.child_domain
         self._ordering.discard((child, block.round_number))
         # A replayed round is a no-op, and a block past the held position
@@ -252,7 +252,7 @@ class LazyPropagation(ProtocolComponent):
             fresh = tuple(e for e in block.entries if not dag.reported(e.tid, child))
             if len(fresh) < len(block.entries):
                 if not block.verify_merkle_root():
-                    return True
+                    return
                 block = block.narrowed_to(fresh)
             dag.integrate_block(block, child)
             if block.state_delta:
@@ -262,4 +262,3 @@ class LazyPropagation(ProtocolComponent):
             rounds = self._acks_due.setdefault((child, payload.sender), [])
             if integrated:
                 rounds.append(block.round_number)
-        return True

@@ -33,6 +33,17 @@ __all__ = ["MobileConsensusProtocol"]
 class MobileConsensusProtocol(ProtocolComponent):
     """Implements Algorithm 2 on height-1 nodes (local and remote roles)."""
 
+    wire = {
+        ClientRequest: "_on_client_request",
+        StateQuery: "_on_state_query",
+        StateMessage: "_on_state_message",
+    }
+    decided = {
+        StateGenerateOrder: "_decided_generate",
+        StateApplyOrder: "_decided_apply",
+    }
+    dropped = (StateApplyOrder,)
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         #: lock(n) for devices registered in this domain: True means the local
@@ -70,30 +81,15 @@ class MobileConsensusProtocol(ProtocolComponent):
     # ------------------------------------------------------------------ dispatch
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        if isinstance(payload, ClientRequest):
-            return self._on_client_request(payload)
-        if isinstance(payload, StateQuery):
-            return self._on_state_query(payload)
-        if isinstance(payload, StateMessage):
-            return self._on_state_message(payload)
-        return False
+        return getattr(self, self.wire[type(payload)])(payload)
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if isinstance(payload, StateGenerateOrder):
-            self._decided_generate(payload)
-            return True
-        if isinstance(payload, StateApplyOrder):
-            self._decided_apply(payload)
-            return True
-        return False
+    def on_decide(self, slot: int, payload: Any) -> None:
+        getattr(self, self.decided[type(payload)])(payload)
 
-    def on_submission_dropped(self, payload: Any) -> bool:
-        if not isinstance(payload, StateApplyOrder):
-            return False
+    def on_submission_dropped(self, payload: StateApplyOrder) -> None:
         # The state never installed: clear the outstanding-query marker so a
         # retransmitted mobile request restarts the state transfer.
         self._querying.discard(payload.client)
-        return True
 
     # ------------------------------------------------------------------ client requests
 

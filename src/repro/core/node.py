@@ -13,7 +13,7 @@ summarized ledger and the summarized view (§3, §5).
 from __future__ import annotations
 
 from random import Random
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.metrics import MetricsCollector
 from repro.common.config import DeploymentConfig
@@ -22,7 +22,7 @@ from repro.consensus import ConsensusEngine, engine_for
 from repro.control.plane import ControlPlane
 from repro.control.telemetry import TelemetryBus
 from repro.core.application import Application, ExecutionResult
-from repro.core.messages import ClientReply
+from repro.core.messages import ClientReply, ClientRequest
 from repro.crypto.certificates import QuorumCertificate, Signer
 from repro.crypto.keys import KeyStore
 from repro.errors import ConfigurationError, RecoveryError
@@ -52,39 +52,64 @@ __all__ = ["ProtocolComponent", "SaguaroNode"]
 class ProtocolComponent:
     """Base class for protocol logic hosted by a :class:`SaguaroNode`.
 
-    Components receive wire messages through :meth:`handle_message` and
-    internally ordered payloads through :meth:`on_decide`; both return ``True``
-    when the input was recognised and consumed.
+    A component declares once, per hook kind, the payload types it takes:
+    a tuple of types, or a ``{type: method name}`` dict its hook dispatches
+    through when it takes several.
+
+    * ``wire``: messages from other endpoints, routed to
+      ``handle_message(payload, sender)``, which returns whether it took the
+      message;
+    * ``decided``: payloads the domain's consensus ordered, routed to
+      ``on_decide(slot, payload)``;
+    * ``dropped``: payloads this node submitted that its batcher dropped
+      unproposed (a deposed primary flushing its buffer), routed to
+      ``on_submission_dropped(payload)`` to clear in-flight dedup state so a
+      retransmission can be re-submitted.  A group payload (grouped
+      cross-domain 2PC) is dropped as one unit, so its handler clears every
+      member.  A type nobody declares here needs no clean-up.
+
+    The node routes each payload by ``type(payload)``, never by subclass.
+    Each type has one receiver per node, except :class:`ClientRequest`,
+    offered to its receivers in registration order until one takes it.  A
+    wire message or decided payload nobody takes is traced as
+    ``node:unhandled`` and dropped.  The fan-out hooks ``on_start()``,
+    ``on_block_integrated(block, child_domain)`` (height-2+ nodes, after a
+    child block enters the DAG, §5), ``on_transaction_appended(entry)``
+    (height-1 nodes, after any local append) and ``on_shards_split(parent,
+    child)`` reach only the components that define them.
     """
+
+    wire: Iterable[type] = ()
+    decided: Iterable[type] = ()
+    dropped: Iterable[type] = ()
 
     def __init__(self, node: "SaguaroNode") -> None:
         self.node = node
 
-    def on_start(self) -> None:
-        """Called once when the deployment starts (e.g. to arm round timers)."""
+
+#: Hooks a component receives only if it defines them, in registration order.
+_FAN_OUT_HOOKS = (
+    "on_start",
+    "on_block_integrated",
+    "on_transaction_appended",
+    "on_shards_split",
+)
+
+
+class _EngineRoute:
+    """Wire receiver of the consensus engine's message types.
+
+    :meth:`SaguaroNode.wipe` rebuilds the engine, so the route looks it up
+    on every message instead of holding the one it was built with.
+    """
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: "SaguaroNode") -> None:
+        self.node = node
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        return False
-
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        return False
-
-    def on_submission_dropped(self, payload: Any) -> bool:
-        """A payload this node submitted was dropped unproposed (deposed
-        primary flushing its batch buffer); clear any in-flight dedup state
-        so a retransmission can be re-submitted later.
-
-        Group payloads (grouped cross-domain 2PC orders) are dropped as one
-        unit: the notification fires once per group payload, and the handler
-        must clear the dedup state of *every* member so retransmitted
-        forwards can re-group through the current primary."""
-        return False
-
-    def on_block_integrated(self, block: Any, child_domain: DomainId) -> None:
-        """Called on height-2+ nodes after a child block enters the DAG (§5)."""
-
-    def on_transaction_appended(self, entry: Any) -> None:
-        """Called on height-1 nodes after any transaction is appended locally."""
+        return self.node.engine.handle_message(payload, sender)
 
 
 class SaguaroNode:
@@ -166,21 +191,23 @@ class SaguaroNode:
             self.summary = SummarizedView(domain.id)
 
         self.components: List[ProtocolComponent] = []
+        #: Payload routes, one table per hook kind (see ``ProtocolComponent``).
+        self._wire: Dict[type, Tuple[Any, ...]] = dict.fromkeys(
+            self.engine.wire, (_EngineRoute(self),)
+        )
+        self._decided: Dict[type, ProtocolComponent] = {}
+        self._dropped: Dict[type, ProtocolComponent] = {}
+        self._fan_out: Dict[str, Tuple[Any, ...]] = dict.fromkeys(_FAN_OUT_HOOKS, ())
         #: The node's control-plane feedback loop (adaptive policies only).
         #: Registered as a component so ``start()`` arms its interval timer.
         self.control: Optional[ControlPlane] = None
         if config.control.enabled:
             self.control = ControlPlane(self)
-            self.components.append(self.control)
+            self.register_component(self.control)
         #: Scratch space shared between protocol components on the same node
         #: (e.g. the optimistic protocol exposes per-round aborts and
         #: dependency lists here for the lazy-propagation component).
         self.shared: Dict[str, Any] = {}
-        #: Load-shedding valve, flipped by the control plane under sustained
-        #: decide-latency overrun.  While True, protocols reject *new*
-        #: client admissions through :meth:`shed_admission`; in-flight work
-        #: always finishes.  Never set on static deployments.
-        self.shedding = False
         self._executed: Set[TransactionId] = set()
         self._crashed = False
 
@@ -218,11 +245,25 @@ class SaguaroNode:
     # ------------------------------------------------------------------ lifecycle
 
     def register_component(self, component: ProtocolComponent) -> ProtocolComponent:
+        """Add ``component`` to the routes it declares (see ``ProtocolComponent``)."""
         self.components.append(component)
+        for payload_type in getattr(component, "wire", ()):
+            receivers = self._wire.get(payload_type, ())
+            if receivers and payload_type is not ClientRequest:
+                raise ConfigurationError(f"two receivers of {payload_type.__name__}")
+            self._wire[payload_type] = receivers + (component,)
+        for table, kind in ((self._decided, "decided"), (self._dropped, "dropped")):
+            for payload_type in getattr(component, kind, ()):
+                if payload_type in table:
+                    raise ConfigurationError(f"two receivers of {payload_type.__name__}")
+                table[payload_type] = component
+        for hook, receivers in self._fan_out.items():
+            if hasattr(component, hook):
+                self._fan_out[hook] = receivers + (component,)
         return component
 
     def start(self) -> None:
-        for component in self.components:
+        for component in self._fan_out["on_start"]:
             component.on_start()
 
     def crash(self) -> None:
@@ -317,11 +358,16 @@ class SaguaroNode:
     def _process(self, payload: Any, sender: str) -> None:
         if self._crashed:
             return
-        if self.engine.handle_message(payload, sender):
-            return
-        for component in self.components:
-            if component.handle_message(payload, sender):
+        for receiver in self._wire.get(type(payload), ()):
+            if receiver.handle_message(payload, sender):
                 return
+        self._unhandled("wire", payload, sender=sender)
+
+    def _unhandled(self, hook: str, payload: Any, **where: Any) -> None:
+        """Drop a payload no receiver took, leaving a trace event behind."""
+        self.record_trace(
+            "node:unhandled", hook=hook, payload_type=type(payload).__name__, **where
+        )
 
     # ------------------------------------------------------------------ consensus host
 
@@ -351,19 +397,21 @@ class SaguaroNode:
         return self.simulator.set_timer(delay_ms, guarded)
 
     def consensus_decided(self, slot: int, payload: Any) -> None:
-        for component in self.components:
-            if component.on_decide(slot, payload):
-                return
+        receiver = self._decided.get(type(payload))
+        if receiver is None:
+            self._unhandled("decide", payload, slot=slot)
+        else:
+            receiver.on_decide(slot, payload)
 
     def consensus_submission_dropped(self, payload: Any) -> None:
         """The batcher dropped an unproposed payload (node was deposed)."""
-        for component in self.components:
-            if component.on_submission_dropped(payload):
-                return
+        receiver = self._dropped.get(type(payload))
+        if receiver is not None:
+            receiver.on_submission_dropped(payload)
 
     def notify_block_integrated(self, block: Any, child_domain: DomainId) -> None:
-        """Fan a freshly integrated child block out to every protocol component."""
-        for component in self.components:
+        """Fan a freshly integrated child block out to the components taking it."""
+        for component in self._fan_out["on_block_integrated"]:
             component.on_block_integrated(block, child_domain)
 
     # ------------------------------------------------------------------ messaging helpers
@@ -472,7 +520,7 @@ class SaguaroNode:
             involved=[d.name for d in transaction.involved_domains],
         )
         self.execute_once(transaction)
-        for component in self.components:
+        for component in self._fan_out["on_transaction_appended"]:
             component.on_transaction_appended(record.entry)
         return record.entry
 
@@ -736,28 +784,10 @@ class SaguaroNode:
 
     # ------------------------------------------------------------------ control-plane hooks
 
-    def shed_admission(self, transaction: Transaction, client_address: str) -> None:
-        """Reject one new client admission while the shedding valve is on.
-
-        The transaction is accounted as an abort, traced, and the client is
-        answered with a failed reply — shed work is refused loudly, never
-        silently dropped, which is what the ``shed-accounting`` invariant
-        pass checks.
-        """
-        self.note_abort(transaction.tid, "shed")
-        self.record_trace("control:shed", action="reject", tid=transaction.tid)
-        self.reply_to_client(
-            client_address, transaction, success=False, result={"reason": "shed"}
-        )
-
     def on_shards_split(self, parent: int, child: int) -> None:
-        """Tell every component the state store re-routed ``parent``'s keys.
-
-        Components caching shard indices (e.g. the optimistic protocol's
-        per-shard taint buckets) re-bucket here so later lookups under the
-        new routing still find their entries.
-        """
-        for component in self.components:
-            hook = getattr(component, "on_shards_split", None)
-            if hook is not None:
-                hook(parent, child)
+        """Tell the components caching shard indices (e.g. the optimistic
+        protocol's per-shard taint buckets) that the state store re-routed
+        ``parent``'s keys, so later lookups under the new routing still find
+        their entries."""
+        for component in self._fan_out["on_shards_split"]:
+            component.on_shards_split(parent, child)

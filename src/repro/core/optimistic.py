@@ -53,6 +53,14 @@ class _TrackedDependent:
 class OptimisticCrossDomainProtocol(ProtocolComponent):
     """Implements §6 on height-1 (execute/rollback) and height-2+ (decide) nodes."""
 
+    wire = {
+        ClientRequest: "_on_client_request",
+        OptimisticForward: "_on_forward",
+        OptimisticDecision: "_on_decision",
+        OptimisticCommitQuery: "_on_commit_query",
+    }
+    decided = dropped = (OptimisticOrder,)
+
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         # Height-1 state.  Taints are indexed by account shard so dependency
@@ -71,28 +79,14 @@ class OptimisticCrossDomainProtocol(ProtocolComponent):
     # ------------------------------------------------------------------ dispatch
 
     def handle_message(self, payload: Any, sender: str) -> bool:
-        if isinstance(payload, ClientRequest):
-            return self._on_client_request(payload)
-        if isinstance(payload, OptimisticForward):
-            return self._on_forward(payload)
-        if isinstance(payload, OptimisticDecision):
-            return self._on_decision(payload)
-        if isinstance(payload, OptimisticCommitQuery):
-            return self._on_commit_query(payload)
-        return False
+        return getattr(self, self.wire[type(payload)])(payload)
 
-    def on_decide(self, slot: int, payload: Any) -> bool:
-        if not isinstance(payload, OptimisticOrder):
-            return False
+    def on_decide(self, slot: int, payload: OptimisticOrder) -> None:
         self._decided_order(payload)
-        return True
 
-    def on_submission_dropped(self, payload: Any) -> bool:
-        if not isinstance(payload, OptimisticOrder):
-            return False
+    def on_submission_dropped(self, payload: OptimisticOrder) -> None:
         # Let a retransmitted request re-propose the never-ordered payload.
         self._proposed.discard(payload.transaction.tid)
-        return True
 
     # ------------------------------------------------------------------ height-1: ordering
 

@@ -73,6 +73,8 @@ class SaguaroDeployment:
         self.clients: Dict[str, EdgeDeviceClient] = {}
         self._started = False
         self._workload_ran = False
+        #: Every node's lazy-propagation component (none on the baselines).
+        self._rounds: List[LazyPropagation] = []
         self._build_nodes()
 
     # ------------------------------------------------------------------ construction
@@ -96,8 +98,9 @@ class SaguaroDeployment:
                 self.nodes[node.address] = node
 
     def _register_components(self, node: SaguaroNode) -> None:
-        """Attach protocol components; registration order is dispatch order."""
-        node.register_component(LazyPropagation(node))
+        """Attach protocol components; registration order is the order a
+        client request is offered to its receivers in."""
+        self._rounds.append(node.register_component(LazyPropagation(node)))
         if node.is_height1:
             node.register_component(MobileConsensusProtocol(node))
         if self.config.protocol is CrossDomainProtocol.COORDINATOR:
@@ -251,10 +254,8 @@ class SaguaroDeployment:
 
     def stop_rounds(self) -> None:
         """Stop lazy-propagation round timers so the event queue can drain."""
-        for node in self.nodes.values():
-            for component in node.components:
-                if isinstance(component, LazyPropagation):
-                    component.stop()
+        for rounds in self._rounds:
+            rounds.stop()
 
     #: Whether this deployment's protocols guarantee that conflicting
     #: cross-domain transactions commit in the same relative order on every

@@ -46,8 +46,9 @@ class ForgedPayload:
     """Generic conflicting variant of a consensus payload.
 
     Used when the adversary cannot forge a domain-specific variant; its digest
-    differs from the original's, and no protocol component recognises it, so a
-    node that (wrongly) decides it simply commits nothing for that slot.
+    differs from the original's, and no protocol component declares its type,
+    so a node that (wrongly) decides it commits nothing for that slot and
+    records a ``node:unhandled`` trace event (hook ``decide``) instead.
     """
 
     original_repr: str

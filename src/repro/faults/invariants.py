@@ -75,13 +75,6 @@ meaningful:
     fault-free run replicas of one domain perform the same splits in the
     same order (prefix rule).  Checked only when the trace carries
     ``control:split`` events.
-``shed-accounting``
-    Phase-2 load shedding never eats a transaction: per node the valve
-    events alternate (``on`` then ``off``, starting closed), each ``on``
-    reports an overrun streak of at least the configured
-    ``shed_after_windows``, every ``reject`` happens while the valve is on
-    and names a tid, and a rejected tid was not already applied on that
-    node.  Checked only when the trace carries ``control:shed`` events.
 ``liveness`` (optional)
     Every issued transaction reached a final state (committed or aborted);
     checked only when the fault plan leaves each domain within its fault
@@ -202,9 +195,6 @@ class InvariantChecker:
             if self.trace.events("control:split"):
                 checks.append("split-partition")
                 violations += self._check_shard_splits()
-            if self.trace.events("control:shed"):
-                checks.append("shed-accounting")
-                violations += self._check_load_shedding()
         if expect_liveness:
             checks.append("liveness")
             violations += self._check_liveness()
@@ -1178,86 +1168,6 @@ class InvariantChecker:
                             f"{node_name} split {sequence} which is not a "
                             f"prefix of {longest_node}'s splits {longest}",
                         )
-        return violations
-
-    def _check_load_shedding(self) -> List[InvariantViolation]:
-        """Load-shedding decisions are well-formed and never eat a transaction.
-
-        Replays the ``control:shed`` stream per node: the admission valve
-        alternates ``on`` / ``off`` starting closed, every ``on`` reports an
-        overrun streak of at least the node's configured
-        ``shed_after_windows``, and every ``reject`` happens while the valve
-        is on and names a tid that was not already applied on that node
-        (shedding an already-committed transaction would lose its reply;
-        re-admission and commit *after* a reject is the designed recovery
-        path and is legal).
-        """
-        violations: List[InvariantViolation] = []
-        assert self.trace is not None
-        first_append: Dict[Tuple[str, str], int] = {}
-        for event in self.trace.events("append"):
-            if event.node is None or event.tid is None:
-                continue
-            key = (event.node, event.tid)
-            if key not in first_append or event.seq < first_append[key]:
-                first_append[key] = event.seq
-
-        by_node: Dict[str, List[Any]] = {}
-        for event in self.trace.events("control:shed"):
-            if event.node is not None:
-                by_node.setdefault(event.node, []).append(event)
-
-        def _blame(event: Any, detail: str) -> None:
-            violations.append(
-                InvariantViolation(
-                    invariant="shed-accounting",
-                    domain=event.domain,
-                    tid=event.tid,
-                    detail=f"{event.node}: {detail}",
-                )
-            )
-
-        for node_name, node_events in sorted(by_node.items()):
-            sim_node = self.deployment.nodes.get(node_name)
-            min_windows = (
-                sim_node.config.control.shed_after_windows
-                if sim_node is not None
-                else 1
-            )
-            valve_on = False
-            for event in sorted(node_events, key=lambda e: e.seq):
-                action = event.get("action")
-                if action == "on":
-                    if valve_on:
-                        _blame(event, "valve turned on twice without an off")
-                    valve_on = True
-                    windows = event.get("windows")
-                    if windows is None or windows < min_windows:
-                        _blame(
-                            event,
-                            f"valve opened after {windows!r} overrun "
-                            f"window(s); policy requires {min_windows}",
-                        )
-                elif action == "off":
-                    if not valve_on:
-                        _blame(event, "valve turned off while already off")
-                    valve_on = False
-                elif action == "reject":
-                    if not valve_on:
-                        _blame(event, "admission rejected while the valve is off")
-                    if event.tid is None:
-                        _blame(event, "reject event without a tid")
-                    elif (
-                        first_append.get((node_name, event.tid), event.seq)
-                        < event.seq
-                    ):
-                        _blame(
-                            event,
-                            "rejected a transaction already applied on "
-                            "this node",
-                        )
-                else:
-                    _blame(event, f"malformed shed event (action={action!r})")
         return violations
 
     # ------------------------------------------------------------------ liveness

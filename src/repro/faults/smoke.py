@@ -34,11 +34,10 @@ Modes (the dispatch is table-driven; add a mode by adding one entry):
     The phase-2 control plane armed: the white-hot ``zipf-hot-split`` run
     (shard splitting under a skew whole-shard moves cannot fix), the
     ``lease-rejoin`` run (conflict leases granting and adopting held-back
-    group members), a load-shedding run with an unreachable latency target,
-    and the white-hot run again under an equivocating primary — proving the
-    ``lease-safety``, ``split-partition``, and ``shed-accounting`` invariant
-    passes (and every pre-existing one) hold while shards split, leases
-    move members between groups, and the admission valve flips mid-run.
+    group members), and the white-hot run again under an equivocating
+    primary — proving the ``lease-safety`` and ``split-partition`` invariant
+    passes (and every pre-existing one) hold while shards split and leases
+    move members between groups.
 ``pipeline``
     Speculative out-of-order execution armed (``speculation=True``): a
     scaled pipeline-sweep run whose stalled slots force speculation to
@@ -128,27 +127,9 @@ def _control_checks() -> List[Scenario]:
 
 
 def _control2_checks() -> List[Scenario]:
-    from dataclasses import replace
-
-    from repro.control.policy import ControlPolicy
     from repro.faults.plan import FaultAction, FaultPlan
 
     hot_split = registry.get("zipf-hot-split")
-    # All three phase-2 mechanisms armed at once (leases are inert on this
-    # internal-only topology; the loose shed target keeps the valve shut
-    # unless something regresses badly — arming it checks the wiring).
-    armed = replace(hot_split.control, shed=True, shed_after_windows=6)
-    shedding = ControlPolicy(
-        policy="adaptive",
-        interval_ms=2.0,
-        batch_increase=16,
-        # An unreachable decide-latency target: every window overruns, the
-        # valve must open, reject admissions, and close once the closed-loop
-        # clients drain — exercising the shed-accounting pass end to end.
-        target_decide_latency_ms=0.5,
-        shed=True,
-        shed_after_windows=2,
-    )
     equivocating = FaultPlan(
         name="zipf-hot-equivocate",
         actions=(
@@ -156,15 +137,11 @@ def _control2_checks() -> List[Scenario]:
         ),
     )
     return [
-        hot_split.with_overrides(control=armed),
+        hot_split,
         registry.get("lease-rejoin"),
-        registry.get("zipf-hot-nosplit").with_overrides(
-            name="zipf-shed", num_transactions=300, control=shedding
-        ),
         hot_split.with_overrides(
             name="zipf-hot-equivocate",
             num_transactions=300,
-            control=armed,
             fault_plan=equivocating,
         ),
     ]
@@ -289,7 +266,7 @@ def main(mode: str = "default") -> int:
             if trace is not None:
                 phase2 = {
                     kind: len(trace.events(f"control:{kind}"))
-                    for kind in ("lease", "split", "shed")
+                    for kind in ("lease", "split")
                 }
                 knobs += "".join(
                     f" {kind}_events={count}"

@@ -23,7 +23,7 @@ Six layers of coverage:
   plane count, and the oracle for its skip predicate — ticking every plane
   on every firing (``ControlPlane.idle`` patched to ``False``) gives the
   same result, trace and event count as skipping the idle ones, on runs
-  that exercise the shed streak, crashes, lanes, retries and wipes.
+  that exercise crashes, lanes, retries and wipes.
 
 The golden pins (``policy="static"`` == the pre-control deployments, bit for
 bit) live in ``tests/test_goldens.py``.
@@ -548,20 +548,6 @@ def _adaptive(interval_ms=2.0, **knobs):
 #: longest first, so the two workers finish together.
 ORACLE_RUNS = [
     ("retries", registry.get("lease-rejoin").with_overrides(num_transactions=120), 1),
-    (
-        "shed-streak",
-        registry.get("zipf-hot-nosplit").with_overrides(
-            name="zipf-shed",
-            num_transactions=300,
-            control=_adaptive(
-                batch_increase=16,
-                target_decide_latency_ms=0.5,
-                shed=True,
-                shed_after_windows=2,
-            ),
-        ),
-        None,
-    ),
     (
         "lanes",
         registry.get("zipf-sweep-adaptive").with_overrides(num_transactions=96),

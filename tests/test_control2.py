@@ -1,4 +1,4 @@
-"""Control plane phase 2: conflict leases, shard splitting, load shedding.
+"""Control plane phase 2: conflict leases and shard splitting.
 
 Four layers of coverage:
 
@@ -9,21 +9,17 @@ Four layers of coverage:
   ``verify_partition`` audit catching corruption) and for the
   :class:`LaneRebalancer`'s ``blocked_shard`` report (the plane's split-or-
   back-off signal);
-* checker self-tests: forged ``control:lease`` / ``control:split`` /
-  ``control:shed`` traces that the ``lease-safety``, ``split-partition``,
-  and ``shed-accounting`` invariant passes must flag (and legal traces they
-  must not);
+* checker self-tests: forged ``control:lease`` / ``control:split`` traces
+  that the ``lease-safety`` and ``split-partition`` invariant passes must
+  flag (and legal traces they must not);
 * end to end: the white-hot ``zipf-hot-split`` run splits and stays
   invariant-clean, the blocked rebalancer backs off exponentially instead of
-  re-evaluating every window (the PR 6 livelock), ``lease-rejoin`` grants
-  and adopts conflict leases, and a starved latency target flips the
-  admission valve without losing a transaction.
+  re-evaluating every window (a livelock once), and ``lease-rejoin``
+  grants and adopts conflict leases.
 
 The differential gate (every phase-2 knob off == the PR 9 tree, bit for bit,
 on 10 static and 10 adaptive seeds) lives in ``tests/test_goldens.py``.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -42,12 +38,10 @@ from tests.conftest import make_deployment
 
 
 def test_phase2_knobs_require_an_adaptive_policy():
-    for knob in ({"conflict_leases": True}, {"split_shards": True}, {"shed": True}):
+    for knob in ({"conflict_leases": True}, {"split_shards": True}):
         with pytest.raises(ConfigurationError):
             ControlPolicy(**knob)
-    armed = ControlPolicy(
-        policy="adaptive", conflict_leases=True, split_shards=True, shed=True
-    )
+    armed = ControlPolicy(policy="adaptive", conflict_leases=True, split_shards=True)
     assert armed.enabled
 
 
@@ -57,7 +51,6 @@ def test_phase2_knobs_reject_degenerate_values():
         {"conflict_leases": True, "lease_ms": float("inf")},
         {"split_shards": True, "split_after_blocked": 0},
         {"split_shards": True, "max_splits": 0},
-        {"shed": True, "shed_after_windows": 0},
     )
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
@@ -72,11 +65,9 @@ def test_phase2_policy_json_round_trip():
         split_shards=True,
         split_after_blocked=2,
         max_splits=5,
-        shed=True,
-        shed_after_windows=3,
     )
     data = policy.to_dict()
-    for key in ("conflict_leases", "lease_ms", "split_shards", "shed"):
+    for key in ("conflict_leases", "lease_ms", "split_shards"):
         assert key in data
     assert ControlPolicy.from_dict(data) == policy
 
@@ -335,65 +326,8 @@ class TestSplitPartitionPass:
         assert not report.of("split-partition")
 
 
-def _shed(trace, at, domain, node, action, **extra):
-    trace.record("control:shed", at_ms=at, domain=domain, node=node,
-                 action=action, **extra)
-
-
-class TestShedAccountingPass:
-    def test_legal_valve_cycle_passes(self, quiet_deployment):
-        domain, nodes, trace = _forge(quiet_deployment)
-        node = nodes[0]
-        _shed(trace, 1.0, domain, node, "on", windows=4, decide_latency_ms=9.0)
-        trace.record("control:shed", at_ms=2.0, domain=domain, node=node,
-                     tid="t1", action="reject")
-        _shed(trace, 3.0, domain, node, "off", decide_latency_ms=1.0)
-        report = InvariantChecker(quiet_deployment, trace=trace).check()
-        assert "shed-accounting" in report.checks_run
-        assert not report.of("shed-accounting")
-
-    def test_reject_while_the_valve_is_off_is_flagged(self, quiet_deployment):
-        domain, nodes, trace = _forge(quiet_deployment)
-        trace.record("control:shed", at_ms=1.0, domain=domain, node=nodes[0],
-                     tid="t1", action="reject")
-        report = InvariantChecker(quiet_deployment, trace=trace).check()
-        assert report.of("shed-accounting")
-
-    def test_premature_valve_open_is_flagged(self, quiet_deployment):
-        # The deployment's nodes run the default policy (shed_after_windows=4):
-        # a valve that opened after fewer overrun windows jumped the gun.
-        domain, nodes, trace = _forge(quiet_deployment)
-        _shed(trace, 1.0, domain, nodes[0], "on", windows=2,
-              decide_latency_ms=9.0)
-        report = InvariantChecker(quiet_deployment, trace=trace).check()
-        assert report.of("shed-accounting")
-
-    def test_double_flips_are_flagged(self, quiet_deployment):
-        domain, nodes, trace = _forge(quiet_deployment)
-        node = nodes[0]
-        _shed(trace, 1.0, domain, node, "on", windows=4, decide_latency_ms=9.0)
-        _shed(trace, 2.0, domain, node, "on", windows=4, decide_latency_ms=9.0)
-        _shed(trace, 3.0, domain, node, "off", decide_latency_ms=1.0)
-        _shed(trace, 4.0, domain, node, "off", decide_latency_ms=1.0)
-        report = InvariantChecker(quiet_deployment, trace=trace).check()
-        assert len(report.of("shed-accounting")) == 2
-
-    def test_shedding_an_applied_transaction_is_flagged(self, quiet_deployment):
-        domain, nodes, trace = _forge(quiet_deployment)
-        node = nodes[0]
-        trace.record("append", at_ms=0.5, domain=domain, node=node, tid="t1")
-        _shed(trace, 1.0, domain, node, "on", windows=4, decide_latency_ms=9.0)
-        trace.record("control:shed", at_ms=2.0, domain=domain, node=node,
-                     tid="t1", action="reject")
-        report = InvariantChecker(quiet_deployment, trace=trace).check()
-        assert any(
-            "already applied" in violation.detail
-            for violation in report.of("shed-accounting")
-        )
-
-
 # ---------------------------------------------------------------------------
-# End to end: splitting, back-off, leases, shedding
+# End to end: splitting, back-off, leases
 # ---------------------------------------------------------------------------
 
 
@@ -440,24 +374,3 @@ def test_blocked_rebalancer_backs_off_instead_of_livelocking():
         assert plane._backoff_exp == 5
         assert plane.rebalance_evals < windows / 8
         assert plane.splits == 0
-
-
-def test_starved_latency_target_flips_the_valve_without_losing_transactions():
-    shedding = ControlPolicy(
-        policy="adaptive",
-        interval_ms=2.0,
-        batch_increase=16,
-        target_decide_latency_ms=0.5,  # unreachable: every window overruns
-        shed=True,
-        shed_after_windows=2,
-    )
-    run = _hot_run("zipf-hot-nosplit", control=shedding)
-    actions = Counter(
-        event.get("action") for event in run.trace.events("control:shed")
-    )
-    assert actions["on"] > 0 and actions["off"] > 0
-    assert actions["reject"] > 0  # admissions were actually refused
-    # The closed loop drains fully: every client got an answer for every
-    # transaction, shed ones included (as failed replies, later retried).
-    assert run.summary.pending == 0
-    assert run.summary.committed + run.summary.aborted == 300

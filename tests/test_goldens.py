@@ -66,18 +66,16 @@ OFF = {
     "durability": False,  # PR 9
     "control.conflict_leases": False,  # PR 10
     "control.split_shards": False,  # PR 10
-    "control.shed": False,  # PR 10
 }
 
 #: A phase-2 knob at its off value must also leave no event of its kind behind.
 ABSENT_KIND = {
     "control.conflict_leases": "control:lease",
     "control.split_shards": "control:split",
-    "control.shed": "control:shed",
 }
 
 _SMALL = {"num_transactions": 24, "num_clients": 4}
-_PHASE2_OFF = ("control.conflict_leases", "control.split_shards", "control.shed")
+_PHASE2_OFF = ("control.conflict_leases", "control.split_shards")
 
 GOLDENS = (
     # Recorded from the unbatched engines before the batching refactor (PR 3).
