@@ -217,7 +217,7 @@ def make_transaction_id_factory(start: int = 1) -> "itertools.count[int]":
     return itertools.count(start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceNumber:
     """A (possibly multi-part) sequence number, as in Figure 3 of the paper.
 

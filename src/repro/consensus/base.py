@@ -774,6 +774,7 @@ class ConsensusEngine(abc.ABC):
                 # in-order re-delivery that log.record() may now trigger.
                 self._rollback_conflicts(slot, payload)
         self._log.record(slot, payload)
+        self._retire_votes(slot)
         if self._speculation_enabled:
             self._maybe_speculate()
         self._maybe_arm_gap_recovery()
@@ -954,15 +955,15 @@ class ConsensusEngine(abc.ABC):
                 self.batcher.note_decided(payload)
                 if self._tracing_enabled():
                     # Guarded here (not just inside _trace): building the
-                    # entry-id/tid lists walks every entry, which is wasted work
-                    # per decided batch per replica when tracing is off.
+                    # tid tuple walks every entry, which is wasted work per
+                    # decided batch per replica when tracing is off.
                     self._trace(
                         "batch-decide",
                         slot=slot,
                         payload_digest=payload.canonical_bytes(),
                         size=len(payload),
-                        entry_ids=list(payload.entry_ids),
-                        tids=list(payload.transaction_ids()),
+                        entry_ids=payload.entry_ids,
+                        tids=payload.transaction_ids(),
                     )
                 for entry in payload.entries:
                     self._delivery_seq += 1
@@ -1190,6 +1191,7 @@ class ConsensusEngine(abc.ABC):
             self._view = view
         for _advanced_slot, value in self._log.rehydrate(slot, payload):
             self._delivery_seq += len(value) if isinstance(value, Batch) else 1
+        self._retire_votes(slot)
 
     def rehydrate_vote(self, record: WalRecord) -> None:
         """WAL replay of a vote record: re-arm the promise it represents.
@@ -1210,11 +1212,22 @@ class ConsensusEngine(abc.ABC):
     def _rehydrate_vote(self, record: WalRecord) -> None:
         """Engine-specific vote rehydration; the default drops the record."""
 
+    def _retire_votes(self, slot: int) -> None:
+        """Forget the vote tallies of ``slot``, which is now decided.
+
+        Engine-specific; the default keeps none.  Every vote path returns
+        early for a decided slot, so a decided slot's tallies are never read
+        again: what an engine keeps per slot stays bounded by the slots in
+        flight, not by the length of the run.
+        """
+
     def resume_from(self, slot: int, view: int, delivery_seq: int = 0) -> None:
         """Adopt a restored checkpoint's cut: delivery fast-forwards past it."""
         self._observe_slot(slot)
         if view > self._view:
             self._view = view
+        for covered in range(self._log.next_slot_to_deliver, slot + 1):
+            self._retire_votes(covered)
         self._log.resume_from(slot)
         if delivery_seq > self._delivery_seq:
             self._delivery_seq = delivery_seq

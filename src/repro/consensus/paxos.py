@@ -106,10 +106,13 @@ class PaxosEngine(ConsensusEngine):
         self._host.send_protocol_message(sender, reply)
 
     def _on_accepted(self, message: PaxosAccepted, sender: str) -> None:
-        if message.view != self.view or not self.is_primary:
+        if (
+            message.view != self.view
+            or not self.is_primary
+            or self.is_decided(message.slot)
+        ):
             return
-        votes = self._accept_votes.setdefault(message.slot, set())
-        votes.add(sender)
+        self._accept_votes.setdefault(message.slot, set()).add(sender)
         self._maybe_decide(message.slot)
 
     def _maybe_decide(self, slot: int) -> None:
@@ -126,6 +129,9 @@ class PaxosEngine(ConsensusEngine):
             domain=self.domain.id, view=self.view, slot=slot, payload=payload
         )
         self._broadcast(learn)
+
+    def _retire_votes(self, slot: int) -> None:
+        self._accept_votes.pop(slot, None)
 
     def _on_learn(self, message: PaxosLearn, sender: str) -> None:
         self._observe_slot(message.slot)
@@ -161,10 +167,12 @@ class PaxosEngine(ConsensusEngine):
         Restoring ``_accepted_payload`` keeps every pre-crash accept: the
         recovered node reports exactly those payloads as pending in any
         later view change, so a value it helped a quorum accept can never
-        be silently forgotten.  Only the node's own vote is durable.
+        be silently forgotten.  Only the node's own vote is durable, and a
+        slot already decided keeps its payload but no tally.
         """
         if record.kind == "accept-vote":
             self._accepted_payload[record.slot] = record.payload
-            self._accept_votes.setdefault(record.slot, set()).add(
-                self._host.address
-            )
+            if not self.is_decided(record.slot):
+                self._accept_votes.setdefault(record.slot, set()).add(
+                    self._host.address
+                )

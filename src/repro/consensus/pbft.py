@@ -13,6 +13,9 @@ a ``2f + 1`` quorum — conflicting proposals cost liveness of that slot on the
 minority replicas, never safety.  Replicas also refuse to overwrite a payload
 they already hold for a slot within the same view, and record the conflicting
 proposal as equivocation evidence on the run trace.
+
+Tallies are kept per slot and dropped when the slot is decided: a vote that
+arrives for a decided slot is ignored, as it could change nothing.
 """
 
 from __future__ import annotations
@@ -31,8 +34,18 @@ from repro.recovery.wal import WalRecord
 
 __all__ = ["PbftEngine"]
 
-#: Vote-tally key: (slot, payload digest).
-_VoteKey = Tuple[int, bytes]
+#: Vote tally: slot -> payload digest -> voters.
+_Tally = Dict[int, Dict[bytes, Set[str]]]
+
+
+def _voters(tally: _Tally, slot: int, digest: bytes) -> Set[str]:
+    """The voters for ``digest`` in ``slot`` (an empty set is created)."""
+    return tally.setdefault(slot, {}).setdefault(digest, set())
+
+
+def _count(tally: _Tally, slot: int, digest: bytes) -> int:
+    by_digest = tally.get(slot)
+    return len(by_digest.get(digest, ())) if by_digest else 0
 
 
 class PbftEngine(ConsensusEngine):
@@ -50,9 +63,9 @@ class PbftEngine(ConsensusEngine):
         super().__init__(host)
         self._payloads: Dict[int, Any] = {}
         self._payload_views: Dict[int, int] = {}
-        self._prepare_votes: Dict[_VoteKey, Set[str]] = {}
-        self._commit_votes: Dict[_VoteKey, Set[str]] = {}
-        self._echo_votes: Dict[_VoteKey, Set[str]] = {}
+        self._prepare_votes: _Tally = {}
+        self._commit_votes: _Tally = {}
+        self._echo_votes: _Tally = {}
         self._commit_sent: Set[int] = set()
 
     # -- proposing -------------------------------------------------------------------
@@ -64,7 +77,7 @@ class PbftEngine(ConsensusEngine):
         self._adopt_payload(slot, payload, self.view)
         # The primary's pre-prepare counts as its prepare vote.
         digest = self.payload_digest(payload)
-        self._prepare_votes.setdefault((slot, digest), set()).add(self._host.address)
+        _voters(self._prepare_votes, slot, digest).add(self._host.address)
         self._wal_log("prepare-vote", slot=slot, payload_digest=digest, payload=payload)
         self._trace("propose", slot=slot, payload=payload, payload_digest=digest)
         message = PbftPrePrepare(
@@ -121,10 +134,12 @@ class PbftEngine(ConsensusEngine):
                 return
         else:
             self._adopt_payload(message.slot, message.payload, message.view)
-        votes = self._prepare_votes.setdefault((message.slot, digest), set())
-        # The pre-prepare carries the primary's vote; add our own and tell peers.
-        votes.add(sender)
-        votes.add(self._host.address)
+        if not self.is_decided(message.slot):
+            votes = _voters(self._prepare_votes, message.slot, digest)
+            # The pre-prepare carries the primary's vote; add our own and
+            # tell peers.
+            votes.add(sender)
+            votes.add(self._host.address)
         self._wal_log(
             "prepare-vote",
             slot=message.slot,
@@ -152,9 +167,9 @@ class PbftEngine(ConsensusEngine):
         if message.view < self.view:
             return
         self._observe_slot(message.slot)
-        self._prepare_votes.setdefault(
-            (message.slot, message.payload_digest), set()
-        ).add(sender)
+        if self.is_decided(message.slot):
+            return
+        _voters(self._prepare_votes, message.slot, message.payload_digest).add(sender)
         self._maybe_commit_phase(message.slot)
 
     def _maybe_commit_phase(self, slot: int) -> None:
@@ -165,10 +180,10 @@ class PbftEngine(ConsensusEngine):
         if payload is None:
             return
         digest = self.payload_digest(payload)
-        if len(self._prepare_votes.get((slot, digest), set())) < self.quorum:
+        if _count(self._prepare_votes, slot, digest) < self.quorum:
             return
         self._commit_sent.add(slot)
-        self._commit_votes.setdefault((slot, digest), set()).add(self._host.address)
+        _voters(self._commit_votes, slot, digest).add(self._host.address)
         self._wal_log("commit-vote", slot=slot, payload_digest=digest)
         self._trace(
             "commit-vote", slot=slot, payload=payload, payload_digest=digest
@@ -187,9 +202,9 @@ class PbftEngine(ConsensusEngine):
         if message.view < self.view:
             return
         self._observe_slot(message.slot)
-        self._commit_votes.setdefault(
-            (message.slot, message.payload_digest), set()
-        ).add(sender)
+        if self.is_decided(message.slot):
+            return
+        _voters(self._commit_votes, message.slot, message.payload_digest).add(sender)
         self._maybe_commit_phase(message.slot)
         self._maybe_decide(message.slot)
 
@@ -249,7 +264,7 @@ class PbftEngine(ConsensusEngine):
         digest = self.payload_digest(message.payload)
         held = self._payloads.get(message.slot)
         if held is not None and self.payload_digest(held) != digest:
-            echoes = self._echo_votes.setdefault((message.slot, digest), set())
+            echoes = _voters(self._echo_votes, message.slot, digest)
             echoes.add(sender)
             if len(echoes) <= self.domain.faults:
                 self._trace(
@@ -275,9 +290,15 @@ class PbftEngine(ConsensusEngine):
         if payload is None:
             return
         digest = self.payload_digest(payload)
-        if len(self._commit_votes.get((slot, digest), set())) < self.quorum:
+        if _count(self._commit_votes, slot, digest) < self.quorum:
             return
         self._record_decision(slot, payload)
+
+    def _retire_votes(self, slot: int) -> None:
+        self._prepare_votes.pop(slot, None)
+        self._commit_votes.pop(slot, None)
+        self._echo_votes.pop(slot, None)
+        self._commit_sent.discard(slot)
 
     # -- view change --------------------------------------------------------------------------
 
@@ -292,7 +313,7 @@ class PbftEngine(ConsensusEngine):
         self._observe_slot(slot)
         self._adopt_payload(slot, payload, self.view)
         digest = self.payload_digest(payload)
-        self._prepare_votes.setdefault((slot, digest), set()).add(self._host.address)
+        _voters(self._prepare_votes, slot, digest).add(self._host.address)
         self._wal_log("prepare-vote", slot=slot, payload_digest=digest, payload=payload)
         self._trace("propose", slot=slot, payload=payload, payload_digest=digest)
         message = PbftPrePrepare(
@@ -304,10 +325,9 @@ class PbftEngine(ConsensusEngine):
     def _on_new_view(self, message: NewView, sender: str) -> None:
         if message.view > self.view:
             # Commits sent in the old view do not carry over: an undecided
-            # slot must be free to re-vote under the new primary.
-            self._commit_sent = {
-                slot for slot in self._commit_sent if self.is_decided(slot)
-            }
+            # slot must be free to re-vote under the new primary (a decided
+            # slot left the set when it was decided).
+            self._commit_sent.clear()
         super()._on_new_view(message, sender)
 
     # -- crash recovery --------------------------------------------------------------------
@@ -323,18 +343,20 @@ class PbftEngine(ConsensusEngine):
         Restoring ``_commit_sent`` keeps the node from re-voting commit for
         a slot it already committed to in the current view; a later new-view
         prunes it exactly as live operation does.  Only the node's *own*
-        votes are durable — peers' tallies re-form from live traffic.
+        votes are durable — peers' tallies re-form from live traffic.  A slot
+        already decided keeps its adopted payload but no tally.
         """
+        decided = self.is_decided(record.slot)
         if record.kind == "prepare-vote":
             if record.payload is not None:
                 self._adopt_payload(record.slot, record.payload, record.view)
-            if record.digest is not None:
-                self._prepare_votes.setdefault(
-                    (record.slot, record.digest), set()
-                ).add(self._host.address)
-        elif record.kind == "commit-vote":
+            if record.digest is not None and not decided:
+                _voters(self._prepare_votes, record.slot, record.digest).add(
+                    self._host.address
+                )
+        elif record.kind == "commit-vote" and not decided:
             self._commit_sent.add(record.slot)
             if record.digest is not None:
-                self._commit_votes.setdefault(
-                    (record.slot, record.digest), set()
-                ).add(self._host.address)
+                _voters(self._commit_votes, record.slot, record.digest).add(
+                    self._host.address
+                )

@@ -568,28 +568,35 @@ class InvariantChecker:
         """
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        appends_by_node: Dict[str, List[Tuple[int, float, Optional[str]]]] = {}
+        batch_decides = self.trace.events("batch-decide")
+        if not batch_decides:
+            return violations  # unbatched ordering: nothing to index
+        # Each node's appends, indexed by the instant they happened at: a
+        # batch's decide-time appends share its instant, so a batch looks up
+        # only its own instant instead of the node's whole append stream.
+        # ``index`` is the append's position in the node's stream.
+        appends_at: Dict[str, Dict[float, List[Tuple[int, int, Optional[str]]]]] = {}
+        stream_length: Dict[str, int] = {}
         for event in self.trace.events("append"):
             if event.node is None:
                 continue
-            appends_by_node.setdefault(event.node, []).append(
-                (event.seq, event.at_ms, event.tid)
+            index = stream_length.get(event.node, 0)
+            stream_length[event.node] = index + 1
+            appends_at.setdefault(event.node, {}).setdefault(event.at_ms, []).append(
+                (index, event.seq, event.tid)
             )
         claimed: Dict[str, Set[int]] = {}
-        for event in self.trace.events("batch-decide"):
+        for event in batch_decides:
             batch_tids = [tid for tid in event.get("tids", ()) if tid]
             if not batch_tids or event.node is None:
                 continue
             tid_set = set(batch_tids)
-            node_appends = appends_by_node.get(event.node, [])
+            same_instant = appends_at.get(event.node, {}).get(event.at_ms, ())
             taken = claimed.setdefault(event.node, set())
             positions = [
                 (index, tid)
-                for index, (seq, at_ms, tid) in enumerate(node_appends)
-                if at_ms == event.at_ms
-                and tid in tid_set
-                and seq > event.seq
-                and index not in taken
+                for index, seq, tid in same_instant
+                if tid in tid_set and seq > event.seq and index not in taken
             ]
             if not positions:
                 continue  # nothing appended at decide time (aborted as a unit)

@@ -8,6 +8,12 @@ event), so it stays negligible next to the discrete-event simulation itself;
 the :mod:`repro.faults.invariants` checker replays the trace afterwards to
 prove safety properties about the run.
 
+Event details are immutable: a list value is stored as a tuple, and every
+recorder keeps one copy of each distinct detail, which all events carrying
+an equal detail share (every replica records the same ``append`` detail for
+each transaction it appends).  The JSON form is unchanged: a tuple is written
+as a list and read back as a tuple.
+
 Traces are JSON round-trippable so a failing run can be stored and replayed
 through the checker offline::
 
@@ -35,6 +41,19 @@ def _tid_name(tid: Any) -> Optional[str]:
     return str(tid)
 
 
+#: A trace event's extras: ``(name, value)`` pairs sorted by name.
+Detail = Tuple[Tuple[str, Any], ...]
+
+
+def _frozen_detail(detail: Mapping[str, Any]) -> Detail:
+    """``detail`` as a key-sorted tuple of pairs, each list value a tuple."""
+    pairs = [
+        (key, tuple(value) if isinstance(value, list) else value)
+        for key, value in detail.items()
+    ]
+    return tuple(sorted(pairs))
+
+
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One recorded protocol event (slotted: one per protocol event recorded).
@@ -42,7 +61,7 @@ class TraceEvent:
     ``kind`` is a short slug (``"propose"``, ``"commit-vote"``, ``"decide"``,
     ``"append"``, ``"certify"``, ``"handoff:prepare"``, ``"fault:crash"``, ...);
     the optional columns identify where and what, and ``detail`` carries
-    kind-specific extras (always JSON-safe values).
+    kind-specific extras (always JSON-safe values; a sequence is a tuple).
     """
 
     seq: int
@@ -54,7 +73,7 @@ class TraceEvent:
     slot: Optional[int] = None
     view: Optional[int] = None
     digest: Optional[str] = None
-    detail: Tuple[Tuple[str, Any], ...] = ()
+    detail: Detail = ()
 
     def get(self, key: str, default: Any = None) -> Any:
         for name, value in self.detail:
@@ -87,7 +106,6 @@ class TraceEvent:
             raise ConfigurationError(
                 f"unknown TraceEvent field(s): {sorted(unknown)}"
             )
-        detail = data.get("detail") or {}
         return cls(
             seq=data["seq"],
             at_ms=data["at_ms"],
@@ -98,7 +116,7 @@ class TraceEvent:
             slot=data.get("slot"),
             view=data.get("view"),
             digest=data.get("digest"),
-            detail=tuple(sorted(detail.items())),
+            detail=_frozen_detail(data.get("detail") or {}),
         )
 
 
@@ -116,6 +134,10 @@ class TraceRecorder:
         # few digests per slot, so events share the string instead of each
         # allocating its own 64 characters.
         self._hex: Dict[bytes, str] = {}
+        # One tuple per distinct detail, which every event with an equal
+        # detail shares.  The key is the stored detail itself, so a detail
+        # seen once costs one table slot, not a second copy.
+        self._details: Dict[Detail, Detail] = {}
 
     # ------------------------------------------------------------------ recording
 
@@ -151,9 +173,20 @@ class TraceRecorder:
                 slot=slot,
                 view=view,
                 digest=digest_hex,
-                detail=tuple(sorted(detail.items())),
+                detail=self._shared(_frozen_detail(detail)) if detail else (),
             )
         )
+
+    def _shared(self, detail: Detail) -> Detail:
+        """The recorder's copy of ``detail`` (``detail`` itself if new).
+
+        A detail holding an unhashable value (a dict) is kept as it is,
+        unshared.
+        """
+        try:
+            return self._details.setdefault(detail, detail)
+        except TypeError:
+            return detail
 
     # ------------------------------------------------------------------ access
 
@@ -250,7 +283,10 @@ class TraceRecorder:
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceRecorder":
         recorder = cls()
         for entry in data.get("events", ()):
-            recorder._events.append(TraceEvent.from_dict(entry))
+            event = TraceEvent.from_dict(entry)
+            if event.detail:
+                object.__setattr__(event, "detail", recorder._shared(event.detail))
+            recorder._events.append(event)
         return recorder
 
     def to_json(self, indent: Optional[int] = None) -> str:

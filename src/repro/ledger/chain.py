@@ -23,9 +23,13 @@ __all__ = ["ChainRecord", "LinearLedger"]
 GENESIS_HASH = b"\x00" * 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainRecord:
-    """One position of a linear ledger: the entry plus its chaining hashes."""
+    """One position of a linear ledger: the entry plus its chaining hashes.
+
+    Slotted, like :class:`CommittedEntry` and :class:`SequenceNumber` under
+    it: every replica keeps one of each per appended transaction.
+    """
 
     position: int
     entry: CommittedEntry

@@ -141,7 +141,7 @@ def domain_pairs(transaction: Transaction) -> Tuple[Tuple[DomainId, DomainId], .
     return tuple(combinations(sorted(transaction.involved_domains), 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommittedEntry:
     """A transaction as recorded in a ledger: transaction + order + outcome."""
 

@@ -443,3 +443,189 @@ def test_batched_runs_are_deterministic():
         second.run().to_dict(), sort_keys=True
     )
     assert first.trace.to_json() == second.trace.to_json()
+
+
+# ---------------------------------------------------------------------------
+# The indexed batch-atomicity pass against the full-stream scan
+# ---------------------------------------------------------------------------
+
+
+def _batch_atomicity_naive(checker):
+    """The pre-index scan: every ``batch-decide`` walks its node's whole
+    append stream.  The oracle the checker's indexed pass must agree with."""
+    from repro.faults.invariants import InvariantViolation
+
+    violations = []
+    appends_by_node = {}
+    for event in checker.trace.events("append"):
+        if event.node is None:
+            continue
+        appends_by_node.setdefault(event.node, []).append(
+            (event.seq, event.at_ms, event.tid)
+        )
+    claimed = {}
+    for event in checker.trace.events("batch-decide"):
+        batch_tids = [tid for tid in event.get("tids", ()) if tid]
+        if not batch_tids or event.node is None:
+            continue
+        tid_set = set(batch_tids)
+        node_appends = appends_by_node.get(event.node, [])
+        taken = claimed.setdefault(event.node, set())
+        positions = [
+            (index, tid)
+            for index, (seq, at_ms, tid) in enumerate(node_appends)
+            if at_ms == event.at_ms
+            and tid in tid_set
+            and seq > event.seq
+            and index not in taken
+        ]
+        if not positions:
+            continue
+        taken.update(index for index, _ in positions)
+        indices = [index for index, _ in positions]
+        if indices != list(range(indices[0], indices[0] + len(indices))):
+            violations.append(
+                InvariantViolation(
+                    invariant="batch-atomicity",
+                    domain=event.domain,
+                    detail=(
+                        f"{event.node}: appends of batch "
+                        f"{(event.digest or '')[:12]} (slot {event.slot}) "
+                        f"interleave with other appends at positions "
+                        f"{indices}"
+                    ),
+                )
+            )
+            continue
+        appended_order = [tid for _, tid in positions]
+        expected_order = [tid for tid in batch_tids if tid in set(appended_order)]
+        if appended_order != expected_order:
+            violations.append(
+                InvariantViolation(
+                    invariant="batch-atomicity",
+                    domain=event.domain,
+                    detail=(
+                        f"{event.node}: batch {(event.digest or '')[:12]} "
+                        f"(slot {event.slot}) appended out of batch order: "
+                        f"{appended_order} != {expected_order}"
+                    ),
+                )
+            )
+    return violations
+
+
+def _batch_atomicity_agrees(deployment, trace):
+    """Run both scans over ``trace``; they must report the same violations."""
+    from repro.faults.invariants import InvariantChecker
+
+    checker = InvariantChecker(deployment, trace=trace)
+    indexed = [str(v) for v in checker._check_batch_atomicity()]
+    assert indexed == [str(v) for v in _batch_atomicity_naive(checker)]
+    return indexed
+
+
+def _fields(event, **changes):
+    """``event`` as ``TraceRecorder.record`` keyword arguments, ``changes``
+    applied."""
+    return {
+        "at_ms": event.at_ms, "domain": event.domain, "node": event.node,
+        "tid": event.tid, "slot": event.slot, "view": event.view,
+        "digest": event.digest, **dict(event.detail), **changes,
+    }
+
+
+def _rerecord(trace, rewrite):
+    """A copy of ``trace`` re-recorded event by event through ``rewrite``.
+
+    ``rewrite(event, fields)`` returns the ``(kind, fields)`` pairs to record
+    in the event's place: ``[]`` drops it, several insert events after it.
+    """
+    from repro.faults.trace import TraceRecorder
+
+    forged = TraceRecorder()
+    for event in trace:
+        for kind, recorded in rewrite(event, _fields(event)):
+            forged.record(kind, **recorded)
+    return forged
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("fig07a", {"num_transactions": 48, "num_clients": 8, "batch_size": 8}),
+        ("shard-sweep-s016", {"num_transactions": 96}),
+        ("byz-equivocation", {"num_transactions": 32, "num_clients": 6,
+                              "batch_size": 2, "batch_timeout_ms": 2.0}),
+        ("churn-sweep", {"batch_size": 4}),
+    ],
+)
+def test_indexed_batch_atomicity_matches_the_full_scan(name, overrides):
+    """The per-instant index reports exactly the full scan's violations, on
+    the registry run and on traces forged from it: a foreign append
+    interleaved into a batch, a batch whose appends are out of its order,
+    duplicate tids (inside one batch, every batch decided twice, one batch
+    decided again in reverse), and an append of a batch's tid recorded just
+    before the batch's decide."""
+    run = ScenarioRunner().execute(registry.get(name).with_overrides(**overrides))
+    trace, deployment = run.trace, run.deployment
+    assert not _batch_atomicity_agrees(deployment, trace)
+
+    def decide_time_appends(event):
+        tids = set(event.get("tids", ()))
+        return [
+            e for e in trace.events("append")
+            if e.node == event.node and e.at_ms == event.at_ms and e.tid in tids
+        ]
+
+    tearable = [
+        event for event in trace.events("batch-decide")
+        if len(decide_time_appends(event)) >= 2
+    ]
+    assert tearable, "expected a batch with >= 2 decide-time appends"
+    target = tearable[len(tearable) // 2]
+    first_append, *_, last_append = decide_time_appends(target)
+    foreign = next(
+        e for e in trace.events("append")
+        if e.node == target.node and e.tid not in set(target.get("tids", ()))
+    )
+
+    def interleave(event, fields):
+        if event.seq == foreign.seq:
+            return []
+        if event.seq == first_append.seq:
+            moved = _fields(foreign, at_ms=target.at_ms)
+            return [(event.kind, fields), ("append", moved)]
+        return [(event.kind, fields)]
+
+    def reorder(event, fields):
+        if event.seq == target.seq:
+            fields["tids"] = tuple(reversed(fields["tids"]))
+        return [(event.kind, fields)]
+
+    def duplicate_inside(event, fields):
+        if event.seq == target.seq:
+            fields["tids"] = fields["tids"] + fields["tids"][:1]
+        return [(event.kind, fields)]
+
+    def decided_twice(event, fields):
+        copies = 2 if event.kind == "batch-decide" else 1
+        return [(event.kind, dict(fields))] * copies
+
+    def redecided_reversed(event, fields):
+        if event.seq == target.seq:
+            again = {**fields, "tids": tuple(reversed(fields["tids"]))}
+            return [(event.kind, fields), (event.kind, again)]
+        return [(event.kind, fields)]
+
+    def early_append(event, fields):
+        if event.seq == target.seq:
+            return [("append", _fields(last_append)), (event.kind, fields)]
+        return [(event.kind, fields)]
+
+    flagged = {}
+    for forge in (interleave, reorder, duplicate_inside, decided_twice,
+                  redecided_reversed, early_append):
+        flagged[forge.__name__] = _batch_atomicity_agrees(
+            deployment, _rerecord(trace, forge)
+        )
+    assert flagged["interleave"] and flagged["reorder"]

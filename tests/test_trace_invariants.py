@@ -55,6 +55,50 @@ class TestTraceRecorder:
         restored = TraceRecorder.from_json(trace.to_json())
         assert list(restored) == list(trace)
 
+    def test_json_round_trip_gives_back_equal_events(self):
+        """A list detail is stored as a tuple, and read back as one."""
+        recorder = TraceRecorder()
+        recorder.record("batch-decide", at_ms=1.0, node="D11/n0",
+                        tids=["tx1@D01/c1", "tx2@D01/c1"], size=2)
+        recorder.record("append", at_ms=2.0, node="D11/n0", involved=("D11",))
+        restored = TraceRecorder.from_json(recorder.to_json())
+        assert list(restored) == list(recorder)
+        assert restored.events()[0].get("tids") == ("tx1@D01/c1", "tx2@D01/c1")
+        assert restored.to_json() == recorder.to_json()
+
+    def test_equal_details_are_one_object(self):
+        recorder = TraceRecorder()
+        for node in ("D11/n0", "D11/n1"):
+            recorder.record("append", at_ms=1.0, node=node, status="committed",
+                            involved=["D11", "D12"])
+        recorder.record("append", at_ms=1.0, node="D11/n2", status="committed",
+                        involved=["D11"])
+        first, second, other = recorder
+        assert first.detail is second.detail
+        assert other.detail is not first.detail
+        assert first.get("involved") == ("D11", "D12")
+        loaded_first, loaded_second, _ = TraceRecorder.from_json(recorder.to_json())
+        assert loaded_first.detail is loaded_second.detail
+
+    def test_shared_details_are_the_events_own_tuples(self, checked_run):
+        """One tuple per distinct detail, held by its events: the table keeps
+        no second copy, also of a detail recorded only once."""
+        trace = checked_run.trace
+        distinct = {event.detail for event in trace if event.detail}
+        assert len(trace._details) == len(distinct)
+        for event in trace:
+            if event.detail:
+                assert trace._details[event.detail] is event.detail
+
+    def test_detail_with_a_dict_value_is_still_recorded(self):
+        recorder = TraceRecorder()
+        for at_ms in (1.0, 2.0):
+            recorder.record("custom", at_ms=at_ms, meta={"lanes": [1, 2]}, count=3)
+        first, second = recorder
+        assert first.get("meta") == {"lanes": [1, 2]} and first.get("count") == 3
+        assert second.detail == first.detail
+        assert list(TraceRecorder.from_json(recorder.to_json())) == list(recorder)
+
     def test_disabled_recorder_records_nothing(self):
         recorder = TraceRecorder(enabled=False)
         recorder.record("propose", at_ms=1.0, domain="D11", node="D11/n0")

@@ -270,9 +270,9 @@ def test_mixed_group_one_member_aborts_while_siblings_commit(monkeypatch):
         assert survivor_state.committed and not survivor_state.aborted
         assert victim_state.aborted and not victim_state.committed
     commit_events = deployment.trace.events("handoff:group-commit")
-    assert commit_events and commit_events[0].get("tids") == [survivor.tid.name]
+    assert commit_events and commit_events[0].get("tids") == (survivor.tid.name,)
     abort_events = deployment.trace.events("handoff:abort")
-    assert abort_events and abort_events[0].get("tids") == [victim.tid.name]
+    assert abort_events and abort_events[0].get("tids") == (victim.tid.name,)
     assert abort_events[0].get("gid") == gid
     assert abort_events[0].get("will_retry") is False
 
