@@ -492,9 +492,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
 
     def _end_coordination(self, state: _CoordinationState, committed: bool) -> None:
         """The one place a coordinator state turns terminal (both flags are
-        monotone) and so leaves the in-flight table."""
+        monotone) and so leaves the in-flight table; its timer goes with it."""
         if state.timer is not None:
             state.timer.cancel()
+            state.timer = None
         if committed:
             state.committed = True
         else:
@@ -571,7 +572,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             prepared = [member for member in members if member.all_prepared]
             if prepared:
                 self._submit_group_commit(exchange, prepared)
-            exchange.commit_submitted = True  # closed, with or without commits
+            self._close_group(exchange)  # with or without commits
         else:
             members = [exchange] if exchange.in_flight else []
         stalled = [m for m in members if not m.all_prepared and not m.abort_submitted]
@@ -612,6 +613,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             # The attempt ends; the next one opens at its own decided prepare.
             if state.timer is not None:
                 state.timer.cancel()
+                state.timer = None
             self._coord_live.discard(state)
             state.coordinator_sequence, state.group_id = 0, None
             state.attempt += 1
@@ -938,12 +940,18 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if members and all(member.all_prepared for member in members):
             self._submit_group_commit(group, members)
 
-    def _submit_group_commit(
-        self, group: _GroupState, members: List[_CoordinationState]
-    ) -> None:
+    def _close_group(self, group: _GroupState) -> None:
+        """A grouped exchange ends: nothing more is submitted for it, and its
+        deadlock timer goes."""
         group.commit_submitted = True
         if group.timer is not None:
             group.timer.cancel()
+            group.timer = None
+
+    def _submit_group_commit(
+        self, group: _GroupState, members: List[_CoordinationState]
+    ) -> None:
+        self._close_group(group)
         commits = tuple(
             CoordinatorCommitOrder(
                 tid=member.transaction.tid,
@@ -960,9 +968,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         group = self._groups.get(order.group_id)
         if group is None:
             return  # never prepared here, so no member belongs to it
-        group.commit_submitted = True
-        if group.timer is not None:
-            group.timer.cancel()
+        self._close_group(group)
         committed: List[CoordinatorCommitOrder] = []
         for member in order.commits:
             state = self._coord.get(member.tid)
@@ -1182,7 +1188,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     ) -> None:
         """The one place a participant state leaves the in-flight table: it
         commits, aborts for good, or — ``forget``, an abort the coordinator
-        will retry — is dropped so the next attempt starts afresh."""
+        will retry — is dropped so the next attempt starts afresh.  Its
+        commit-query timer goes with it."""
+        if state.timer is not None:
+            state.timer.cancel()
+            state.timer = None
         self._part_live.discard(state)
         if forget:
             del self._part[state.transaction.tid]
@@ -1580,8 +1590,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         grouped path aggregate the ack and the queue drain per message
         instead of per member."""
         self._end_participation(state, committed=True)
-        if state.timer is not None:
-            state.timer.cancel()
         if self.node.ledger is not None and commit.tid not in self.node.ledger:
             self.node.append_and_execute(state.transaction, TransactionStatus.COMMITTED)
             self.node.note_commit(commit.tid)
@@ -1648,8 +1656,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if lease is not None and aborted(tid, lease.coordinator_sequence):
             self._drop_lease(tid)
         if state is not None and state.in_flight and aborted(tid, state.coordinator_sequence):
-            if state.timer is not None:
-                state.timer.cancel()
             # A retried attempt is forgotten: the next one starts afresh.
             self._end_participation(state, forget=will_retry)
         if will_retry:

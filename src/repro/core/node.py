@@ -28,7 +28,7 @@ from repro.crypto.keys import KeyStore
 from repro.errors import ConfigurationError, RecoveryError
 from repro.faults.behaviors import AdversaryControls
 from repro.faults.trace import TraceRecorder
-from repro.ledger.chain import LinearLedger
+from repro.ledger.chain import LinearLedger, SharedPositions
 from repro.ledger.dag import DagLedger
 from repro.ledger.abstraction import SummarizedView
 from repro.ledger.state import StateStore
@@ -127,6 +127,7 @@ class SaguaroNode:
         keystore: KeyStore,
         metrics: Optional[MetricsCollector] = None,
         trace: Optional[TraceRecorder] = None,
+        shared_positions: Optional[SharedPositions] = None,
     ) -> None:
         if domain.is_leaf:
             raise ConfigurationError("leaf domains host edge devices, not servers")
@@ -140,6 +141,9 @@ class SaguaroNode:
         self.keystore = keystore
         self.metrics = metrics
         self.trace = trace
+        #: What this height-1 domain's replicas compute identically per
+        #: ledger position, shared by every ledger this node builds.
+        self.shared_positions = shared_positions
         #: Byzantine-behavior switchboard; inert unless a fault plan arms it.
         self.adversary = AdversaryControls()
 
@@ -183,7 +187,7 @@ class SaguaroNode:
         self.dag: Optional[DagLedger] = None
         self.summary: Optional[SummarizedView] = None
         if domain.height == 1:
-            self.ledger = LinearLedger(domain.id)
+            self.ledger = LinearLedger(domain.id, shared_positions)
             self.state = StateStore(name=self.address, shards=config.state_shards)
             application.initialize_domain(domain, self.state)
         else:
@@ -305,7 +309,7 @@ class SaguaroNode:
         self.shared = {}
         self._executed = set()
         if self._domain.height == 1:
-            self.ledger = LinearLedger(self._domain.id)
+            self.ledger = LinearLedger(self._domain.id, self.shared_positions)
             self.state = StateStore(
                 name=self.address, shards=self.config.state_shards
             )
@@ -738,7 +742,7 @@ class SaguaroNode:
                 f"not {self._domain.id.name}"
             )
         self.state.restore(checkpoint.snapshot)
-        self.ledger = LinearLedger(self._domain.id)
+        self.ledger = LinearLedger(self._domain.id, self.shared_positions)
         self._executed = set()
         for entry in checkpoint.ledger:
             self.ledger.append(entry)

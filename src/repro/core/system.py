@@ -25,7 +25,7 @@ from repro.core.optimistic import OptimisticCrossDomainProtocol
 from repro.crypto.keys import KeyStore
 from repro.errors import ConfigurationError, UnknownDomainError
 from repro.faults.trace import TraceRecorder
-from repro.ledger.chain import LinearLedger
+from repro.ledger.chain import LinearLedger, SharedPositions
 from repro.ledger.state import StateStore
 from repro.ledger.abstraction import SummarizedView
 from repro.ledger.transaction import Transaction
@@ -81,6 +81,7 @@ class SaguaroDeployment:
 
     def _build_nodes(self) -> None:
         for domain in self.hierarchy.server_domains():
+            shared = SharedPositions() if domain.height == 1 else None
             for node_id in domain.node_ids:
                 node = SaguaroNode(
                     node_id=node_id,
@@ -93,6 +94,7 @@ class SaguaroDeployment:
                     keystore=self.keystore,
                     metrics=self.metrics,
                     trace=self.trace,
+                    shared_positions=shared,
                 )
                 self._register_components(node)
                 self.nodes[node.address] = node

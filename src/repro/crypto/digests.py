@@ -58,7 +58,13 @@ def digest(*values: Any) -> bytes:
     """SHA-256 digest over the canonical encoding of ``values``."""
     hasher = hashlib.sha256()
     for value in values:
-        hasher.update(canonical_encode(value))
+        if type(value) is bytes:
+            # ``canonical_encode``'s bytes form, without building it: chain
+            # hashes digest two bytes values, on every append and every check.
+            hasher.update(b"Y")
+            hasher.update(value)
+        else:
+            hasher.update(canonical_encode(value))
         hasher.update(_SEPARATOR)
     return hasher.digest()
 

@@ -86,6 +86,7 @@ meaningful:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -181,18 +182,20 @@ class InvariantChecker:
             violations += self._check_certificates()
             violations += self._check_batch_atomicity()
             violations += self._check_group_atomicity()
-            if self.trace.events_with_prefix("spec:"):
+            # Which optional passes apply: one pass over the trace for all four.
+            kinds = {event.kind for event in self.trace}
+            if any(kind.startswith("spec:") for kind in kinds):
                 checks.append("speculation-safety")
                 violations += self._check_speculation_safety()
-            if self.trace.events("fault:wipe") or self.trace.events_with_prefix(
-                "recovery:"
+            if "fault:wipe" in kinds or any(
+                kind.startswith("recovery:") for kind in kinds
             ):
                 checks.append("recovery-safety")
                 violations += self._check_recovery_safety()
-            if self.trace.events("control:lease"):
+            if "control:lease" in kinds:
                 checks.append("lease-safety")
                 violations += self._check_conflict_leases()
-            if self.trace.events("control:split"):
+            if "control:split" in kinds:
                 checks.append("split-partition")
                 violations += self._check_shard_splits()
         if expect_liveness:
@@ -253,7 +256,10 @@ class InvariantChecker:
             for address, ledger in ledgers:
                 for record in ledger:
                     transaction = record.entry.transaction
-                    seen = content.setdefault(record.entry.tid, (address, transaction))
+                    seen = content.get(transaction.tid)
+                    if seen is None:
+                        content[transaction.tid] = (address, transaction)
+                        continue
                     # Replicas normally hold the very same Transaction object;
                     # only a different object can carry different content.
                     if (
@@ -568,41 +574,50 @@ class InvariantChecker:
         """
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        batch_decides = self.trace.events("batch-decide")
-        if not batch_decides:
+        if not any(event.kind == "batch-decide" for event in self.trace):
             return violations  # unbatched ordering: nothing to index
-        # Each node's appends, indexed by the instant they happened at: a
-        # batch's decide-time appends share its instant, so a batch looks up
-        # only its own instant instead of the node's whole append stream.
-        # ``index`` is the append's position in the node's stream.
-        appends_at: Dict[str, Dict[float, List[Tuple[int, int, Optional[str]]]]] = {}
+        # One pass in trace order.  Each append is claimed by the earliest
+        # batch decided before it at its node and instant that lists its
+        # tid: a batch's decide-time appends share its instant, so an append
+        # looks up only its own instant's batches, as ``(tids, positions,
+        # appended tids)``: the batch's tids, then the claimed appends'
+        # positions in their node's append stream and their tids.
+        batches: List[Any] = []
+        claimed: List[Tuple["array[int]", List[str]]] = []
+        at_instant: Dict[
+            Tuple[str, float], List[Tuple[Tuple[str, ...], "array[int]", List[str]]]
+        ] = {}
         stream_length: Dict[str, int] = {}
-        for event in self.trace.events("append"):
-            if event.node is None:
+        for event in self.trace:
+            kind = event.kind
+            if kind == "batch-decide":
+                node = event.node
+                batch_tids = event.get("tids", ())
+                if node is not None and any(batch_tids):
+                    claim: Tuple["array[int]", List[str]] = (array("q"), [])
+                    key = (node, event.at_ms)
+                    at_instant.setdefault(key, []).append((batch_tids, *claim))
+                    batches.append(event)
+                    claimed.append(claim)
                 continue
-            index = stream_length.get(event.node, 0)
-            stream_length[event.node] = index + 1
-            appends_at.setdefault(event.node, {}).setdefault(event.at_ms, []).append(
-                (index, event.seq, event.tid)
-            )
-        claimed: Dict[str, Set[int]] = {}
-        for event in batch_decides:
-            batch_tids = [tid for tid in event.get("tids", ()) if tid]
-            if not batch_tids or event.node is None:
+            node = event.node
+            if kind != "append" or node is None:
                 continue
-            tid_set = set(batch_tids)
-            same_instant = appends_at.get(event.node, {}).get(event.at_ms, ())
-            taken = claimed.setdefault(event.node, set())
-            positions = [
-                (index, tid)
-                for index, seq, tid in same_instant
-                if tid in tid_set and seq > event.seq and index not in taken
-            ]
+            index = stream_length.get(node, 0)
+            stream_length[node] = index + 1
+            tid = event.tid
+            if not tid:
+                continue
+            for batch_tids, positions, tids in at_instant.get((node, event.at_ms), ()):
+                if tid in batch_tids:
+                    positions.append(index)
+                    tids.append(tid)
+                    break
+        for event, (positions, appended_order) in zip(batches, claimed):
             if not positions:
                 continue  # nothing appended at decide time (aborted as a unit)
-            taken.update(index for index, _ in positions)
-            indices = [index for index, _ in positions]
-            if indices != list(range(indices[0], indices[0] + len(indices))):
+            # Positions grow along the stream: contiguous iff they span their count.
+            if positions[-1] - positions[0] != len(positions) - 1:
                 violations.append(
                     InvariantViolation(
                         invariant="batch-atomicity",
@@ -611,13 +626,13 @@ class InvariantChecker:
                             f"{event.node}: appends of batch "
                             f"{(event.digest or '')[:12]} (slot {event.slot}) "
                             f"interleave with other appends at positions "
-                            f"{indices}"
+                            f"{positions.tolist()}"
                         ),
                     )
                 )
                 continue
-            appended_order = [tid for _, tid in positions]
-            expected_order = [tid for tid in batch_tids if tid in set(appended_order)]
+            appended = set(appended_order)
+            expected_order = [tid for tid in event.get("tids", ()) if tid in appended]
             if appended_order != expected_order:
                 violations.append(
                     InvariantViolation(
@@ -638,7 +653,7 @@ class InvariantChecker:
         Replays every grouped exchange from its coordinator-side events: the
         membership from ``group-prepare``, the per-participant vote receipts
         from ``group-vote``, and the per-member outcomes from ``group-commit``
-        / ``abort``.  Trace sequence numbers order evidence against
+        / ``abort``.  Trace positions order evidence against
         outcome: a commit may only cover members whose votes from *every*
         participant were received before it, a member fully voted before the
         group's first commit must be part of it (unless individually retried
@@ -646,27 +661,39 @@ class InvariantChecker:
         """
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        for (domain_name, gid), events in self.trace.group_exchanges().items():
-            if not events["prepare"]:
+        # Per exchange: its prepares and aborts, and the trace position of
+        # each member's first commit and of its first vote from each
+        # participant.
+        exchanges: Dict[
+            Tuple[Optional[str], Any],
+            Tuple[List[Any], List[Any], Dict[str, int], Dict[str, Dict[str, int]]],
+        ] = {}
+        for seq, key, bucket, event in self.trace.exchange_events():
+            if key not in exchanges:
+                exchanges[key] = ([], [], {}, {})
+            prepares, aborts, committed, votes = exchanges[key]
+            if bucket == "commit":
+                for tid in event.get("tids", ()):
+                    committed.setdefault(tid, seq)
+            elif bucket == "vote":
+                participant = event.get("participant")
+                for tid in event.get("tids", ()):
+                    votes.setdefault(tid, {}).setdefault(participant, seq)
+            else:
+                (prepares if bucket == "prepare" else aborts).append(event)
+        for (domain_name, gid), exchange in exchanges.items():
+            prepares, aborts, committed, votes = exchange
+            if not prepares:
                 continue  # exchange never took effect on a primary
-            prepare = events["prepare"][0]
+            prepare = prepares[0]
             members = [tid for tid in prepare.get("tids", ()) if tid]
             member_set = set(members)
             participants = set(prepare.get("participants", ()))
-            committed: Dict[str, int] = {}
-            for event in events["commit"]:
-                for tid in event.get("tids", ()):
-                    committed.setdefault(tid, event.seq)
             final_aborted: Set[str] = set()
             retried: Set[str] = set()
-            for event in events["abort"]:
+            for event in aborts:
                 target = retried if event.get("will_retry") else final_aborted
                 target.update(event.get("tids", ()))
-            votes: Dict[str, Dict[str, int]] = {}
-            for event in events["vote"]:
-                participant = event.get("participant")
-                for tid in event.get("tids", ()):
-                    votes.setdefault(tid, {}).setdefault(participant, event.seq)
 
             def _blame(detail: str, tid: Optional[str] = None) -> None:
                 violations.append(
@@ -735,11 +762,15 @@ class InvariantChecker:
         """
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        spec_events = sorted(
-            self.trace.events_with_prefix("spec:"), key=lambda event: event.seq
-        )
-        by_key: Dict[Tuple[str, int], List[Any]] = {}
-        for event in spec_events:
+        by_key: Dict[Tuple[str, int], List[Tuple[int, Any]]] = {}
+        final_decide: Dict[Tuple[str, int], int] = {}
+        for seq, event in enumerate(self.trace):
+            if event.kind == "batch-decide":
+                if event.node is not None and event.slot is not None:
+                    final_decide[(event.node, event.slot)] = seq
+                continue
+            if not event.kind.startswith("spec:"):
+                continue
             if event.node is None or event.slot is None:
                 violations.append(
                     InvariantViolation(
@@ -749,14 +780,7 @@ class InvariantChecker:
                     )
                 )
                 continue
-            by_key.setdefault((event.node, event.slot), []).append(event)
-        final_decide: Dict[Tuple[str, int], int] = {}
-        for event in self.trace.events("batch-decide"):
-            if event.node is None or event.slot is None:
-                continue
-            key = (event.node, event.slot)
-            if event.seq > final_decide.get(key, -1):
-                final_decide[key] = event.seq
+            by_key.setdefault((event.node, event.slot), []).append((seq, event))
 
         dangling: Set[str] = set()
         for (node, slot), events in sorted(by_key.items()):
@@ -772,7 +796,7 @@ class InvariantChecker:
                     )
                 )
 
-            for event in events:
+            for seq, event in events:
                 if event.kind == "spec:deliver":
                     if committed:
                         _blame("speculatively re-delivered after commit", event)
@@ -789,7 +813,7 @@ class InvariantChecker:
                         continue
                     open_spec = False
                     decide_seq = final_decide.get((node, slot))
-                    if decide_seq is not None and decide_seq < event.seq:
+                    if decide_seq is not None and decide_seq < seq:
                         _blame(
                             "rolled back after the slot's in-order delivery",
                             event,
@@ -876,7 +900,6 @@ class InvariantChecker:
                 by_node.setdefault(event.node, []).append(event)
 
         for node, events in sorted(by_node.items()):
-            events.sort(key=lambda event: event.seq)
             stage = "idle"  # idle -> wiped -> recovering -> idle
             last_wipe_seq = -1
             last_recover_seq = -1
@@ -890,12 +913,12 @@ class InvariantChecker:
                     )
                 )
 
-            for event in events:
+            for seq, event in enumerate(events):
                 if event.kind == "fault:wipe":
                     stage = "wiped"
-                    last_wipe_seq = event.seq
+                    last_wipe_seq = seq
                 elif event.kind == "fault:recover":
-                    last_recover_seq = event.seq
+                    last_recover_seq = seq
                 elif event.kind == "recovery:replay":
                     if stage == "idle":
                         _blame("recovery:replay without a preceding wipe", event)
@@ -973,17 +996,12 @@ class InvariantChecker:
 
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        rejoined: Dict[str, int] = {}
-        for event in self.trace.events("recovery:rejoin"):
-            if event.node:
-                rejoined[event.node] = max(rejoined.get(event.node, -1), event.seq)
-        last_wipe: Dict[str, int] = {}
-        for event in self.trace.events("fault:wipe"):
-            if event.node:
-                last_wipe[event.node] = max(last_wipe.get(event.node, -1), event.seq)
-        targets = {
-            node for node, seq in rejoined.items() if seq > last_wipe.get(node, -1)
-        }
+        # Each node's latest wipe or rejoin, in trace order.
+        latest: Dict[str, str] = {}
+        for event in self.trace:
+            if event.node and event.kind in ("recovery:rejoin", "fault:wipe"):
+                latest[event.node] = event.kind
+        targets = {node for node, kind in latest.items() if kind == "recovery:rejoin"}
         application = getattr(self.deployment, "application", None)
         if application is None or not targets:
             return violations
@@ -1059,7 +1077,7 @@ class InvariantChecker:
             )
 
         open_leases: Set[Tuple[Optional[str], Optional[str]]] = set()
-        for event in sorted(self.trace.events("control:lease"), key=lambda e: e.seq):
+        for event in self.trace.events("control:lease"):
             action = event.get("action")
             key = (event.node, event.tid)
             if action not in ("grant", "adopt", "expire", "drop") or event.tid is None:
@@ -1111,7 +1129,7 @@ class InvariantChecker:
         """
         violations: List[InvariantViolation] = []
         assert self.trace is not None
-        events = sorted(self.trace.events("control:split"), key=lambda e: e.seq)
+        events = self.trace.events("control:split")
         by_node: Dict[str, List[Any]] = {}
         for event in events:
             if event.node is not None:

@@ -62,9 +62,10 @@ class TraceEvent:
     ``"append"``, ``"certify"``, ``"handoff:prepare"``, ``"fault:crash"``, ...);
     the optional columns identify where and what, and ``detail`` carries
     kind-specific extras (always JSON-safe values; a sequence is a tuple).
+    An event does not store its place in the trace: that is its index in the
+    recorder, which the JSON form writes as ``seq``.
     """
 
-    seq: int
     at_ms: float
     kind: str
     domain: Optional[str] = None
@@ -81,9 +82,10 @@ class TraceEvent:
                 return value
         return default
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, seq: int) -> Dict[str, Any]:
+        """The JSON form of the event at index ``seq`` of its trace."""
         return {
-            "seq": self.seq,
+            "seq": seq,
             "at_ms": self.at_ms,
             "kind": self.kind,
             "domain": self.domain,
@@ -97,6 +99,8 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceEvent":
+        """The event a :meth:`to_dict` form describes (its ``seq`` is the
+        index the trace gives it, so it is not read here)."""
         known = {
             "seq", "at_ms", "kind", "domain", "node", "tid", "slot", "view",
             "digest", "detail",
@@ -107,7 +111,6 @@ class TraceEvent:
                 f"unknown TraceEvent field(s): {sorted(unknown)}"
             )
         return cls(
-            seq=data["seq"],
             at_ms=data["at_ms"],
             kind=data["kind"],
             domain=data.get("domain"),
@@ -118,6 +121,15 @@ class TraceEvent:
             digest=data.get("digest"),
             detail=_frozen_detail(data.get("detail") or {}),
         )
+
+
+#: The bucket of each event kind a grouped 2PC exchange leaves.
+_EXCHANGE_BUCKETS = {
+    "handoff:group-prepare": "prepare",
+    "handoff:group-vote": "vote",
+    "handoff:group-commit": "commit",
+    "handoff:abort": "abort",
+}
 
 
 class TraceRecorder:
@@ -164,7 +176,6 @@ class TraceRecorder:
             digest_hex = None if digest is None else str(digest)
         self._events.append(
             TraceEvent(
-                seq=len(self._events),
                 at_ms=at_ms,
                 kind=kind,
                 domain=domain,
@@ -213,39 +224,42 @@ class TraceRecorder:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    def group_exchanges(
+    def exchange_events(
         self,
-    ) -> Dict[Tuple[Optional[str], Any], Dict[str, List[TraceEvent]]]:
-        """Events of every grouped 2PC exchange, keyed by (coordinator, gid).
+    ) -> Iterator[Tuple[int, Tuple[Optional[str], Any], str, TraceEvent]]:
+        """``(seq, (coordinator, gid), bucket, event)`` for each event of a
+        grouped 2PC exchange, in trace order (``seq`` is the event's index).
 
         A grouped cross-domain exchange leaves four coordinator-side event
         kinds on the trace — ``handoff:group-prepare`` (membership and
         participant set), ``handoff:group-vote`` (receipt of one participant's
         aggregated prepared votes), ``handoff:group-commit`` (the per-member
         commit outcomes), and ``handoff:abort`` carrying the group's ``gid``
-        (decided per-member aborts, retried or final).  This groups them per
-        exchange, each bucket in trace order, which is the evidence the
-        group-atomicity invariant (and tests) replay.
+        (decided per-member aborts, retried or final); their buckets are
+        ``prepare``, ``vote``, ``commit`` and ``abort``.  This is the evidence
+        the group-atomicity invariant replays.
         """
-        kind_map = {
-            "handoff:group-prepare": "prepare",
-            "handoff:group-vote": "vote",
-            "handoff:group-commit": "commit",
-            "handoff:abort": "abort",
-        }
-        exchanges: Dict[Tuple[Optional[str], Any], Dict[str, List[TraceEvent]]] = {}
-        for event in self._events:
-            bucket_name = kind_map.get(event.kind)
-            if bucket_name is None:
+        for seq, event in enumerate(self._events):
+            bucket = _EXCHANGE_BUCKETS.get(event.kind)
+            if bucket is None:
                 continue
             gid = event.get("gid")
-            if gid is None:
-                continue
-            bucket = exchanges.setdefault(
-                (event.domain, gid),
-                {"prepare": [], "vote": [], "commit": [], "abort": []},
-            )
-            bucket[bucket_name].append(event)
+            if gid is not None:
+                yield seq, (event.domain, gid), bucket, event
+
+    def group_exchanges(
+        self,
+    ) -> Dict[Tuple[Optional[str], Any], Dict[str, List[TraceEvent]]]:
+        """The :meth:`exchange_events` of every grouped 2PC exchange, keyed by
+        (coordinator, gid), one list per bucket, each in trace order."""
+        exchanges: Dict[Tuple[Optional[str], Any], Dict[str, List[TraceEvent]]] = {}
+        for _, key, bucket, event in self.exchange_events():
+            buckets = exchanges.get(key)
+            if buckets is None:
+                buckets = exchanges[key] = {
+                    "prepare": [], "vote": [], "commit": [], "abort": []
+                }
+            buckets[bucket].append(event)
         return exchanges
 
     def control_decisions(self) -> Dict[str, Dict[str, List[TraceEvent]]]:
@@ -277,12 +291,19 @@ class TraceRecorder:
     # ------------------------------------------------------------------ serialisation
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"events": [event.to_dict() for event in self._events]}
+        return {
+            "events": [event.to_dict(seq) for seq, event in enumerate(self._events)]
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceRecorder":
         recorder = cls()
-        for entry in data.get("events", ()):
+        for seq, entry in enumerate(data.get("events", ())):
+            if entry.get("seq", seq) != seq:
+                raise ConfigurationError(
+                    f"trace event {seq} is numbered {entry['seq']}: events "
+                    "must be listed in their order"
+                )
             event = TraceEvent.from_dict(entry)
             if event.detail:
                 object.__setattr__(event, "detail", recorder._shared(event.detail))

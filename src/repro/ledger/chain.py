@@ -17,10 +17,14 @@ from repro.crypto.digests import digest
 from repro.errors import ChainIntegrityError, LedgerError, UnknownBlockError
 from repro.ledger.transaction import CommittedEntry, Transaction
 
-__all__ = ["ChainRecord", "LinearLedger"]
+__all__ = ["ChainRecord", "LinearLedger", "SharedPositions"]
 
 #: Hash of the (virtual) block before the first one.
 GENESIS_HASH = b"\x00" * 32
+
+#: Positions a :class:`SharedPositions` table keeps: the leading replica's
+#: latest appends.  A replica further behind than this computes its own.
+SHARED_WINDOW = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,11 +41,84 @@ class ChainRecord:
     block_hash: bytes
 
 
-class LinearLedger:
-    """The append-only, hash-chained ledger of one height-1 domain."""
+#: What :class:`SharedPositions` keeps per position: the inputs a hit must
+#: equal (transaction digest, previous hash), then the shared outputs
+#: (sequence number, entry digest, block hash).
+_Shared = Tuple[bytes, bytes, SequenceNumber, bytes, bytes]
 
-    def __init__(self, domain: DomainId) -> None:
+
+class SharedPositions:
+    """One copy per domain of what its replicas compute identically.
+
+    Every honest replica of a height-1 domain appends the same transaction at
+    the same position after the same previous hash, so the entry's
+    :class:`SequenceNumber` (with its position ``int``), its canonical digest
+    and the record's block hash are equal on all of them.  The first replica
+    to append a position leaves the three here, keyed by the position; a
+    replica appending that position takes them only when its transaction
+    digest and previous hash equal the ones they were computed from (its
+    sequence parts are equal by construction: only single-part sequences,
+    this domain's position alone, are shared).  A replica whose inputs differ
+    (a Byzantine one, one lagging more than :data:`SHARED_WINDOW` positions
+    behind, one rebuilding its ledger after a wipe) computes its own.
+    """
+
+    __slots__ = ("_positions", "_latest")
+
+    def __init__(self) -> None:
+        self._positions: Dict[int, _Shared] = {}
+        self._latest = 0
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def take(
+        self, position: int, transaction_digest: bytes, previous_hash: bytes
+    ) -> Optional[_Shared]:
+        """What ``position`` holds, if it was computed from equal inputs."""
+        shared = self._positions.get(position)
+        if (
+            shared is None
+            or shared[0] != transaction_digest
+            or shared[1] != previous_hash
+        ):
+            return None
+        return shared
+
+    def offer(self, record: "ChainRecord") -> None:
+        """Keep ``record``'s computed values if it is the first at a new position."""
+        position = record.position
+        if position <= self._latest:
+            return
+        self._latest = position
+        entry = record.entry
+        positions = self._positions
+        positions[position] = (
+            entry.transaction.canonical_bytes(),
+            record.previous_hash,
+            entry.sequence,
+            entry.canonical_bytes(),
+            record.block_hash,
+        )
+        if len(positions) > SHARED_WINDOW:
+            del positions[next(iter(positions))]
+
+
+class LinearLedger:
+    """The append-only, hash-chained ledger of one height-1 domain.
+
+    ``shared`` is the domain's :class:`SharedPositions`, held by every
+    replica's ledger (``None``: a ledger on its own computes everything).
+    Only :meth:`append_transaction`, a replica sequencing a decided
+    transaction, uses it; entries appended verbatim (WAL replay, catch-up)
+    are hashed by this ledger.
+    """
+
+    def __init__(
+        self, domain: DomainId, shared: Optional[SharedPositions] = None
+    ) -> None:
         self._domain = domain
+        self._shared = shared
         self._records: List[ChainRecord] = []
         self._by_tid: Dict[TransactionId, int] = {}
 
@@ -90,6 +167,15 @@ class LinearLedger:
             raise LedgerError(f"{entry.tid} already appended to {self._domain}")
         previous_hash = self.head_hash
         block_hash = digest(previous_hash, entry.canonical_bytes())
+        return self._link(position, entry, previous_hash, block_hash)
+
+    def _link(
+        self,
+        position: int,
+        entry: CommittedEntry,
+        previous_hash: bytes,
+        block_hash: bytes,
+    ) -> ChainRecord:
         record = ChainRecord(
             position=position,
             entry=entry,
@@ -112,7 +198,29 @@ class LinearLedger:
         ``sequence`` may carry the positions assigned by *other* involved
         domains of a cross-domain transaction; this domain's part is always
         (re)assigned to the next local position.
+
+        Without ``sequence``, the domain's :class:`SharedPositions` is asked
+        first: when it holds this position for an equal transaction and
+        previous hash, the new record takes its sequence number, entry digest
+        and block hash instead of computing its own.
         """
+        shared = self._shared if sequence is None else None
+        if shared is not None and transaction.tid not in self._by_tid:
+            previous_hash = self.head_hash
+            taken = shared.take(
+                self.next_position(), transaction.canonical_bytes(), previous_hash
+            )
+            if taken is not None:
+                _, _, full, canonical, block_hash = taken
+                entry = CommittedEntry(
+                    transaction=transaction,
+                    sequence=full,
+                    status=status,
+                    commit_time_ms=commit_time_ms,
+                )
+                object.__setattr__(entry, "_canonical", canonical)
+                # The position ``int`` is the shared sequence number's own.
+                return self._link(full.parts[0][1], entry, previous_hash, block_hash)
         local = SequenceNumber.single(self._domain, self.next_position())
         full = local if sequence is None else sequence.merged_with(local)
         entry = CommittedEntry(
@@ -121,7 +229,10 @@ class LinearLedger:
             status=status,
             commit_time_ms=commit_time_ms,
         )
-        return self.append(entry)
+        record = self.append(entry)
+        if shared is not None:
+            shared.offer(record)
+        return record
 
     # -- queries ----------------------------------------------------------------
 

@@ -15,14 +15,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.common.types import DomainId, TransactionId, TransactionStatus
 from repro.errors import LedgerError, UnknownBlockError
 from repro.ledger.block import BlockMessage
 from repro.ledger.transaction import CommittedEntry, domain_pairs
 
-__all__ = ["DagVertex", "OrderInconsistency", "DagLedger", "deterministic_abort_choice"]
+__all__ = [
+    "CrossDomainVertex",
+    "DagVertex",
+    "OrderInconsistency",
+    "DagLedger",
+    "deterministic_abort_choice",
+]
 
 
 def deterministic_abort_choice(first: TransactionId, second: TransactionId) -> TransactionId:
@@ -35,33 +41,47 @@ def deterministic_abort_choice(first: TransactionId, second: TransactionId) -> T
     return first if first.number <= second.number else second
 
 
+#: A vertex's parent edges: none, one parent's id, or a tuple of two or more.
+_Parents = Union[None, TransactionId, Tuple[TransactionId, ...]]
+
+
+def _edges(parents: _Parents) -> Tuple[TransactionId, ...]:
+    """The parent ids of a vertex, in the order their edges were recorded."""
+    if parents is None:
+        return ()
+    if type(parents) is tuple:
+        return parents
+    return (parents,)
+
+
 class DagVertex:
     """One transaction in the DAG, possibly merged from several children.
 
     One flat slotted record per vertex: every height-2+ replica holds one for
     each descendant transaction, so its size is the ledger's size.  Which
     involved domains have reported the transaction is a bitmask over
-    ``entry.transaction.involved_domains``; the parent edges are a tuple of
-    transaction ids, and the rounds that delivered the vertex a flat
-    ``(child, round, child, round, ...)`` tuple, keyed by the reporting child
-    (at the root a height-2 domain, not an involved one).  ``parents``,
-    ``reported_by`` and ``rounds`` are built from these on demand.
+    ``entry.transaction.involved_domains``; the parent edge is the parent's
+    transaction id (``None`` for none), becoming a tuple of ids only when a
+    merge adds a second parent; and the rounds that delivered the vertex are
+    a flat ``(child, round, child, round, ...)`` tuple, keyed by the reporting
+    child (at the root a height-2 domain, not an involved one).
+    ``parents``, ``reported_by`` and ``rounds`` are built from these on
+    demand.  A vertex's place in its ledger's insertion order is not stored:
+    only a cross-domain vertex (:class:`CrossDomainVertex`) keeps it, for the
+    consistency check.
     """
 
-    __slots__ = ("entry", "ordinal", "_reporters", "_parents", "_rounds")
+    __slots__ = ("entry", "_reporters", "_parents", "_rounds")
 
     def __init__(
         self,
         entry: CommittedEntry,
-        ordinal: int = 0,
-        parents: Tuple[TransactionId, ...] = (),
+        parent: Optional[TransactionId] = None,
         rounds: Tuple[object, ...] = (),
     ) -> None:
         self.entry = entry
-        #: Position in the owning ledger's insertion order.
-        self.ordinal = ordinal
         self._reporters = _reporter_bits(entry)
-        self._parents = parents
+        self._parents: _Parents = parent
         self._rounds = rounds
 
     @property
@@ -80,7 +100,7 @@ class DagVertex:
 
     @property
     def parents(self) -> FrozenSet[TransactionId]:
-        return frozenset(self._parents)
+        return frozenset(_edges(self._parents))
 
     @property
     def reported_by(self) -> FrozenSet[DomainId]:
@@ -94,6 +114,36 @@ class DagVertex:
         later pair wins and the first keeps its place, as a dict insert)."""
         rounds = self._rounds
         return dict(zip(rounds[::2], rounds[1::2]))
+
+    def _add_parent(self, parent: TransactionId) -> None:
+        """Record the edge ``parent -> self`` unless it is already there."""
+        current = self._parents
+        if current is None:
+            self._parents = parent
+        elif type(current) is tuple:
+            if parent not in current:
+                self._parents = current + (parent,)
+        elif current != parent:
+            self._parents = (current, parent)
+
+
+class CrossDomainVertex(DagVertex):
+    """A cross-domain vertex, which keeps its place in the insertion order:
+    the consistency check visits the vertices sharing a domain pair in that
+    order."""
+
+    __slots__ = ("ordinal",)
+
+    def __init__(
+        self,
+        entry: CommittedEntry,
+        ordinal: int,
+        parent: Optional[TransactionId] = None,
+        rounds: Tuple[object, ...] = (),
+    ) -> None:
+        super().__init__(entry, parent, rounds)
+        #: Position in the owning ledger's insertion order.
+        self.ordinal = ordinal
 
 
 def _reporter_bits(entry: CommittedEntry) -> int:
@@ -140,8 +190,8 @@ class DagLedger:
         # transactions can only be inconsistently ordered when they share
         # such a pair, so the consistency check reads these lists instead of
         # scanning the whole ledger.
-        self._cross_domain: List[DagVertex] = []
-        self._by_pair: Dict[Tuple[DomainId, DomainId], List[DagVertex]] = {}
+        self._cross_domain: List[CrossDomainVertex] = []
+        self._by_pair: Dict[Tuple[DomainId, DomainId], List[CrossDomainVertex]] = {}
 
     # -- accessors ----------------------------------------------------------------
 
@@ -219,26 +269,23 @@ class DagLedger:
             tid = entry.tid
             vertex = vertices.get(tid)
             if vertex is None:
-                parents = () if previous is None else (previous,)
-                vertex = DagVertex(entry, len(self._order), parents, stamp)
-                vertices[tid] = vertex
-                self._order.append(tid)
-                added.append(tid)
-                if vertex.is_cross_domain:
+                if len(entry.transaction.involved_domains) > 1:
+                    vertex = CrossDomainVertex(entry, len(self._order), previous, stamp)
                     self._cross_domain.append(vertex)
                     for pair in domain_pairs(entry.transaction):
                         self._by_pair.setdefault(pair, []).append(vertex)
+                else:
+                    vertex = DagVertex(entry, previous, stamp)
+                vertices[tid] = vertex
+                self._order.append(tid)
+                added.append(tid)
             else:
                 merged_sequence = vertex.entry.sequence.merged_with(entry.sequence)
                 vertex.entry = vertex.entry.with_sequence(merged_sequence)
                 vertex._reporters |= _reporter_bits(entry)
                 vertex._rounds += stamp
-                if (
-                    previous is not None
-                    and previous != tid
-                    and previous not in vertex._parents
-                ):
-                    vertex._parents += (previous,)
+                if previous is not None and previous != tid:
+                    vertex._add_parent(previous)
             previous = tid
         self._last_from_child[child] = previous
         self._rounds_from_child[child] = block.round_number
@@ -302,7 +349,9 @@ class DagLedger:
                     inconsistencies.append(conflict)
         return inconsistencies
 
-    def _sharing_a_pair_with(self, vertex: DagVertex) -> List[DagVertex]:
+    def _sharing_a_pair_with(
+        self, vertex: CrossDomainVertex
+    ) -> List[CrossDomainVertex]:
         """Vertices sharing >= 2 involved domains with ``vertex``, insertion order."""
         pairs = domain_pairs(vertex.entry.transaction)
         if len(pairs) == 1:
@@ -349,17 +398,25 @@ class DagLedger:
     # -- ordering ----------------------------------------------------------------------------
 
     def topological_order(self) -> List[TransactionId]:
-        """A topological ordering of the DAG (insertion order is a valid one).
+        """A topological ordering of the DAG's parent edges.
 
-        Raises :class:`LedgerError` if the recorded parent edges contain a
-        cycle, which would indicate corrupted input blocks.
+        Raises :class:`LedgerError` if the edges contain a cycle.  Corrupted
+        input blocks can close one, and so can two honest children: each
+        child's block lists its entries in its own order, so two cross-domain
+        transactions that share a single height-1 domain reach a parent in
+        that domain's ledger order from one child and in the other child's
+        integration order from the other.  No order is owed between such
+        transactions (only a shared *pair* of domains owes one, see
+        :meth:`find_order_inconsistencies`), so that cycle is no
+        inconsistency.  ``fig07a`` at 40 transactions, seed 1, closes one at
+        the root (``tests/test_dag_and_abstraction.py`` pins it).
         """
         in_degree: Dict[TransactionId, int] = {tid: 0 for tid in self._order}
         children: Dict[TransactionId, List[TransactionId]] = {
             tid: [] for tid in self._order
         }
         for tid, vertex in self._vertices.items():
-            for parent in vertex._parents:
+            for parent in _edges(vertex._parents):
                 if parent in in_degree:
                     in_degree[tid] += 1
                     children[parent].append(tid)

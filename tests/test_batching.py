@@ -317,7 +317,7 @@ def test_batch_atomicity_checker_flags_torn_batches():
 
     # (a) wrong order: the batch claims the reverse append order.
     def reverse_tids(event, kwargs, detail):
-        if event.seq == target.seq:
+        if event is target:
             detail["tids"] = list(reversed(detail["tids"]))
         return event.at_ms
 
@@ -332,10 +332,10 @@ def test_batch_atomicity_checker_flags_torn_batches():
         and e.tid not in set(target.get("tids", ()))
     )
     batch_appends = decide_time_appends(target)
-    middle_seq = batch_appends[0].seq  # after the first batch append
+    middle = batch_appends[0]  # after the first batch append
 
     def retime_foreign(event, kwargs, detail):
-        if event.seq == foreign.seq:
+        if event is foreign:
             return target.at_ms
         return event.at_ms
 
@@ -344,7 +344,7 @@ def test_batch_atomicity_checker_flags_torn_batches():
     # batch append instead of at its original position.
     forged = TraceRecorder()
     for event in run.trace:
-        if event.seq == foreign.seq:
+        if event is foreign:
             continue
         detail = dict(event.detail)
         forged.record(
@@ -352,7 +352,7 @@ def test_batch_atomicity_checker_flags_torn_batches():
             tid=event.tid, slot=event.slot, view=event.view, digest=event.digest,
             **detail,
         )
-        if event.seq == middle_seq:
+        if event is middle:
             forged.record(
                 "append", at_ms=target.at_ms, domain=foreign.domain,
                 node=foreign.node, tid=foreign.tid, slot=foreign.slot,
@@ -457,14 +457,17 @@ def _batch_atomicity_naive(checker):
 
     violations = []
     appends_by_node = {}
-    for event in checker.trace.events("append"):
-        if event.node is None:
+    batch_decides = []
+    for seq, event in enumerate(checker.trace):
+        if event.kind == "batch-decide":
+            batch_decides.append((seq, event))
+        if event.kind != "append" or event.node is None:
             continue
         appends_by_node.setdefault(event.node, []).append(
-            (event.seq, event.at_ms, event.tid)
+            (seq, event.at_ms, event.tid)
         )
     claimed = {}
-    for event in checker.trace.events("batch-decide"):
+    for decide_seq, event in batch_decides:
         batch_tids = [tid for tid in event.get("tids", ()) if tid]
         if not batch_tids or event.node is None:
             continue
@@ -476,7 +479,7 @@ def _batch_atomicity_naive(checker):
             for index, (seq, at_ms, tid) in enumerate(node_appends)
             if at_ms == event.at_ms
             and tid in tid_set
-            and seq > event.seq
+            and seq > decide_seq
             and index not in taken
         ]
         if not positions:
@@ -590,20 +593,20 @@ def test_indexed_batch_atomicity_matches_the_full_scan(name, overrides):
     )
 
     def interleave(event, fields):
-        if event.seq == foreign.seq:
+        if event is foreign:
             return []
-        if event.seq == first_append.seq:
+        if event is first_append:
             moved = _fields(foreign, at_ms=target.at_ms)
             return [(event.kind, fields), ("append", moved)]
         return [(event.kind, fields)]
 
     def reorder(event, fields):
-        if event.seq == target.seq:
+        if event is target:
             fields["tids"] = tuple(reversed(fields["tids"]))
         return [(event.kind, fields)]
 
     def duplicate_inside(event, fields):
-        if event.seq == target.seq:
+        if event is target:
             fields["tids"] = fields["tids"] + fields["tids"][:1]
         return [(event.kind, fields)]
 
@@ -612,13 +615,13 @@ def test_indexed_batch_atomicity_matches_the_full_scan(name, overrides):
         return [(event.kind, dict(fields))] * copies
 
     def redecided_reversed(event, fields):
-        if event.seq == target.seq:
+        if event is target:
             again = {**fields, "tids": tuple(reversed(fields["tids"]))}
             return [(event.kind, fields), (event.kind, again)]
         return [(event.kind, fields)]
 
     def early_append(event, fields):
-        if event.seq == target.seq:
+        if event is target:
             return [("append", _fields(last_append)), (event.kind, fields)]
         return [(event.kind, fields)]
 

@@ -33,6 +33,7 @@ from repro.core.messages import InternalOrder
 from repro.errors import LedgerError
 from repro.faults.behaviors import _forge_payload
 from repro.ledger.block import BlockMessage
+from repro.ledger.chain import SHARED_WINDOW, LinearLedger, SharedPositions
 from repro.ledger.dag import DagLedger
 from repro.ledger.transaction import CommittedEntry, Transaction
 from repro.scenarios import materialize, registry
@@ -254,13 +255,85 @@ class TestPayloadDigests:
             DagLedger(D21).integrate_block(spliced, D11)
 
 
+class TestSharedPositions:
+    """Replicas of one domain share a position's sequence number, entry digest
+    and block hash only when they computed them from equal inputs."""
+
+    def _replicas(self, count=2):
+        shared = SharedPositions()
+        return [LinearLedger(D11, shared) for _ in range(count)]
+
+    def test_equal_appends_share_one_copy(self):
+        first, second = self._replicas()
+        transaction = Transaction(**_fields())
+        mine = first.append_transaction(transaction, commit_time_ms=1.0)
+        theirs = second.append_transaction(transaction, commit_time_ms=2.0)
+        assert theirs.entry.sequence is mine.entry.sequence
+        assert theirs.position is mine.position
+        assert theirs.entry.canonical_bytes() is mine.entry.canonical_bytes()
+        assert theirs.block_hash is mine.block_hash
+        assert theirs.entry.commit_time_ms == 2.0  # the entry stays the replica's
+        assert second.verify_integrity()
+
+    @pytest.mark.parametrize(
+        "other", [_fields(number=8), _fields(amount=6.0)], ids=["tid", "payload"]
+    )
+    def test_a_different_transaction_at_the_position_gets_its_own_digest(self, other):
+        first, second = self._replicas()
+        mine = first.append_transaction(Transaction(**_fields()))
+        theirs = second.append_transaction(Transaction(**other))
+        alone = LinearLedger(D11).append_transaction(Transaction(**other))
+        assert theirs.entry.canonical_bytes() != mine.entry.canonical_bytes()
+        assert theirs.entry.canonical_bytes() == alone.entry.canonical_bytes()
+        assert theirs.block_hash != mine.block_hash
+        assert theirs.block_hash == alone.block_hash
+        assert second.verify_integrity()
+
+    def test_a_different_previous_hash_gets_its_own_block_hash(self):
+        first, second = self._replicas()
+        first.append_transaction(Transaction(**_fields(number=1)))
+        second.append_transaction(Transaction(**_fields(number=2)))
+        transaction = Transaction(**_fields(number=3))
+        mine = first.append_transaction(transaction)
+        theirs = second.append_transaction(transaction)
+        assert theirs.previous_hash != mine.previous_hash
+        assert theirs.block_hash != mine.block_hash
+        assert theirs.entry.sequence is not mine.entry.sequence
+        assert theirs.block_hash == _lone_chain_head(
+            [_fields(number=2), _fields(number=3)]
+        )
+        assert second.verify_integrity()
+
+    def test_a_replica_behind_the_window_computes_its_own(self):
+        leader, laggard = self._replicas()
+        transactions = [
+            Transaction(**_fields(number=n)) for n in range(1, SHARED_WINDOW + 2)
+        ]
+        records = [leader.append_transaction(t) for t in transactions]
+        assert len(leader._shared) == SHARED_WINDOW
+        late = laggard.append_transaction(transactions[0])
+        assert late.block_hash == records[0].block_hash
+        assert late.block_hash is not records[0].block_hash
+        caught_up = laggard.append_transaction(transactions[1])
+        assert caught_up.block_hash is records[1].block_hash
+
+
+def _lone_chain_head(fields):
+    """Block hash of the last record of a lone ledger appending ``fields``."""
+    ledger = LinearLedger(D11)
+    for values in fields:
+        record = ledger.append_transaction(Transaction(**values))
+    return record.block_hash
+
+
 def test_each_transaction_and_entry_is_encoded_once(monkeypatch):
     """A count, not a timing: full encodes behind ``canonical_bytes()``.
 
-    One encode per transaction plus two per ledger append (the entry a replica
-    appends and the one a status flip derives from it) is the ceiling; encoding
-    again per digest, per replica or per block message blows straight through it
-    (4,018 before the caches, 722 with them).
+    One encode per transaction plus two per domain ledger position (the entry
+    the domain's replicas share and the one a status flip derives from it) is
+    the ceiling; encoding again per digest, per replica or per block message
+    blows straight through it (4,018 before the caches, 722 with one entry
+    digest per replica, 348 with one per domain position).
     """
     encodes = []
     digest = transaction_module.digest
@@ -282,4 +355,9 @@ def test_each_transaction_and_entry_is_encoded_once(monkeypatch):
         if node.ledger is not None
     )
     assert appends == 561
-    assert len(encodes) <= 150 + 2 * appends
+    positions = sum(
+        max(len(node.ledger) for node in run.deployment.nodes_of(domain.id))
+        for domain in run.deployment.hierarchy.height1_domains()
+    )
+    assert positions == 187
+    assert len(encodes) <= 150 + 2 * positions

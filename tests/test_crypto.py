@@ -1,5 +1,7 @@
 """Unit and property tests for the simulated PKI, digests, and certificates."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,15 @@ class TestDigests:
         value = digest_hex("x")
         assert len(value) == 64
         int(value, 16)
+
+    @given(st.lists(st.one_of(st.binary(max_size=40), st.text(max_size=8)), max_size=4))
+    def test_digest_hashes_the_canonical_encoding(self, values):
+        # ``digest`` skips building the encoding of a bytes value; the hash
+        # must still be that of the canonical encoding of every value.
+        expected = hashlib.sha256(
+            b"".join(canonical_encode(value) + b"\x1f" for value in values)
+        ).digest()
+        assert digest(*values) == expected
 
     @given(st.lists(st.integers(), max_size=10), st.lists(st.integers(), max_size=10))
     def test_distinct_lists_distinct_digests(self, a, b):

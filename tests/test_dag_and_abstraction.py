@@ -22,7 +22,7 @@ from repro.ledger.abstraction import (
 )
 from repro.ledger.block import BlockMessage
 from repro.ledger.chain import LinearLedger
-from repro.ledger.dag import DagLedger, deterministic_abort_choice
+from repro.ledger.dag import DagLedger, _edges, deterministic_abort_choice
 from repro.ledger.transaction import CommittedEntry, Transaction
 
 D11, D12, D13, D21 = DomainId(1, 1), DomainId(1, 2), DomainId(1, 3), DomainId(2, 1)
@@ -425,8 +425,14 @@ def _same_vertices(flat, reference):
     assert [v.tid for v in flat.transactions()] == reference._order
     for vertex, expected in zip(flat.transactions(), reference.transactions()):
         assert vertex.entry == expected.entry
-        assert vertex.ordinal == expected.ordinal
+        # Only a cross-domain vertex keeps its ordinal (the consistency check
+        # reads it); every vertex's place is its index in ``transactions()``.
+        if vertex.is_cross_domain:
+            assert vertex.ordinal == expected.ordinal
+        else:
+            assert not hasattr(vertex, "ordinal")
         assert vertex.parents == expected.parents
+        assert len(_edges(vertex._parents)) == len(expected.parents)  # each edge once
         assert vertex.reported_by == expected.reported_by
         assert list(vertex.rounds.items()) == list(expected.rounds.items())
         assert vertex.fully_reported == expected.fully_reported
@@ -569,6 +575,41 @@ class TestFlatVertex:
             tracemalloc.stop()
         assert len(dag) == 2000
         assert grown / len(dag) <= 0.45 * 925
+
+
+def test_root_dag_cycle_between_transactions_sharing_one_domain():
+    """``fig07a`` at 40 transactions, seed 1: the root's DAG holds a 2-cycle
+    and no order inconsistency.
+
+    tx15 {D11, D13} and tx25 {D11, D14} reach the root through both height-2
+    domains.  D21's block lists them in D11's ledger order (tx15 first), so
+    the root records tx15 -> tx25; D22's block lists them in the order D22
+    integrated its children's blocks (D14's tx25 before D13's tx15), so the
+    root also records tx25 -> tx15.  The two transactions share one
+    height-1 domain only, so no relative order is owed between them (§6
+    compares orders over a shared *pair*): the cycle is expected, and
+    ``topological_order`` reports it.  Pinned so that the vertex record
+    provably keeps exactly these edges.
+    """
+    from repro.scenarios import materialize, registry
+
+    run = materialize(registry.get("fig07a").with_overrides(num_transactions=40), 1)
+    run.run()
+    nodes = run.deployment.nodes
+    root = nodes["D31/n0"].dag
+    tx15, tx25 = (
+        next(v for v in root.transactions() if v.tid.name.startswith(prefix))
+        for prefix in ("tx15@", "tx25@")
+    )
+    assert tx15.entry.transaction.overlap_with(tx25.entry.transaction) == (D11,)
+    assert tx15.tid in tx25.parents and tx25.tid in tx15.parents
+    d11 = nodes["D11/n0"].ledger
+    assert d11.position_of(tx15.tid) < d11.position_of(tx25.tid)
+    d22_order = [v.tid for v in nodes["D22/n0"].dag.transactions()]
+    assert d22_order.index(tx25.tid) < d22_order.index(tx15.tid)
+    with pytest.raises(LedgerError, match="cycle"):
+        root.topological_order()
+    assert root.find_order_inconsistencies() == []
 
 
 class TestAbstractions:

@@ -1,6 +1,6 @@
 """What a run keeps once its transactions are decided.
 
-Three kinds of state used to grow with every committed transaction for no
+Several kinds of state used to grow with every committed transaction for no
 reader's sake, and these tests hold each to its bound:
 
 * consensus vote tallies: a decided slot's PBFT prepare / commit / echo
@@ -9,10 +9,12 @@ reader's sake, and these tests hold each to its bound:
 * the ledger records (``SequenceNumber``, ``CommittedEntry``,
   ``ChainRecord``) are slotted, and survive pickle, copy and ``replace`` in
   another process;
-* trace details are shared (see ``tests/test_trace_invariants.py``).
+* trace details are shared (see ``tests/test_trace_invariants.py``), and
+  what a domain's replicas compute identically per ledger position is kept
+  once per domain (see ``tests/test_compute_once.py``).
 
-A tracemalloc guard bounds the bytes the four modules behind these retain
-per committed transaction per replica.
+A tracemalloc guard bounds the bytes the modules behind these, the DAG and
+the digests retain per committed transaction per replica.
 """
 
 import copy
@@ -32,6 +34,7 @@ from repro.common.types import DomainId, SequenceNumber, TransactionStatus
 from repro.consensus.messages import PaxosAccepted, PbftCommit, PbftPrepare
 from repro.consensus.paxos import PaxosEngine
 from repro.consensus.pbft import PbftEngine
+from repro.core.coordinator import CoordinatorCrossDomainProtocol
 from repro.ledger.chain import LinearLedger
 from repro.recovery.wal import WalRecord
 from repro.scenarios import registry
@@ -174,6 +177,29 @@ class TestDecidedSlotsKeepNoTallies:
         assert len(cft_run.trace) == events
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("xbatch-sweep-g008", {"num_transactions": 96}),
+        ("fig07a", {"num_transactions": 48, "num_clients": 8}),
+    ],
+    ids=["grouped", "per-transaction"],
+)
+def test_settled_2pc_states_keep_no_timer(name, overrides):
+    """A coordinator, participant or group state that has ended holds no
+    timer: its cancelled ``Timer`` and event go with it."""
+    run = _finished(name, **overrides)
+    settled = []
+    for node in run.deployment.nodes.values():
+        for component in node.components:
+            if isinstance(component, CoordinatorCrossDomainProtocol):
+                settled += [s for s in component._coord.values() if not s.in_flight]
+                settled += [s for s in component._part.values() if not s.in_flight]
+                settled += [g for g in component._groups.values() if g.commit_submitted]
+    assert len(settled) > 50
+    assert [s for s in settled if s.timer is not None] == []
+
+
 # ---------------------------------------------------------------------------
 # Slotted ledger records
 # ---------------------------------------------------------------------------
@@ -264,23 +290,35 @@ def test_slotted_records_survive_pickle_copy_and_replace_in_another_process():
 # ---------------------------------------------------------------------------
 
 #: Modules whose retained allocations the guard sums.
-_GUARDED = ("faults/trace.py", "ledger/chain.py", "common/types.py", "consensus/pbft.py")
+_GUARDED = (
+    "faults/trace.py",
+    "ledger/chain.py",
+    "common/types.py",
+    "consensus/pbft.py",
+    "ledger/dag.py",
+    "crypto/digests.py",
+)
 
 #: Bytes those modules retained per committed transaction per replica at the
-#: end of the guard's run before details were shared, ledger records slotted
-#: and decided tallies dropped, by Python version (3.11 elsewhere).
-_BEFORE = {(3, 10): 252.2, (3, 11): 290.4, (3, 12): 284.4}
+#: end of the guard's run before replicas shared what they compute
+#: identically and records stopped storing what their position gives, by
+#: Python version (3.11 elsewhere).
+_BEFORE = {(3, 10): 270.1, (3, 11): 269.9, (3, 12): 269.8}
 
 
 def test_retained_bytes_per_committed_transaction_per_replica():
     """tracemalloc guard on ``shard-sweep-s016`` at 480 transactions, seed 1
     (28 height-1 replicas, every transaction committed).
 
-    Before this bound existed the four guarded modules retained 252.2 B (on
-    Python 3.10), 290.4 B (3.11) and 284.4 B (3.12) per committed transaction
-    per replica, of which trace details, ledger records' attribute dicts and
-    decided slots' PBFT tallies were most; after, about 145 B on each.  The
-    bound is 65 % of the before figure.
+    The first four guarded modules once retained 252.2 B (on Python 3.10),
+    290.4 B (3.11) and 284.4 B (3.12) per committed transaction per replica,
+    of which trace details, ledger records' attribute dicts and decided
+    slots' PBFT tallies were most; about 145 B once those were gone.  With
+    the DAG and the digests added, the six retained 270 B on each version;
+    after each domain's replicas shared their sequence numbers, entry
+    digests and block hashes, DAG vertices kept a single parent bare and an
+    ordinal only when cross-domain, and trace events stopped storing their
+    index, about 171 B.  The bound is 70 % of the before figure.
     """
     run = materialize(
         registry.get("shard-sweep-s016").with_overrides(num_transactions=480), 1
@@ -305,4 +343,4 @@ def test_retained_bytes_per_committed_transaction_per_replica():
     assert committed == 480 and replicas == 28
     per_transaction = retained / committed / replicas
     before = _BEFORE.get(sys.version_info[:2], min(_BEFORE.values()))
-    assert per_transaction <= 0.65 * before, per_transaction
+    assert per_transaction <= 0.70 * before, per_transaction

@@ -8,7 +8,7 @@ violations (otherwise "passing" means nothing).
 import pytest
 
 from repro.common.types import TransactionStatus
-from repro.errors import InvariantViolationError
+from repro.errors import ConfigurationError, InvariantViolationError
 from repro.faults import InvariantChecker, TraceRecorder
 from repro.scenarios import ScenarioRunner, registry
 from tests.conftest import cross_transfer, make_deployment
@@ -65,6 +65,19 @@ class TestTraceRecorder:
         assert list(restored) == list(recorder)
         assert restored.events()[0].get("tids") == ("tx1@D01/c1", "tx2@D01/c1")
         assert restored.to_json() == recorder.to_json()
+
+    def test_an_event_is_numbered_by_its_place_in_the_trace(self):
+        """Events store no ``seq``; the JSON form writes each one's index, and
+        a JSON trace whose events are out of their numbered order is refused."""
+        recorder = TraceRecorder()
+        for at_ms in (1.0, 2.0, 3.0):
+            recorder.record("propose", at_ms=at_ms, node="D11/n0")
+        assert not any(hasattr(event, "seq") for event in recorder)
+        data = recorder.to_dict()
+        assert [entry["seq"] for entry in data["events"]] == [0, 1, 2]
+        data["events"][0], data["events"][1] = data["events"][1], data["events"][0]
+        with pytest.raises(ConfigurationError, match="numbered"):
+            TraceRecorder.from_dict(data)
 
     def test_equal_details_are_one_object(self):
         recorder = TraceRecorder()
