@@ -111,35 +111,32 @@ class TimerConfig:
                 raise ConfigurationError(f"{name} must be positive")
 
 
+#: A level's lazy-propagation round over its child level's (the paper's 2x).
+INTERVAL_GROWTH = 2.0
+
+
 @dataclass(frozen=True)
 class RoundConfig:
     """Lazy-propagation round intervals (§5), in milliseconds.
 
     ``height1_interval_ms`` is the interval at which height-1 domains emit
-    ``block`` messages.  Higher levels multiply the interval of the level below
-    by ``interval_growth`` (the paper's example uses a factor of two).  The
-    optimistic protocol typically uses a smaller interval to detect
-    inconsistencies earlier; that is expressed by constructing a second
-    ``RoundConfig``.
+    ``block`` messages; each higher level's is :data:`INTERVAL_GROWTH` times
+    the level's below.  The optimistic protocol typically uses a smaller
+    interval to detect inconsistencies earlier; that is expressed by
+    constructing a second ``RoundConfig``.
     """
 
     height1_interval_ms: float = 50.0
-    interval_growth: float = 2.0
-    max_rounds: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.height1_interval_ms <= 0:
             raise ConfigurationError("height1_interval_ms must be positive")
-        if self.interval_growth < 1.0:
-            raise ConfigurationError("interval_growth must be >= 1")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1 when given")
 
     def interval_for_height(self, height: int) -> float:
         """Round interval for a domain at ``height`` (height >= 1)."""
         if height < 1:
             raise ConfigurationError("rounds only apply to height >= 1 domains")
-        return self.height1_interval_ms * (self.interval_growth ** (height - 1))
+        return self.height1_interval_ms * (INTERVAL_GROWTH ** (height - 1))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 A :class:`ControlPlane` is registered as a protocol component on every node
 of a deployment whose :class:`~repro.control.policy.ControlPolicy` is
-adaptive.  On start it joins its simulator's :class:`ControlClock`, one
-repeating timer on the *simulated* clock shared by every plane; every
-``interval_ms`` a plane with something to do drains the node's telemetry
-bus, runs the controllers, and applies their decisions:
+adaptive.  On start it joins its simulator's control
+:class:`~repro.sim.simulator.SharedClock`, one repeating timer on the
+*simulated* clock shared by every plane; every ``interval_ms`` a plane with
+something to do drains the node's telemetry bus, runs the controllers, and
+applies their decisions:
 
 * the consensus batcher's target size (``Batcher.resize``),
 * the coordinator's grouped-2PC target size (``set_group_size``),
@@ -25,9 +26,7 @@ re-evaluating the same dead end every interval.
 
 A tick that would change nothing is skipped (:meth:`ControlPlane.idle`):
 with an empty telemetry window and no lane work the controllers decide
-exactly what they decided last time.  Skipping it keeps every decision, and
-one clock firing the planes in join order keeps the event order of the timer
-per node it replaces.
+exactly what they decided last time, so skipping it keeps every decision.
 
 This module deliberately imports nothing from :mod:`repro.core`: the node is
 duck-typed (the same host surface the consensus engines rely on), keeping the
@@ -36,56 +35,13 @@ dependency arrow pointing from the node layer into the control package.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.control.controllers import AdaptiveBatchController, LaneRebalancer
 from repro.control.policy import ControlPolicy
+from repro.sim.simulator import SharedClock
 
-__all__ = ["ControlClock", "ControlPlane"]
-
-
-class ControlClock:
-    """One repeating control timer firing every plane of a simulator in turn.
-
-    Planes join in node start order, all at the deployment's start and with
-    the deployment's one policy; the clock arms when the first one joins, so
-    each firing takes the place the first plane's own timer had in the event
-    order, and the planes tick in the order their timers fired.
-    """
-
-    def __init__(self, simulator: Any, interval_ms: float) -> None:
-        self._simulator = simulator
-        self._interval_ms = interval_ms
-        self._planes: List[ControlPlane] = []
-        self.fires = 0
-
-    @classmethod
-    def join(cls, plane: ControlPlane) -> ControlClock:
-        """Add ``plane`` to its simulator's clock, arming one on first join."""
-        simulator = plane.node.simulator
-        clock = simulator.shared.get(cls)
-        if clock is None:
-            clock = simulator.shared[cls] = cls(simulator, plane.policy.interval_ms)
-            clock._arm()
-        clock._planes.append(plane)
-        return clock
-
-    def _arm(self) -> None:
-        self._simulator.set_timer(self._interval_ms, self._fire)
-
-    def _fire(self) -> None:
-        # A wiped node's plane is gone for good, as is any timer chain the
-        # generation guard of ``SaguaroNode.set_timer`` drops at a wipe
-        # (test_recovery.py::test_lazy_propagation_resumes_after_a_wipe pins
-        # what that costs lazy propagation).
-        planes = self._planes = [p for p in self._planes if not p.wiped]
-        if not planes:
-            return
-        self._arm()
-        self.fires += 1
-        for plane in planes:
-            if not plane.idle():
-                plane._tick()
+__all__ = ["ControlPlane"]
 
 
 class ControlPlane:
@@ -103,8 +59,7 @@ class ControlPlane:
         #: The coordinator component owning the grouped-2PC target size; it
         #: sets this itself when it joins the node (coordinator deployments).
         self.group_target: Optional[Any] = None
-        self.clock: Optional[ControlClock] = None
-        self._wipes = 0
+        self.clock: Optional[SharedClock] = None
         self._lane_work = False
         #: Until the first live tick the controller's clamped targets may
         #: differ from the actuators' configured sizes.
@@ -121,20 +76,14 @@ class ControlPlane:
 
     def on_start(self) -> None:
         node = self.node
-        self._wipes = node.wiped_total
         self._lane_work = (
             self.policy.rebalance_lanes
             and node.lanes.enabled
             and node.state is not None
         )
-        self.clock = ControlClock.join(self)
+        self.clock = SharedClock.join(self, self.policy.interval_ms, "_tick")
 
     # ------------------------------------------------------------------ the control loop
-
-    @property
-    def wiped(self) -> bool:
-        """Whether the node was wiped since the plane started."""
-        return self.node.wiped_total != self._wipes
 
     def idle(self) -> bool:
         """Whether a tick now would change nothing, so the clock skips it.

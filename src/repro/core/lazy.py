@@ -10,16 +10,18 @@ forward their own (further summarized) block messages upwards at a coarser
 round interval.  Under the optimistic protocol the block message additionally
 carries aborted transactions and dependency lists.
 
-A round that carries nothing new is not sent: the round counter still
-advances, so the parent sees a gap in the round numbers, which the DAG and the
-summarized view accept.
+The round is the clock's count: one :class:`~repro.sim.simulator.SharedClock`
+per height ticks the primaries, so every replica reads the same round.  A
+round that carries nothing new is not sent: the parent sees a gap in the round
+numbers, which the DAG and the summarized view accept.
 
 A block names the positions it covers; the parent integrates by position and
 acknowledges the position it holds and the rounds it integrated
-(:class:`BlockAck`, every quarter of the cross-domain timeout).  A child primary re-sends everything past the
-acknowledged position, with every unacknowledged round's aborts, once its
-oldest unacknowledged block is older than the cross-domain timeout.  Every
-replica counts rounds, and a promoted backup's first block covers its ledger.
+(:class:`BlockAck`, every quarter of the cross-domain timeout).  A child
+primary re-sends everything past the acknowledged position, with every
+unacknowledged round's aborts, once its oldest unacknowledged block is older
+than the cross-domain timeout.  A promoted backup numbers its blocks after its
+predecessor's, and its first block covers its ledger.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.common.types import DomainId, TransactionId
 from repro.core.messages import BlockAck, BlockOrder, BlockPropagate
 from repro.core.node import ProtocolComponent, SaguaroNode
 from repro.ledger.block import BlockMessage
+from repro.sim.simulator import SharedClock
 
 __all__ = ["LazyPropagation"]
 
@@ -55,7 +58,7 @@ class LazyPropagation(ProtocolComponent):
 
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
-        self._round = 0
+        self.clock: Optional[SharedClock] = None
         #: Where the next block starts, and the base its delta is taken from:
         #: a state version at height 1, a summarized-view cursor above.
         self._position = 0
@@ -76,18 +79,18 @@ class LazyPropagation(ProtocolComponent):
         self._timeout = node.config.timers.cross_domain_timeout_ms
         self._ack_every = max(1, int(self._timeout / (4 * self._interval_ms())))
         self._ack_rng = node.simulator.rng.stream("block-acks")
-        self._stopped = False
 
     # ------------------------------------------------------------------ lifecycle
 
     def on_start(self) -> None:
         if self.node.summary is not None:
             self._base = self.node.summary.cursor()
-        self._schedule_next_round()
+        self.clock = SharedClock.join(self, self._interval_ms(), "_round_tick")
 
-    def stop(self) -> None:
-        """Stop emitting rounds (used by the harness to let a run quiesce)."""
-        self._stopped = True
+    @property
+    def round(self) -> int:
+        """The current round: the clock's count, the same at every replica."""
+        return self.clock.fires
 
     def _parent_domain(self) -> Optional[DomainId]:
         parent = self.node.hierarchy.parent_of(self.node.domain.id)
@@ -96,25 +99,16 @@ class LazyPropagation(ProtocolComponent):
     def _interval_ms(self) -> float:
         return self.node.config.rounds.interval_for_height(self.node.domain.height)
 
-    def _schedule_next_round(self) -> None:
-        if self._stopped:
-            return
-        max_rounds = self.node.config.rounds.max_rounds
-        if max_rounds is not None and self._round >= max_rounds:
-            return
-        self.node.set_timer(self._interval_ms(), self._round_tick)
-
     # ------------------------------------------------------------------ emitting (child side)
 
+    def idle(self) -> bool:
+        """Whether the clock skips this replica: only a primary acts on a round."""
+        return not self.node.is_primary
+
     def _round_tick(self) -> None:
-        if self._stopped:
-            return
-        self._round += 1
-        if self.node.is_primary:
-            self._send_acks()
-            if self._parent_domain() is not None:  # the root emits nothing
-                self._emit()
-        self._schedule_next_round()
+        self._send_acks()
+        if self._parent_domain() is not None:  # the root emits nothing
+            self._emit()
 
     def _emit(self) -> None:
         now, unacked = self.node.now(), self._unacked
@@ -167,7 +161,7 @@ class LazyPropagation(ProtocolComponent):
         dependencies = dict(self.node.shared.get(SHARED_DEPENDENCIES, {}))
         return BlockMessage.build(
             domain=self.node.domain.id,
-            round_number=self._round,
+            round_number=self.round,
             entries=new_entries,
             state_delta=abstract_delta,
             aborted=aborted,
@@ -187,7 +181,7 @@ class LazyPropagation(ProtocolComponent):
         self._base = summary.cursor()
         return BlockMessage.build(
             domain=self.node.domain.id,
-            round_number=self._round,
+            round_number=self.round,
             entries=new_entries,
             state_delta=delta,
             aborted=dag.aborted(),
@@ -224,7 +218,7 @@ class LazyPropagation(ProtocolComponent):
         return True
 
     def _send_acks(self) -> None:
-        if self._round % self._ack_every:
+        if self.round % self._ack_every:
             return
         for (child, sender), rounds in self._acks_due.items():  # parents only
             ack = BlockAck(child, self.node.dag.position_from(child), tuple(rounds))

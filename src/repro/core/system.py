@@ -31,7 +31,7 @@ from repro.ledger.abstraction import SummarizedView
 from repro.ledger.transaction import Transaction
 from repro.sim.latency import latency_profile
 from repro.sim.network import Network
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SharedClock, Simulator
 from repro.topology.builders import build_tree
 from repro.topology.hierarchy import Hierarchy
 from repro.topology.regions import placement_for_profile
@@ -73,8 +73,6 @@ class SaguaroDeployment:
         self.clients: Dict[str, EdgeDeviceClient] = {}
         self._started = False
         self._workload_ran = False
-        #: Every node's lazy-propagation component (none on the baselines).
-        self._rounds: List[LazyPropagation] = []
         self._build_nodes()
 
     # ------------------------------------------------------------------ construction
@@ -102,7 +100,7 @@ class SaguaroDeployment:
     def _register_components(self, node: SaguaroNode) -> None:
         """Attach protocol components; registration order is the order a
         client request is offered to its receivers in."""
-        self._rounds.append(node.register_component(LazyPropagation(node)))
+        node.register_component(LazyPropagation(node))
         if node.is_height1:
             node.register_component(MobileConsensusProtocol(node))
         if self.config.protocol is CrossDomainProtocol.COORDINATOR:
@@ -155,7 +153,7 @@ class SaguaroDeployment:
     # ------------------------------------------------------------------ running
 
     def start(self) -> None:
-        """Arm round timers and mark the deployment live (idempotent)."""
+        """Start every node, arming the round clocks (idempotent)."""
         if self._started:
             return
         self._started = True
@@ -204,8 +202,8 @@ class SaguaroDeployment:
 
         The run proceeds until every client has finished its queue (or the
         simulated-time backstop is hit), then continues for ``drain_ms`` so
-        that lazy propagation and optimistic decisions settle before round
-        timers are stopped and the summary is computed.
+        that lazy propagation and optimistic decisions settle before the round
+        clocks are stopped and the summary is computed.
 
         A deployment is single-shot: one workload per instance.  Re-running
         would reuse drained clients, advanced ledgers, and a non-zero clock,
@@ -255,9 +253,8 @@ class SaguaroDeployment:
         return 3.0 * per_level + 4.0 * self.config.timers.commit_query_timeout_ms
 
     def stop_rounds(self) -> None:
-        """Stop lazy-propagation round timers so the event queue can drain."""
-        for rounds in self._rounds:
-            rounds.stop()
+        """Stop the lazy-propagation round clocks so the event queue can drain."""
+        SharedClock.stop_all(self.simulator, LazyPropagation)
 
     #: Whether this deployment's protocols guarantee that conflicting
     #: cross-domain transactions commit in the same relative order on every

@@ -14,6 +14,7 @@ pair of domains.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
@@ -178,8 +179,8 @@ class DagLedger:
 
     def __init__(self, domain: DomainId) -> None:
         self._domain = domain
+        #: Never deleted from, so its order is the insertion order.
         self._vertices: Dict[TransactionId, DagVertex] = {}
-        self._order: List[TransactionId] = []
         self._last_from_child: Dict[DomainId, Optional[TransactionId]] = {}
         self._rounds_from_child: Dict[DomainId, int] = {}
         self._positions_from_child: Dict[DomainId, int] = {}
@@ -234,11 +235,11 @@ class DagLedger:
         return vertex is not None and child in vertex._rounds[::2]
 
     def transactions(self) -> List[DagVertex]:
-        return [self._vertices[tid] for tid in self._order]
+        return list(self._vertices.values())
 
     def entries_from(self, start: int) -> Tuple[CommittedEntry, ...]:
         """Entries of the vertices inserted at ordinal ``start`` or later."""
-        return tuple(self._vertices[tid].entry for tid in self._order[start:])
+        return tuple(v.entry for v in islice(self._vertices.values(), start, None))
 
     # -- integration ------------------------------------------------------------------
 
@@ -270,14 +271,13 @@ class DagLedger:
             vertex = vertices.get(tid)
             if vertex is None:
                 if len(entry.transaction.involved_domains) > 1:
-                    vertex = CrossDomainVertex(entry, len(self._order), previous, stamp)
+                    vertex = CrossDomainVertex(entry, len(vertices), previous, stamp)
                     self._cross_domain.append(vertex)
                     for pair in domain_pairs(entry.transaction):
                         self._by_pair.setdefault(pair, []).append(vertex)
                 else:
                     vertex = DagVertex(entry, previous, stamp)
                 vertices[tid] = vertex
-                self._order.append(tid)
                 added.append(tid)
             else:
                 merged_sequence = vertex.entry.sequence.merged_with(entry.sequence)
@@ -411,16 +411,17 @@ class DagLedger:
         inconsistency.  ``fig07a`` at 40 transactions, seed 1, closes one at
         the root (``tests/test_dag_and_abstraction.py`` pins it).
         """
-        in_degree: Dict[TransactionId, int] = {tid: 0 for tid in self._order}
+        vertices = self._vertices
+        in_degree: Dict[TransactionId, int] = dict.fromkeys(vertices, 0)
         children: Dict[TransactionId, List[TransactionId]] = {
-            tid: [] for tid in self._order
+            tid: [] for tid in vertices
         }
-        for tid, vertex in self._vertices.items():
+        for tid, vertex in vertices.items():
             for parent in _edges(vertex._parents):
                 if parent in in_degree:
                     in_degree[tid] += 1
                     children[parent].append(tid)
-        ready = deque(tid for tid in self._order if in_degree[tid] == 0)
+        ready = deque(tid for tid in vertices if in_degree[tid] == 0)
         result: List[TransactionId] = []
         while ready:
             current = ready.popleft()
@@ -429,7 +430,7 @@ class DagLedger:
                 in_degree[child] -= 1
                 if in_degree[child] == 0:
                     ready.append(child)
-        if len(result) != len(self._order):
+        if len(result) != len(vertices):
             raise LedgerError(f"{self._domain}: DAG contains a cycle")
         return result
 

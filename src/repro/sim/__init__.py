@@ -12,7 +12,7 @@ from repro.sim.latency import (
 )
 from repro.sim.network import Endpoint, Envelope, Network, NetworkStats
 from repro.sim.rng import RngRegistry
-from repro.sim.simulator import Simulator, Timer
+from repro.sim.simulator import SharedClock, Simulator, Timer
 
 __all__ = [
     "CpuQueue",
@@ -30,6 +30,7 @@ __all__ = [
     "Network",
     "NetworkStats",
     "RngRegistry",
+    "SharedClock",
     "Simulator",
     "Timer",
 ]

@@ -9,13 +9,13 @@ keeps runs fast and exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Simulator", "Timer"]
+__all__ = ["SharedClock", "Simulator", "Timer"]
 
 
 class Timer:
@@ -43,7 +43,8 @@ class Simulator:
         self._rng = RngRegistry(seed)
         self._events_executed = 0
         #: Scratch space shared by everything this simulator drives (e.g. the
-        #: control planes' one shared clock), so it lives exactly as long.
+        #: ``SharedClock`` of each member kind and interval: the control
+        #: planes', each height's lazy rounds'), so it lives exactly as long.
         self.shared: Dict[Any, Any] = {}
 
     @property
@@ -141,3 +142,61 @@ class Simulator:
                 f"simulation did not quiesce after {max_events} events"
             )
         return final
+
+
+class SharedClock:
+    """One repeating timer per simulator, member kind and interval.
+
+    Periodic work every node has (a control plane's loop, a lazy-propagation
+    round) runs off one clock per kind and interval instead of a timer per
+    node.  Members join in node start order; the clock arms on the first
+    join, so each firing takes the place the first member's own timer had,
+    and it re-arms before ticking them in join order, as their own timers
+    would have fired.  Two kinds never share a clock: that would reorder
+    them.  A member has a ``node``, an ``idle()`` predicate and the tick
+    method named at :meth:`join`, both looked up on every firing (a tracer or
+    a test may replace them on the class).  A member whose node was wiped
+    since it joined leaves for good; with no member left the clock stops.
+    """
+
+    def __init__(self, simulator: Simulator, interval_ms: float, tick: str) -> None:
+        self._simulator = simulator
+        self._interval_ms = interval_ms
+        self._tick = tick
+        #: ``(member, its node's wipe count at join)``, in join order.
+        self._members: List[Tuple[Any, int]] = []
+        #: Firings so far: the members' current round.
+        self.fires = 0
+        self._arm()
+
+    @classmethod
+    def join(cls, member: Any, interval_ms: float, tick: str) -> SharedClock:
+        """Add ``member`` to its kind's clock at ``interval_ms``."""
+        simulator, key = member.node.simulator, (type(member), interval_ms)
+        clock = simulator.shared.get(key)
+        if clock is None:
+            clock = simulator.shared[key] = cls(simulator, interval_ms, tick)
+        clock._members.append((member, member.node.wiped_total))
+        return clock
+
+    @staticmethod
+    def stop_all(simulator: Simulator, kind: type) -> None:
+        """Stop every clock of ``kind`` on ``simulator`` (to let a run quiesce)."""
+        for key, clock in simulator.shared.items():
+            if key[0] is kind:
+                clock._timer.cancel()  # harmless once it fired or was cancelled
+
+    def _arm(self) -> None:
+        self._timer = self._simulator.set_timer(self._interval_ms, self._fire)
+
+    def _fire(self) -> None:
+        members = self._members = [
+            m for m in self._members if m[0].node.wiped_total == m[1]
+        ]
+        if not members:
+            return
+        self._arm()
+        self.fires += 1
+        for member, _ in members:
+            if not member.idle():
+                getattr(member, self._tick)()

@@ -47,7 +47,7 @@ class TestTimerAndRoundConfig:
             TimerConfig(request_timeout_ms=0)
 
     def test_round_interval_grows_with_height(self):
-        rounds = RoundConfig(height1_interval_ms=50.0, interval_growth=2.0)
+        rounds = RoundConfig(height1_interval_ms=50.0)
         assert rounds.interval_for_height(1) == 50.0
         assert rounds.interval_for_height(2) == 100.0
         assert rounds.interval_for_height(3) == 200.0
@@ -55,10 +55,6 @@ class TestTimerAndRoundConfig:
     def test_round_interval_rejects_height_zero(self):
         with pytest.raises(ConfigurationError):
             RoundConfig().interval_for_height(0)
-
-    def test_interval_growth_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RoundConfig(interval_growth=0.5)
 
 
 class TestDomainAndHierarchySpec:

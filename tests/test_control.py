@@ -19,11 +19,11 @@ Six layers of coverage:
 * end-to-end: adaptive-run determinism, ``control:*`` trace evidence (batch
   growth and lane moves), and every adversarial scenario passing full
   invariant checking with controllers armed;
-* the shared :class:`ControlClock`: one firing per interval whatever the
-  plane count, and the oracle for its skip predicate — ticking every plane
-  on every firing (``ControlPlane.idle`` patched to ``False``) gives the
-  same result, trace and event count as skipping the idle ones, on runs
-  that exercise crashes, lanes, retries and wipes.
+* the control planes' :class:`SharedClock`: one firing per interval
+  whatever the plane count, and the oracle for its skip predicate — ticking
+  every plane on every firing (``ControlPlane.idle`` patched to ``False``)
+  gives the same result, trace and event count as skipping the idle ones, on
+  runs that exercise crashes, lanes, retries and wipes.
 
 The golden pins (``policy="static"`` == the pre-control deployments, bit for
 bit) live in ``tests/test_goldens.py``.

@@ -28,6 +28,14 @@ by under 0.02 %.  The state store's switch from a write log to a
 version-ordered key map, applied alone to the tree before, reproduced every
 digest.
 
+The five executed-event counts, and nothing else, were re-recorded when
+lazy propagation moved from a round timer per replica to one shared clock
+per height that ticks only the primaries: a backup no longer gets a timer
+event per round, so the counts fall (fig07a 6502 -> 1686, byz-equivocation
+5834 -> 4026, fig10a 6967 -> 1732, fig07b 8830 -> 3790, batch-sweep-b032
+18437 -> 6443) while every result and trace digest, and ``ALWAYS_SEND``,
+stays as it was.
+
 The table is also what ROADMAP item 2(ii) swaps for outcome-equivalence pins.
 """
 
@@ -85,7 +93,7 @@ GOLDENS = (
         "fig07a", _SMALL, 2023,
         "fcd1045ffd0c892a2294c5372aaabbc88404f67d7bbf158258ce5e5f79d6624d",
         "9252fe9f5d945493e1ba27ca00be1a9120829fb664585e30a0228eb6b8a0d8c9",
-        6502,
+        1686,
         off=("batch_size",),
     ),
     # Re-recorded three times, all deliberate: gap-recovery retries gained
@@ -103,7 +111,7 @@ GOLDENS = (
         "byz-equivocation", _SMALL, 2023,
         "3ef505e7952bed9ba042499b9411f48d58de156d2c472c2d3eac5ddc9fb4d322",
         "605520aadac3ece818ddcb36b5a1fe547337255b8eea3576cdf7a7de059ff226",
-        5834,
+        4026,
         off=("batch_size",),
     ),
     # The per-transaction coordinator before grouped 2PC (PR 4) — and, pinned
@@ -116,7 +124,7 @@ GOLDENS = (
         "fig10a", _SMALL, 2023,
         "ddf518ff9bb18bab855686a98f67daf948b3ab5f4a94edafdf4696194fb45a86",
         "d98d77207b50967bd0485c621eaaf58f01c2c1329de14798393ea06c60c9c328",
-        6967,
+        1732,
         off=(
             "xdomain_batch_size", "state_shards", "execution_lanes",
             "control.enabled", "speculation", "durability",
@@ -128,7 +136,7 @@ GOLDENS = (
         "fig07b", _SMALL, 2023,
         "caff3a64e221da6c2150db6be220b79f95ecaa486d6921133cbae88fb297c100",
         "9b1f1fe3ed5fde9a4624c26ed77ff66f14efd714a6ef0f289711f73deacdfd00",
-        8830,
+        3790,
         off=("xdomain_batch_size",),
     ),
     # The batched sweep point before sharding/lanes (PR 5) and speculation (PR 8).
@@ -138,7 +146,7 @@ GOLDENS = (
         "batch-sweep-b032", {"num_transactions": 48, "num_clients": 8}, 2023,
         "50f6011f2748769df2da2156aee7a99a3f114d375899f64e713b9dad350c5389",
         "63ea7245bd9a37525a08217ff44d22c86b93469956a1d3b186c11449b4af58ff",
-        18437,
+        6443,
         off=("state_shards", "execution_lanes", "speculation", "durability"),
     ),
     # The 16-lane sweep base on the PR 5 tree, before the control plane.

@@ -459,3 +459,89 @@ class TestAcknowledgedBlocks:
         assert (len(dag), dag.rounds_received_from(D11)) == held
         assert dag.vertex(entry.tid).rounds[D11] > 1
         assert _lazy(backup)._acked == 1
+
+
+class TestRoundClock:
+    """One shared clock per height ticks the primaries; its count is the round."""
+
+    def test_an_idle_deployment_fires_one_round_event_per_interval_per_height(self):
+        deployment = _idle_deployment(until_ms=100.0)
+        simulator = deployment.simulator
+        before = simulator.events_executed
+        simulator.run(until_ms=300.0)
+        deployment.stop_rounds()
+        # 20 height-1, 10 height-2 and 5 root intervals: a timer per replica
+        # would be 12 * 20 + 6 * 10 + 3 * 5 = 315 events.
+        rounds = 20 + 10 + 5
+        assert rounds <= simulator.events_executed - before < 2 * rounds
+        assert len(deployment.nodes) == 21
+        fires = {
+            height: _lazy(deployment.nodes_of(domain.id)[0]).clock.fires
+            for height in (1, 2, 3)
+            for domain in deployment.hierarchy.domains_at_height(height)
+        }
+        assert fires == {1: 30, 2: 15, 3: 7}
+
+    def test_a_promoted_backup_numbers_its_blocks_after_its_predecessor(self):
+        deployment = _idle_deployment()
+        simulator = deployment.simulator
+        sent = []
+        for node in deployment.nodes_of(D11):
+
+            def spy(domain, payload, node=node, multicast=node.multicast_domain):
+                if isinstance(payload, BlockPropagate) and not node.crashed:
+                    sent.append((node, payload.block.round_number))
+                multicast(domain, payload)
+
+            node.multicast_domain = spy
+        _entries(deployment, D11, 2)
+        simulator.run(until_ms=simulator.now + 50.0)
+        old = deployment.primary_node_of(D11)
+        old.crash()
+        last_round = max(r for node, r in sent if node is old)
+        tx = internal_transfer(
+            D11, sender_index=5, recipient_index=6, client=ClientId(home=D01, index=2)
+        )
+        (client,) = deployment.create_clients([tx], think_time_ms=0.0)
+        client.start()
+        simulator.run(until_ms=30_000.0, stop_when=lambda: client.done)
+        simulator.run(until_ms=simulator.now + 100.0)
+        deployment.stop_rounds()
+        replicas = deployment.nodes_of(D11)
+        assert len({_lazy(node).round for node in replicas}) == 1
+        promoted = [(node, r) for node, r in sent if node is not old]
+        assert promoted and promoted[0][0].is_primary
+        assert promoted[0][1] > last_round
+        assert all(tx.tid in node.dag for node in deployment.nodes_of(D21))
+
+    def test_a_wiped_node_leaves_the_clock(self, monkeypatch):
+        ticked = []
+        tick = LazyPropagation._round_tick
+        monkeypatch.setattr(
+            LazyPropagation,
+            "_round_tick",
+            lambda lazy: (ticked.append((lazy.node, lazy.node.now())), tick(lazy)),
+        )
+        deployment = _idle_deployment()
+        simulator = deployment.simulator
+        primary = deployment.primary_node_of(D11)
+        primary.wipe()
+        simulator.run(until_ms=65.0)
+        primary.recover()
+        simulator.run(until_ms=200.0)
+        deployment.stop_rounds()
+        # The rebuilt engine starts in view 0, so the node is a primary again,
+        # but its rounds are gone for good (finding E).
+        assert primary.is_primary and not primary.crashed
+        assert any(node is primary for node, _ in ticked)
+        assert not any(node is primary and at > 55.0 for node, at in ticked)
+        others = {deployment.primary_node_of(d) for d in height1_ids(deployment)}
+        others.discard(primary)
+        assert {node for node, at in ticked if at == 190.0} >= others
+
+    def test_stopped_rounds_let_an_idle_deployment_quiesce(self):
+        deployment = _idle_deployment()
+        deployment.stop_rounds()
+        simulator = deployment.simulator
+        assert simulator.run_until_idle() == 55.0
+        assert simulator.pending_events == 0

@@ -624,15 +624,14 @@ class TestChurnSweep:
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="finding E: a wipe drops the lazy-propagation round timer for good",
+    reason="finding E: a wiped node leaves the lazy-propagation round clock for good",
 )
 def test_lazy_propagation_resumes_after_a_wipe():
     """Parents keep receiving the ledgers of children whose replicas were wiped.
 
-    The generation guard of ``SaguaroNode.set_timer`` disarms the
-    self-re-arming round timer of ``LazyPropagation`` at a wipe and nothing
-    re-arms it at rejoin, so once every replica of a height-1 domain has
-    been wiped its parent hears no more blocks from it.  Rounds with nothing
+    A wiped node's ``LazyPropagation`` leaves its height's shared round
+    clock and nothing rejoins it at rejoin, so once every replica of a
+    height-1 domain has been wiped its parent hears no more blocks from it.  Rounds with nothing
     new are not sent, so the pin counts content, not rounds: without faults
     every entry of each child's ledger reaches its parent's DAG; under churn
     71-74 of each child's 75 never do.
