@@ -23,6 +23,29 @@ One :class:`CoordinatorCrossDomainProtocol` instance runs on every server
 node; the same component plays the participant role on height-1 nodes and the
 coordinator role on height-2+ nodes.
 
+**What outlives a decision.** A transaction's protocol state lives only
+while it is in flight; each replica lets it go where the decision is ordered
+or applied, and what stays answers every late or duplicate message as the
+whole state would:
+
+* a coordinator replica that decides the commit or the final abort replaces
+  the state with an :class:`_Outcome` (the commit's sequence parts, or none,
+  and the last attempt's coordinator sequence): a commit query is answered
+  with the commit, a forward of an aborted transaction with its abort, a
+  late vote or order finds nothing in flight, and a decided member that a
+  duplicate group order carries again still orders its groupmates'
+  dependencies;
+* a participant replica that applies a commit keeps only the
+  :class:`_Vote` it committed under (shared by the members of one order): a
+  duplicate prepare is answered with that vote, and to every other message
+  the transaction reads as committed; a final abort keeps nothing, since
+  ``_aborted_tids`` refuses its late prepares and answers for it as a
+  dependency;
+* a grouped exchange goes once its last member has gone and no timer of its
+  is armed; a participant's :class:`_GroupVote` stays, to answer a duplicate
+  group prepare with the aggregated vote;
+* acks are not recorded: they arrive once the outcome is decided.
+
 **Batch-aware cross-domain commit** (``xdomain_batch_size > 1``): the
 coordinator accumulates cross-domain transactions per participant set and
 runs *one* grouped prepare/commit exchange per group — a single
@@ -156,7 +179,8 @@ class _InFlightTable:
 
 @dataclass
 class _CoordinationState:
-    """Coordinator-side (LCA) bookkeeping for one cross-domain transaction."""
+    """Coordinator-side (LCA) bookkeeping for one undecided cross-domain
+    transaction; its decision replaces it with an :class:`_Outcome`."""
 
     transaction: Transaction
     origin_domain: DomainId
@@ -171,7 +195,6 @@ class _CoordinationState:
     abort_submitted: bool = False
     committed: bool = False
     aborted: bool = False
-    acks: Set[str] = field(default_factory=set)
     timer: Any = None
     #: The grouped exchange this member currently belongs to (grouped mode).
     group_id: Optional[str] = None
@@ -180,16 +203,66 @@ class _CoordinationState:
     def in_flight(self) -> bool:
         return not self.committed and not self.aborted
 
+    @property
+    def sequence_parts(self) -> Tuple[Tuple[DomainId, int], ...]:
+        """The participants' votes as a commit carries them."""
+        return tuple(sorted(self.prepared_parts.items()))
+
+
+class _Outcome:
+    """What a coordinator replica keeps of a decided transaction (see the
+    module docstring): the commit's ``sequence_parts`` (``None``: aborted for
+    good) and its last attempt's ``coordinator_sequence``.  It reads like a
+    decided :class:`_CoordinationState` to every handler."""
+
+    __slots__ = ("coordinator_sequence", "sequence_parts")
+
+    in_flight = False
+
+    def __init__(
+        self,
+        coordinator_sequence: int,
+        sequence_parts: Optional[Tuple[Tuple[DomainId, int], ...]],
+    ) -> None:
+        self.coordinator_sequence = coordinator_sequence
+        self.sequence_parts = sequence_parts
+
+    @property
+    def committed(self) -> bool:
+        return self.sequence_parts is not None
+
+    @property
+    def aborted(self) -> bool:
+        return self.sequence_parts is None
+
+
+class _Vote:
+    """What this domain voted for one attempt: its coordinator, the attempt's
+    coordinator sequence and the slot this domain ordered it at, shared by
+    every member one order prepared.  Once a member commits, its vote stands
+    in ``_part`` for the committed state, so it reads as committed."""
+
+    __slots__ = ("coordinator_domain", "coordinator_sequence", "participant_sequence")
+
+    in_flight = False
+    committed = True
+    aborted = False
+
+    def __init__(
+        self, coordinator_domain: DomainId, coordinator_sequence: int, participant_sequence: int
+    ) -> None:
+        self.coordinator_domain = coordinator_domain
+        self.coordinator_sequence = coordinator_sequence
+        self.participant_sequence = participant_sequence
+
 
 @dataclass
 class _ParticipantState:
-    """Participant-side (height-1) bookkeeping for one cross-domain
+    """Participant-side (height-1) bookkeeping for one undecided cross-domain
     transaction, from the moment this domain ordered its prepare."""
 
     transaction: Transaction
-    coordinator_domain: DomainId
-    coordinator_sequence: int
-    participant_sequence: int = 0
+    vote: _Vote
     committed: bool = False
     aborted: bool = False
     timer: Any = None
@@ -197,6 +270,18 @@ class _ParticipantState:
     @property
     def in_flight(self) -> bool:
         return not self.committed and not self.aborted
+
+    @property
+    def coordinator_domain(self) -> DomainId:
+        return self.vote.coordinator_domain
+
+    @property
+    def coordinator_sequence(self) -> int:
+        return self.vote.coordinator_sequence
+
+    @property
+    def participant_sequence(self) -> int:
+        return self.vote.participant_sequence
 
 
 @dataclass
@@ -214,15 +299,23 @@ class _GroupState:
     prepare_sent_at: float = 0.0
 
 
-@dataclass
-class _ParticipantGroupState:
-    """Participant-side record of one ordered group (for vote re-sends)."""
+class _GroupVote(_Vote):
+    """The vote of one ordered group, kept to answer a duplicate group
+    prepare with the aggregated vote."""
 
-    group_id: str
-    coordinator_domain: DomainId
-    coordinator_sequence: int
-    participant_sequence: int
-    tids: Tuple[TransactionId, ...]
+    __slots__ = ("group_id", "tids")
+
+    def __init__(
+        self,
+        coordinator_domain: DomainId,
+        coordinator_sequence: int,
+        participant_sequence: int,
+        group_id: str,
+    ) -> None:
+        super().__init__(coordinator_domain, coordinator_sequence, participant_sequence)
+        self.group_id = group_id
+        #: The members this domain ordered in the group.
+        self.tids: Tuple[TransactionId, ...] = ()
 
 
 @dataclass
@@ -257,7 +350,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         GroupCrossPrepare: "_on_group_prepare",
         GroupCrossPrepared: "_on_group_prepared",
         GroupCrossCommit: "_on_group_commit",
-        GroupCrossAck: "_on_group_ack",
+        GroupCrossAck: "_on_ack",
     }
     decided = {
         CoordinatorPrepareOrder: "_decided_coordinator_prepare",
@@ -283,12 +376,15 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
 
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
-        # Coordinator role.
-        self._coord: Dict[TransactionId, _CoordinationState] = {}
+        # Coordinator role: a transaction's state while it is undecided, then
+        # its outcome.
+        self._coord: Dict[TransactionId, Union[_CoordinationState, _Outcome]] = {}
         self._coord_live = _InFlightTable()
         self._coord_pending: Dict[TransactionId, Transaction] = {}
-        # Participant role.
-        self._part: Dict[TransactionId, _ParticipantState] = {}
+        # Participant role: a transaction's state from its ordered prepare
+        # until it is decided here; then a committed one's vote stays, and an
+        # aborted one is answered by ``_aborted_tids``.
+        self._part: Dict[TransactionId, Union[_ParticipantState, _Vote]] = {}
         self._part_live = _InFlightTable()
         #: Submitted, not yet decided prepare orders: tid -> (transaction,
         #: coordinator sequence of the attempt).
@@ -302,7 +398,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         # abort this participant applied, and the transactions aborted for good.
         self._aborted_attempts: Set[Tuple[TransactionId, int]] = set()
         self._aborted_tids: Set[TransactionId] = set()
-        # Where to send the reply (populated on the origin domain only).
+        # Where to send the reply (on the origin domain, until the commit is
+        # applied or the primary answers the abort).
         self._client_of: Dict[TransactionId, str] = {}
         # Grouped 2PC (xdomain batching): coordinator-side accumulation and
         # per-group exchange state.  Inert when xdomain_batch_size == 1.
@@ -320,7 +417,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self._next_group_number = 1
         # Participant-side group state, keyed by (coordinator domain, gid).
         self._pgroup_pending: Dict[Tuple[DomainId, str], GroupCrossPrepare] = {}
-        self._pgroups: Dict[Tuple[DomainId, str], _ParticipantGroupState] = {}
+        self._pgroups: Dict[Tuple[DomainId, str], _GroupVote] = {}
         # Conflict leases (control plane, phase 2; primary-side only): group
         # members held by a foreign conflict, waiting to join the next group.
         self._leased: Dict[TransactionId, _ConflictLease] = {}
@@ -381,12 +478,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             return False
         if not self.node.is_height1 or not transaction.involves(self.node.domain.id):
             return False
-        self._client_of.setdefault(transaction.tid, request.client_address)
         if self.node.ledger is not None and transaction.tid in self.node.ledger:
             # Retransmission of an already committed request.
             if self.node.is_primary:
                 self.node.reply_to_client(request.client_address, transaction, True)
             return True
+        self._client_of.setdefault(transaction.tid, request.client_address)
         if not self.node.is_primary:
             self.node.send(self.node.engine.primary_address, request)
             return True
@@ -421,7 +518,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                     reason="already aborted",
                 )
                 self.node.multicast_domains(
-                    list(state.transaction.involved_domains), abort
+                    list(forward.transaction.involved_domains), abort
                 )
             return True  # duplicate forward
         self.node.record_trace(
@@ -464,8 +561,11 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self._send_prepares(state)
         self._arm_deadlock_timer(state)
 
-    def _coordination_state(self, order: CoordinatorPrepareOrder) -> _CoordinationState:
-        """The state of a decided prepare, created on first sight."""
+    def _coordination_state(
+        self, order: CoordinatorPrepareOrder
+    ) -> Union[_CoordinationState, _Outcome]:
+        """The state of a decided prepare, created on first sight (the
+        outcome, once the transaction is decided)."""
         tid = order.transaction.tid
         self._coord_pending.pop(tid, None)
         state = self._coord.get(tid)
@@ -483,24 +583,44 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     ) -> None:
         """A decided prepare opens an attempt at ``slot``: the state (re-)enters
         the in-flight table with no votes."""
+        previous_group, state.group_id = state.group_id, group_id
         state.coordinator_sequence = slot
         state.attempt = attempt
-        state.group_id = group_id
         state.all_prepared = False
         state.prepared_parts.clear()
         self._coord_live.add(state)
+        self._settle_group(previous_group)
 
-    def _end_coordination(self, state: _CoordinationState, committed: bool) -> None:
-        """The one place a coordinator state turns terminal (both flags are
-        monotone) and so leaves the in-flight table; its timer goes with it."""
+    def _end_coordination(
+        self, state: _CoordinationState, commit: Optional[CoordinatorCommitOrder] = None
+    ) -> None:
+        """The one place a coordinator state turns terminal — committed by
+        ``commit``, else aborted for good: it leaves the in-flight table, its
+        timer goes with it, and its :class:`_Outcome` takes its place."""
         if state.timer is not None:
             state.timer.cancel()
             state.timer = None
-        if committed:
+        parts = None
+        if commit is not None:
             state.committed = True
+            parts = state.sequence_parts
+            if parts == commit.sequence_parts:
+                parts = commit.sequence_parts  # the decided order's copy
         else:
             state.aborted = True
         self._coord_live.discard(state)
+        tid = state.transaction.tid
+        self._retire(self._coord, tid, _Outcome(state.coordinator_sequence, parts))
+        self._settle_group(state.group_id)
+
+    @staticmethod
+    def _retire(table: Dict[Any, Any], key: Any, record: Any) -> None:
+        """Settled state leaves ``table``: for ``record``, the compact outcome
+        that answers late messages from now on, or for good (``None``)."""
+        if record is None:
+            del table[key]
+        else:
+            table[key] = record
 
     def _send_prepares(self, state: _CoordinationState) -> None:
         transaction = state.transaction
@@ -520,22 +640,25 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 request_digest=transaction.request_digest,
                 certificate=certificate,
                 attempt=state.attempt,
-                after=self._ordering_dependencies(state, domain_id),
+                after=self._ordering_dependencies(
+                    transaction, state.coordinator_sequence, domain_id
+                ),
             )
             self.node.multicast_domain(domain_id, prepare)
 
     def _ordering_dependencies(
-        self, state: _CoordinationState, participant: DomainId
+        self, transaction: Transaction, sequence: int, participant: DomainId
     ) -> Tuple[TransactionId, ...]:
-        """Earlier conflicting transactions ``participant`` must order first.
+        """Earlier conflicting transactions ``participant`` must order before
+        ``transaction``, prepared at coordinator ``sequence``.
 
         A dependency is only meaningful to participants that are involved in
         both transactions, so the list is computed per participant domain.
         """
         return tuple(
             other.transaction.tid
-            for other in self._coord_live.overlapping(state.transaction)
-            if other.coordinator_sequence < state.coordinator_sequence
+            for other in self._coord_live.overlapping(transaction)
+            if other.coordinator_sequence < sequence
             and participant in other.transaction.involved_domains
         )
 
@@ -563,7 +686,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         abort per outcome — a retry with a new prepare, so overlapping
         domains can re-order consistently, or a final abort after
         ``MAX_ATTEMPTS``."""
+        exchange.timer = None  # it fired: closing the exchange cancels nothing
         if not self.node.is_primary:
+            if isinstance(exchange, _GroupState):
+                self._settle_group(exchange.group_id)
             return
         if isinstance(exchange, _GroupState):
             if exchange.commit_submitted:
@@ -608,16 +734,18 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             members.append((tid, sequence))
             group_id = group_id or state.group_id
             if not order.will_retry:
-                self._end_coordination(state, committed=False)
+                self._end_coordination(state)
                 continue
             # The attempt ends; the next one opens at its own decided prepare.
             if state.timer is not None:
                 state.timer.cancel()
                 state.timer = None
             self._coord_live.discard(state)
+            left = state.group_id
             state.coordinator_sequence, state.group_id = 0, None
             state.attempt += 1
             state.abort_submitted = False
+            self._settle_group(left)
         if not ended or not self.node.is_primary:
             return
         reason = "deadlock-retry" if order.will_retry else "max attempts"
@@ -703,7 +831,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         state = self._coord.get(order.tid)
         if state is None or not state.in_flight or not state.coordinator_sequence:
             return  # unknown, decided already, or its attempt was aborted first
-        self._end_coordination(state, committed=True)
+        self._end_coordination(state, order)
         if self.node.is_primary:
             certificate = self.node.certify(order.request_digest)
             self.node.record_trace(
@@ -723,13 +851,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 list(state.transaction.involved_domains), commit
             )
 
-    def _on_ack(self, message: CrossAck) -> bool:
-        if self.node.domain.height < 2:
-            return False
-        state = self._coord.get(message.tid)
-        if state is not None:
-            state.acks.add(message.participant)
-        return True
+    def _on_ack(self, message: Union[CrossAck, GroupCrossAck]) -> bool:
+        """An ack of an applied commit: nothing to keep, the outcome is
+        decided and recorded already."""
+        return self.node.domain.height >= 2
 
     def _on_commit_query(self, query: CommitQuery) -> bool:
         if self.node.domain.height < 2:
@@ -742,12 +867,12 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             commit = CrossCommit(
                 tid=query.tid,
                 coordinator_domain=self.node.domain.id,
-                sequence_parts=tuple(sorted(state.prepared_parts.items())),
+                sequence_parts=state.sequence_parts,
                 request_digest=query.request_digest,
                 certificate=certificate,
             )
             self.node.multicast_domain(query.participant_domain, commit)
-        elif state.all_prepared and state.in_flight:
+        elif state.in_flight and state.all_prepared:
             # Every participant prepared but the commit was never ordered —
             # the previous primary's CoordinatorCommitOrder was lost (e.g.
             # dropped from its batch buffer when it was deposed).  The
@@ -756,7 +881,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             # idempotent (`_decided_coordinator_commit` checks `committed`).
             order = CoordinatorCommitOrder(
                 tid=query.tid,
-                sequence_parts=tuple(sorted(state.prepared_parts.items())),
+                sequence_parts=state.sequence_parts,
                 request_digest=state.transaction.request_digest,
             )
             self.node.engine.submit(order)
@@ -849,12 +974,14 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             participants=[d.name for d in participants],
         )
         group.prepare_sent_at = self.node.now()
-        self._send_group_prepare(group)
+        self._send_group_prepare(group, order)
         self._arm_deadlock_timer(group)
 
-    def _send_group_prepare(self, group: _GroupState) -> None:
-        states = [self._coord[tid] for tid in group.member_order]
-        transactions = tuple(state.transaction for state in states)
+    def _send_group_prepare(self, group: _GroupState, order: GroupPrepareOrder) -> None:
+        transactions = tuple(member.transaction for member in order.members)
+        # A decided member (a duplicate re-group) orders its groupmates'
+        # dependencies at its last attempt's sequence, as its outcome keeps it.
+        sequences = [self._coord[t.tid].coordinator_sequence for t in transactions]
         group_digest = digest(b"xdomain-group", *[t.request_digest for t in transactions])
         certificate = self.node.certify(group_digest)
         for domain_id in group.participants:
@@ -864,8 +991,10 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             # coordinator sequences.
             after = dict.fromkeys(
                 dependency
-                for state in states
-                for dependency in self._ordering_dependencies(state, domain_id)
+                for transaction, sequence in zip(transactions, sequences)
+                for dependency in self._ordering_dependencies(
+                    transaction, sequence, domain_id
+                )
             )
             prepare = GroupCrossPrepare(
                 transactions=transactions,
@@ -947,6 +1076,15 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         if group.timer is not None:
             group.timer.cancel()
             group.timer = None
+        self._settle_group(group.group_id)
+
+    def _settle_group(self, group_id: Optional[str]) -> None:
+        """Retire a grouped exchange once its last member has gone (decided,
+        or retried into a later exchange) and no timer of its is armed: a
+        late vote or commit order then finds nothing left to do."""
+        group = self._groups.get(group_id)
+        if group is not None and group.timer is None and not self._live_group_members(group):
+            self._retire(self._groups, group_id, None)
 
     def _submit_group_commit(
         self, group: _GroupState, members: List[_CoordinationState]
@@ -974,7 +1112,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             state = self._coord.get(member.tid)
             if state is None or not state.in_flight or state.group_id != order.group_id:
                 continue  # decided already, or its attempt was aborted first
-            self._end_coordination(state, committed=True)
+            self._end_coordination(state, member)
             committed.append(member)
         if not self.node.is_primary or not committed:
             return
@@ -1004,15 +1142,6 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         )
         self.node.multicast_domains(list(group.participants), message)
 
-    def _on_group_ack(self, message: GroupCrossAck) -> bool:
-        if self.node.domain.height < 2:
-            return False
-        for tid in message.tids:
-            state = self._coord.get(tid)
-            if state is not None:
-                state.acks.add(message.participant)
-        return True
-
     # ------------------------------------------------------------------ participant role
 
     def _on_prepare(self, prepare: CrossPrepare) -> bool:
@@ -1029,7 +1158,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         existing = self._part.get(tid)
         if existing is not None:
             # Duplicate prepare: re-send prepared.
-            self._send_prepared(existing)
+            self._send_prepared(transaction, existing)
             return True
         pending = self._part_pending.get(tid)
         if pending is not None and pending[1] >= prepare.coordinator_sequence:
@@ -1140,46 +1269,35 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def _decided_participant_prepare(
         self, slot: int, order: ParticipantPrepareOrder
     ) -> None:
-        state = self._record_prepared(
-            order.transaction, order.coordinator_domain, order.coordinator_sequence, slot
-        )
+        vote = _Vote(order.coordinator_domain, order.coordinator_sequence, slot)
+        state = self._record_prepared(order.transaction, vote)
         if state is None:
             return
         if self.node.is_primary:
-            self._send_prepared(state)
+            self._send_prepared(state.transaction, state)
         self._arm_commit_query_timer(state)
         if self.node.is_primary:
             self._release_dependents(order.transaction.tid)
 
     def _record_prepared(
-        self,
-        transaction: Transaction,
-        coordinator_domain: DomainId,
-        coordinator_sequence: int,
-        slot: int,
+        self, transaction: Transaction, vote: _Vote
     ) -> Optional[_ParticipantState]:
-        """This domain ordered ``transaction``'s prepare at ``slot``: the state
-        becomes prepared and enters the in-flight table (``None`` when the
-        transaction is already decided here, or the attempt was aborted)."""
+        """This domain ordered ``transaction``'s prepare as ``vote`` says: the
+        state becomes prepared and enters the in-flight table (``None`` when
+        the transaction is already decided here, or the attempt was aborted)."""
         tid = transaction.tid
         pending = self._part_pending.get(tid)
-        if pending is not None and pending[1] == coordinator_sequence:
+        if pending is not None and pending[1] == vote.coordinator_sequence:
             del self._part_pending[tid]
-        if self._aborted(tid, coordinator_sequence):
+        if self._aborted(tid, vote.coordinator_sequence):
             return None  # decided late: the abort came first, so no vote
         state = self._part.get(tid)
         if state is None:
-            state = _ParticipantState(
-                transaction=transaction,
-                coordinator_domain=coordinator_domain,
-                coordinator_sequence=coordinator_sequence,
-            )
+            state = _ParticipantState(transaction=transaction, vote=vote)
             self._part[tid] = state
         if state.committed or state.aborted:
             return None
-        state.coordinator_domain = coordinator_domain
-        state.coordinator_sequence = coordinator_sequence
-        state.participant_sequence = slot
+        state.vote = vote
         self._part_live.add(state)
         return state
 
@@ -1187,37 +1305,45 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         self, state: _ParticipantState, committed: bool = False, forget: bool = False
     ) -> None:
         """The one place a participant state leaves the in-flight table: it
-        commits, aborts for good, or — ``forget``, an abort the coordinator
-        will retry — is dropped so the next attempt starts afresh.  Its
-        commit-query timer goes with it."""
+        commits (its vote stays in its place), aborts for good (it goes:
+        ``_aborted_tids`` answers for it), or — ``forget``, an abort the
+        coordinator will retry — is dropped so the next attempt starts
+        afresh.  Its commit-query timer goes with it."""
         if state.timer is not None:
             state.timer.cancel()
             state.timer = None
         self._part_live.discard(state)
+        tid = state.transaction.tid
         if forget:
-            del self._part[state.transaction.tid]
+            del self._part[tid]
         elif committed:
             state.committed = True
+            self._retire(self._part, tid, state.vote)
         else:
             state.aborted = True
+            self._retire(self._part, tid, None)
 
-    def _send_prepared(self, state: _ParticipantState) -> None:
-        certificate = self.node.certify(state.transaction.request_digest)
+    def _send_prepared(
+        self, transaction: Transaction, vote: Union[_ParticipantState, _Vote]
+    ) -> None:
+        """Vote for ``transaction`` as ``vote`` (a prepared state, or a
+        committed member's vote) records it."""
+        certificate = self.node.certify(transaction.request_digest)
         self.node.record_trace(
             "handoff:prepared",
-            tid=state.transaction.tid,
-            slot=state.participant_sequence,
-            coordinator=state.coordinator_domain.name,
+            tid=transaction.tid,
+            slot=vote.participant_sequence,
+            coordinator=vote.coordinator_domain.name,
         )
         prepared = CrossPrepared(
-            tid=state.transaction.tid,
+            tid=transaction.tid,
             participant_domain=self.node.domain.id,
-            coordinator_sequence=state.coordinator_sequence,
-            participant_sequence=state.participant_sequence,
-            request_digest=state.transaction.request_digest,
+            coordinator_sequence=vote.coordinator_sequence,
+            participant_sequence=vote.participant_sequence,
+            request_digest=transaction.request_digest,
             certificate=certificate,
         )
-        self.node.multicast_domain(state.coordinator_domain, prepared)
+        self.node.multicast_domain(vote.coordinator_domain, prepared)
 
     def _arm_commit_query_timer(self, state: _ParticipantState) -> None:
         timers = self.node.config.timers
@@ -1273,7 +1399,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             existing = self._part.get(tid)
             if existing is not None:
                 # Already ordered by an earlier attempt: vote individually.
-                self._send_prepared(existing)
+                self._send_prepared(transaction, existing)
                 continue
             if tid in self._part_pending:
                 continue
@@ -1441,14 +1567,15 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     ) -> None:
         key = (order.coordinator_domain, order.group_id)
         self._pgroup_pending.pop(key, None)
+        group = _GroupVote(
+            order.coordinator_domain, order.coordinator_sequence, slot, order.group_id
+        )
         ordered: List[TransactionId] = []
         for transaction in order.transactions:
             # All members share the group's slot: groupmates never defer each
             # other's commits, and the aggregated commit applies them in
             # member order — identical on every participant.
-            state = self._record_prepared(
-                transaction, order.coordinator_domain, order.coordinator_sequence, slot
-            )
+            state = self._record_prepared(transaction, group)
             if state is None:
                 continue
             ordered.append(transaction.tid)
@@ -1461,12 +1588,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             lease = self._leased.pop(member.transaction.tid, None)
             if lease is not None and lease.timer is not None:
                 lease.timer.cancel()
-            state = self._record_prepared(
-                member.transaction,
-                member.coordinator_domain,
-                member.coordinator_sequence,
-                slot,
-            )
+            vote = _Vote(member.coordinator_domain, member.coordinator_sequence, slot)
+            state = self._record_prepared(member.transaction, vote)
             if state is None:  # aborted while the order was in flight
                 if self.node.is_primary:  # the grant resolves without an adopt
                     tid, coordinator = member.transaction.tid, member.coordinator_domain.name
@@ -1476,13 +1599,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 continue
             adopted_states.append(state)
             self._arm_commit_query_timer(state)
-        group = _ParticipantGroupState(
-            group_id=order.group_id,
-            coordinator_domain=order.coordinator_domain,
-            coordinator_sequence=order.coordinator_sequence,
-            participant_sequence=slot,
-            tids=tuple(ordered),
-        )
+        group.tids = tuple(ordered)
         self._pgroups[key] = group
         if not self.node.is_primary:
             return
@@ -1497,13 +1614,13 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
                 slot=slot,
                 coordinator=state.coordinator_domain.name,
             )
-            self._send_prepared(state)
+            self._send_prepared(state.transaction, state)
         for tid in ordered:
             self._release_dependents(tid)
         for state in adopted_states:
             self._release_dependents(state.transaction.tid)
 
-    def _send_group_prepared(self, group: _ParticipantGroupState) -> None:
+    def _send_group_prepared(self, group: _GroupVote) -> None:
         if not group.tids:
             return
         vote_digest = digest(
@@ -1602,10 +1719,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             self.node.send(
                 self.node.primary_address_of(commit.coordinator_domain), ack
             )
-        if self.node.is_primary and commit.tid in self._client_of:
-            self.node.reply_to_client(
-                self._client_of.pop(commit.tid), state.transaction, success=True
-            )
+        client = self._client_of.pop(commit.tid, None)
+        if client is not None and self.node.is_primary:
+            self.node.reply_to_client(client, state.transaction, success=True)
         if drain and self.node.is_primary:
             self._drain_participant_queue()
 
@@ -1686,8 +1802,19 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
     def coordinated_transactions(self) -> Tuple[TransactionId, ...]:
         return tuple(self._coord.keys())
 
+    def outcome_of(self, tid: TransactionId) -> Optional[TransactionStatus]:
+        """This replica's decided outcome of ``tid`` in either role:
+        ``COMMITTED`` or ``ABORTED``, ``None`` while it is undecided here."""
+        state = self._coord.get(tid) or self._part.get(tid)
+        if state is not None and state.committed:
+            return TransactionStatus.COMMITTED
+        if tid in self._aborted_tids or (state is not None and state.aborted):
+            return TransactionStatus.ABORTED
+        return None
+
     def coordinated_groups(self) -> Tuple[str, ...]:
-        """Group ids of every grouped exchange this coordinator decided."""
+        """Group ids of the grouped exchanges this coordinator still keeps:
+        the ones with a member left in them."""
         return tuple(self._groups.keys())
 
     def group_members(self, group_id: str) -> Tuple[TransactionId, ...]:

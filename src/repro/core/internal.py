@@ -28,7 +28,6 @@ class InternalTransactionProtocol(ProtocolComponent):
     def __init__(self, node: SaguaroNode) -> None:
         super().__init__(node)
         self._in_flight: Set[TransactionId] = set()
-        self._client_of: Dict[TransactionId, str] = {}
         self._suspicion_timers: Dict[TransactionId, Any] = {}
 
     # -- wire messages ------------------------------------------------------------
@@ -39,7 +38,6 @@ class InternalTransactionProtocol(ProtocolComponent):
             return False
         if not self.node.is_height1 or not transaction.involves(self.node.domain.id):
             return False
-        self._client_of[transaction.tid] = payload.client_address
         if self._already_processed(transaction.tid):
             self._resend_reply(payload)
             return True
@@ -103,5 +101,6 @@ class InternalTransactionProtocol(ProtocolComponent):
         if timer is not None:
             timer.cancel()
         if self.node.is_primary:
-            client = self._client_of.pop(transaction.tid, payload.client_address)
-            self.node.reply_to_client(client, transaction, success=True)
+            # The order carries the client's address: a transaction has one
+            # client, so no replica needs to remember where to reply.
+            self.node.reply_to_client(payload.client_address, transaction, success=True)

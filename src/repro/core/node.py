@@ -507,18 +507,17 @@ class SaguaroNode:
         record = self.ledger.append_transaction(
             transaction, status=status, commit_time_ms=self.simulator.now
         )
+        position = self.ledger.position_of(transaction.tid)
         if self.wal is not None:
             self.wal.append(
-                WalRecord(
-                    kind="append", position=record.position, payload=record.entry
-                )
+                WalRecord(kind="append", position=position, payload=record.entry)
             )
             if self.wal.sync_ms > 0:
                 self.cpu.submit(self.simulator.now, self.wal.sync_ms)
         self.record_trace(
             "append",
             tid=transaction.tid,
-            slot=record.position,
+            slot=position,
             status=status.value,
             tx_kind=transaction.kind.value,
             involved=[d.name for d in transaction.involved_domains],

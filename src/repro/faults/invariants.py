@@ -294,7 +294,7 @@ class InvariantChecker:
             if reference is None:
                 continue
             per_domain: Dict[Any, int] = {}
-            for record in reference:
+            for position, record in enumerate(reference, start=1):
                 transaction = record.entry.transaction
                 if not transaction.is_cross_domain:
                     continue
@@ -303,7 +303,7 @@ class InvariantChecker:
                 # aborted entries may legitimately sit at different positions.
                 if record.entry.status is not TransactionStatus.COMMITTED:
                     continue
-                per_domain[record.entry.tid] = record.position
+                per_domain[record.entry.tid] = position
                 if record.entry.tid not in transactions:
                     transactions[record.entry.tid] = transaction
                     ordered_tids.append(record.entry.tid)

@@ -29,15 +29,16 @@ SHARED_WINDOW = 128
 
 @dataclass(frozen=True, slots=True)
 class ChainRecord:
-    """One position of a linear ledger: the entry plus its chaining hashes.
+    """One position of a linear ledger: the entry plus its block hash.
 
     Slotted, like :class:`CommittedEntry` and :class:`SequenceNumber` under
-    it: every replica keeps one of each per appended transaction.
+    it: every replica keeps one of each per appended transaction.  What the
+    record's place in the ledger gives is not stored: its position is its
+    index + 1, and its previous hash is the prior record's ``block_hash``
+    (:data:`GENESIS_HASH` for the first).
     """
 
-    position: int
     entry: CommittedEntry
-    previous_hash: bytes
     block_hash: bytes
 
 
@@ -85,9 +86,9 @@ class SharedPositions:
             return None
         return shared
 
-    def offer(self, record: "ChainRecord") -> None:
-        """Keep ``record``'s computed values if it is the first at a new position."""
-        position = record.position
+    def offer(self, position: int, previous_hash: bytes, record: "ChainRecord") -> None:
+        """Keep ``record``'s computed values if it is the first at a new
+        position (``previous_hash``: the hash it was chained after)."""
         if position <= self._latest:
             return
         self._latest = position
@@ -95,7 +96,7 @@ class SharedPositions:
         positions = self._positions
         positions[position] = (
             entry.transaction.canonical_bytes(),
-            record.previous_hash,
+            previous_hash,
             entry.sequence,
             entry.canonical_bytes(),
             record.block_hash,
@@ -165,23 +166,11 @@ class LinearLedger:
             )
         if entry.tid in self._by_tid:
             raise LedgerError(f"{entry.tid} already appended to {self._domain}")
-        previous_hash = self.head_hash
-        block_hash = digest(previous_hash, entry.canonical_bytes())
-        return self._link(position, entry, previous_hash, block_hash)
+        block_hash = digest(self.head_hash, entry.canonical_bytes())
+        return self._link(position, entry, block_hash)
 
-    def _link(
-        self,
-        position: int,
-        entry: CommittedEntry,
-        previous_hash: bytes,
-        block_hash: bytes,
-    ) -> ChainRecord:
-        record = ChainRecord(
-            position=position,
-            entry=entry,
-            previous_hash=previous_hash,
-            block_hash=block_hash,
-        )
+    def _link(self, position: int, entry: CommittedEntry, block_hash: bytes) -> ChainRecord:
+        record = ChainRecord(entry=entry, block_hash=block_hash)
         self._records.append(record)
         self._by_tid[entry.tid] = position
         return record
@@ -220,7 +209,7 @@ class LinearLedger:
                 )
                 object.__setattr__(entry, "_canonical", canonical)
                 # The position ``int`` is the shared sequence number's own.
-                return self._link(full.parts[0][1], entry, previous_hash, block_hash)
+                return self._link(full.parts[0][1], entry, block_hash)
         local = SequenceNumber.single(self._domain, self.next_position())
         full = local if sequence is None else sequence.merged_with(local)
         entry = CommittedEntry(
@@ -229,9 +218,10 @@ class LinearLedger:
             status=status,
             commit_time_ms=commit_time_ms,
         )
+        previous_hash = self.head_hash
         record = self.append(entry)
         if shared is not None:
-            shared.offer(record)
+            shared.offer(self._by_tid[transaction.tid], previous_hash, record)
         return record
 
     # -- queries ----------------------------------------------------------------
@@ -286,26 +276,17 @@ class LinearLedger:
         position = self.position_of(tid)
         record = self._records[position - 1]
         self._records[position - 1] = ChainRecord(
-            position=record.position,
-            entry=record.entry.with_status(status),
-            previous_hash=record.previous_hash,
-            block_hash=record.block_hash,
+            entry=record.entry.with_status(status), block_hash=record.block_hash
         )
 
     # -- integrity ---------------------------------------------------------------
 
     def verify_integrity(self) -> bool:
-        """Re-check every chaining hash; raises on tampering."""
+        """Re-check every chaining hash, each from the hash before it; raises
+        on tampering (an entry or a block hash changed breaks the chain at
+        its position)."""
         previous = GENESIS_HASH
         for index, record in enumerate(self._records, start=1):
-            if record.position != index:
-                raise ChainIntegrityError(
-                    f"{self._domain}: record {index} has position {record.position}"
-                )
-            if record.previous_hash != previous:
-                raise ChainIntegrityError(
-                    f"{self._domain}: broken hash chain at position {index}"
-                )
             expected = digest(previous, record.entry.canonical_bytes())
             if record.block_hash != expected:
                 raise ChainIntegrityError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -28,7 +29,11 @@ from repro.common.types import (
     TransactionId,
     TransactionKind,
 )
-from repro.core.coordinator import CoordinatorCrossDomainProtocol
+from repro.core.coordinator import (
+    CoordinatorCrossDomainProtocol,
+    _CoordinationState,
+    _ParticipantState,
+)
 from repro.core.internal import InternalTransactionProtocol
 from repro.core.mobile import MobileConsensusProtocol
 from repro.core.node import SaguaroNode
@@ -37,6 +42,8 @@ from repro.core.system import SaguaroDeployment
 from repro.ledger.transaction import Transaction
 from repro.recovery import state_root_of
 from repro.scenarios import Scenario, materialize
+from repro.sim.events import ScheduledEvent
+from repro.sim.simulator import Timer
 from repro.topology.builders import build_paper_figure1_tree, build_tree
 from repro.topology.regions import placement_for_profile
 from repro.workloads.generator import WorkloadGenerator
@@ -210,6 +217,52 @@ def stuck_cross_domain_state(deployment: SaguaroDeployment) -> Dict[str, int]:
     return counts
 
 
+def _holds_timer_or_closure(value) -> bool:
+    """Whether ``value`` refers to a timer, an event or a callable, directly
+    or through the tuples it holds."""
+    for referent in gc.get_referents(value):
+        if isinstance(referent, tuple):
+            if _holds_timer_or_closure(referent):
+                return True
+        elif isinstance(referent, (Timer, ScheduledEvent)) or (
+            callable(referent) and not isinstance(referent, type)
+        ):
+            return True
+    return False
+
+
+def settled_2pc_state(deployment: SaguaroDeployment) -> Dict[str, int]:
+    """Decided 2PC state still kept whole, summed over every coordinator
+    component of ``deployment``.
+
+    ``states`` counts coordinator and participant states that are no longer
+    in flight; ``groups`` counts grouped exchanges with no member left in
+    them; ``holding`` counts the compact outcome records (``_coord``,
+    ``_part``, ``_pgroups``) that refer to a timer, an event or a closure.
+    All three are 0 on a run with nothing pending.
+    """
+    counts = dict.fromkeys(("states", "groups", "holding"), 0)
+    for node in deployment.nodes.values():
+        for component in node.components:
+            if not isinstance(component, CoordinatorCrossDomainProtocol):
+                continue
+            records = [
+                *component._coord.values(),
+                *component._part.values(),
+                *component._pgroups.values(),
+            ]
+            for record in records:
+                if isinstance(record, (_CoordinationState, _ParticipantState)):
+                    counts["states"] += not record.in_flight
+                elif _holds_timer_or_closure(record):
+                    counts["holding"] += 1
+            counts["groups"] += sum(
+                not component._live_group_members(group)
+                for group in component._groups.values()
+            )
+    return counts
+
+
 #: The tables each protocol component keeps beside the ledger, one entry per
 #: transaction (mobile: per device, ``_buffered`` per device with requests
 #: waiting), under the label ``retained_state`` reports them by.
@@ -222,7 +275,7 @@ RETAINED_TABLES = (
     (
         "internal",
         InternalTransactionProtocol,
-        ("_in_flight", "_client_of", "_suspicion_timers"),
+        ("_in_flight", "_suspicion_timers"),
     ),
     (
         "optimistic",

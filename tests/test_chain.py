@@ -1,5 +1,7 @@
 """Unit and property tests for the linear (height-1) blockchain ledger."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from repro.common.types import (
     TransactionKind,
     TransactionStatus,
 )
+from repro.crypto.digests import digest
 from repro.errors import ChainIntegrityError, LedgerError, UnknownBlockError
 from repro.ledger.chain import GENESIS_HASH, LinearLedger
 from repro.ledger.transaction import CommittedEntry, Transaction
@@ -31,20 +34,21 @@ class TestAppend:
         ledger = LinearLedger(D11)
         for number in range(1, 6):
             record = ledger.append_transaction(_tx(number))
-            assert record.position == number
+            assert ledger.position_of(record.entry.tid) == number
+            assert ledger.record_at(number) is record
         assert len(ledger) == 5
         assert ledger.next_position() == 6
 
     def test_first_record_chains_to_genesis(self):
         ledger = LinearLedger(D11)
         record = ledger.append_transaction(_tx(1))
-        assert record.previous_hash == GENESIS_HASH
+        assert record.block_hash == digest(GENESIS_HASH, record.entry.canonical_bytes())
 
     def test_hash_chain_links_records(self):
         ledger = LinearLedger(D11)
         first = ledger.append_transaction(_tx(1))
         second = ledger.append_transaction(_tx(2))
-        assert second.previous_hash == first.block_hash
+        assert second.block_hash == digest(first.block_hash, second.entry.canonical_bytes())
         assert ledger.head_hash == second.block_hash
 
     def test_duplicate_append_rejected(self):
@@ -142,13 +146,22 @@ class TestIntegrity:
         ledger.append_transaction(_tx(2))
         # Tamper with the stored chain directly.
         record = ledger._records[0]
-        ledger._records[0] = type(record)(
-            position=record.position,
-            entry=record.entry,
-            previous_hash=record.previous_hash,
-            block_hash=b"\x00" * 32,
-        )
+        ledger._records[0] = type(record)(entry=record.entry, block_hash=b"\x00" * 32)
         with pytest.raises(ChainIntegrityError):
+            ledger.verify_integrity()
+
+    def test_tampered_entry_detected(self):
+        """A record stores its entry and block hash only: an entry changed
+        under an unchanged block hash breaks the chain at its position."""
+        ledger = LinearLedger(D11)
+        for number in (1, 2, 3):
+            ledger.append_transaction(_tx(number))
+        record = ledger._records[1]
+        forged = replace(record.entry.transaction, payload={"n": 99})
+        ledger._records[1] = type(record)(
+            entry=replace(record.entry, transaction=forged), block_hash=record.block_hash
+        )
+        with pytest.raises(ChainIntegrityError, match="position 2"):
             ledger.verify_integrity()
 
     @given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=60, unique=True))
@@ -157,4 +170,6 @@ class TestIntegrity:
         for number in numbers:
             ledger.append_transaction(_tx(number))
         assert ledger.verify_integrity()
-        assert [r.position for r in ledger] == list(range(1, len(numbers) + 1))
+        assert [ledger.position_of(r.entry.tid) for r in ledger] == list(
+            range(1, len(numbers) + 1)
+        )

@@ -269,7 +269,7 @@ class TestSharedPositions:
         mine = first.append_transaction(transaction, commit_time_ms=1.0)
         theirs = second.append_transaction(transaction, commit_time_ms=2.0)
         assert theirs.entry.sequence is mine.entry.sequence
-        assert theirs.position is mine.position
+        assert second.position_of(transaction.tid) is first.position_of(transaction.tid)
         assert theirs.entry.canonical_bytes() is mine.entry.canonical_bytes()
         assert theirs.block_hash is mine.block_hash
         assert theirs.entry.commit_time_ms == 2.0  # the entry stays the replica's
@@ -296,7 +296,7 @@ class TestSharedPositions:
         transaction = Transaction(**_fields(number=3))
         mine = first.append_transaction(transaction)
         theirs = second.append_transaction(transaction)
-        assert theirs.previous_hash != mine.previous_hash
+        assert second.record_at(1).block_hash != first.record_at(1).block_hash
         assert theirs.block_hash != mine.block_hash
         assert theirs.entry.sequence is not mine.entry.sequence
         assert theirs.block_hash == _lone_chain_head(

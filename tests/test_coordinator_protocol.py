@@ -28,6 +28,7 @@ from tests.conftest import (
     internal_transfer,
     make_deployment,
     retained_state,
+    settled_2pc_state,
     stuck_cross_domain_state,
 )
 
@@ -315,31 +316,44 @@ def test_nothing_stuck_once_every_transaction_resolved(name, group_size):
 
 
 def test_settled_states_let_go_of_their_timer_callbacks():
-    """``retained_state`` on ``xbatch-sweep-g008`` at 200 transactions: the
-    coordinator keeps every settled coordinator and participant state (the
-    baseline ROADMAP item 9(a) will shrink), but none of them may keep the
-    closure of a timer it cancelled — a cancelled event drops its callback."""
+    """``retained_state`` on ``xbatch-sweep-g008`` at 200 transactions, with
+    nothing pending: no coordinator, participant or group state outlives its
+    decision, and the compact records that answer for it hold no timer or
+    closure.  Every coordinator replica keeps one outcome per transaction it
+    coordinated and every participant replica one vote per transaction it
+    committed, and both read as committed."""
     scenario = registry.get("xbatch-sweep-g008").with_overrides(num_transactions=200)
     run = ScenarioRunner().execute(scenario)
     assert run.summary.pending == 0 and run.summary.committed == 200
+    assert settled_2pc_state(run.deployment) == {"states": 0, "groups": 0, "holding": 0}
     totals = Counter()
     for counts in retained_state(run.deployment).values():
         totals.update(counts)
-    states = [
-        state
+    assert totals["coordinator._groups"] == 0
+    components = [
+        (node, component)
         for node in run.deployment.nodes.values()
         for component in node.components
         if isinstance(component, CoordinatorCrossDomainProtocol)
-        for state in (*component._coord.values(), *component._part.values())
     ]
-    assert len(states) == totals["coordinator._coord"] + totals["coordinator._part"]
-    assert states and not any(state.in_flight for state in states)
-    holding = [
-        state.transaction.tid
-        for state in states
-        if state.timer is not None and state.timer._event.callback is not None
+    records = [
+        (component, tid)
+        for _, component in components
+        for tid in (*component._coord, *component._part)
     ]
-    assert holding == [], f"{len(holding)} settled states keep a timer callback"
+    assert len(records) == totals["coordinator._coord"] + totals["coordinator._part"]
+    assert records and all(
+        component.outcome_of(tid) is TransactionStatus.COMMITTED
+        for component, tid in records
+    )
+    assert len({tid for _, tid in records}) == 200
+    for node, component in components:
+        if node.is_height1:
+            assert set(component._part) == {
+                record.entry.tid
+                for record in node.ledger
+                if record.entry.transaction.is_cross_domain
+            }
 
 
 class TestOrderedOutcomes:
@@ -381,18 +395,21 @@ class TestOrderedOutcomes:
 
         # A retried attempt is followed by a second one, which commits.
         committed = first != "abort"
+        outcome = TransactionStatus.COMMITTED if committed else TransactionStatus.ABORTED
+        attempts = [
+            event.get("attempt")
+            for event in deployment.trace.events("handoff:prepare")
+            if event.tid == tid.name
+        ]
+        assert attempts == ([1, 2] if first == "retry" else [1])
         for coordinator in coordinators:
-            state = coordinator._coord[tid]
-            assert (state.committed, state.aborted) == (committed, not committed)
-            assert state.attempt == (2 if first == "retry" else 1)
+            assert coordinator.outcome_of(tid) is outcome
             assert not len(coordinator._coord_live)
         for domain in (D11, D12):
             for node in deployment.nodes_of(domain):
-                state = _component_of(node)._part[tid]
                 appended = sum(e.transaction.tid == tid for e in node.ledger.entries())
-                assert (appended, state.committed, state.aborted) == (
-                    int(committed), committed, not committed
-                )
+                assert appended == int(committed)
+                assert _component_of(node).outcome_of(tid) is outcome
 
         participant = participants[D11]
         votes = len(deployment.trace.events("handoff:prepared"))
@@ -413,7 +430,7 @@ class TestOrderedOutcomes:
         else:
             assert len(deployment.trace.events("handoff:prepared")) == votes
         assert tid not in participant._part_pending and not participant._part_queue
-        assert participant._part[tid].committed == committed
+        assert participant.outcome_of(tid) is outcome
 
     def test_a_held_prepare_is_kept_once_per_transaction(self, coordinator_deployment):
         """A retransmitted or retried prepare replaces the held copy; a stale

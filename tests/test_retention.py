@@ -11,12 +11,18 @@ reader's sake, and these tests hold each to its bound:
   another process;
 * trace details are shared (see ``tests/test_trace_invariants.py``), and
   what a domain's replicas compute identically per ledger position is kept
-  once per domain (see ``tests/test_compute_once.py``).
+  once per domain (see ``tests/test_compute_once.py``);
+* a decided cross-domain transaction leaves its coordinator, participant
+  and group state: a coordinator replica keeps one compact outcome, a
+  participant the vote it committed under (its ledger and abort memory
+  answer the rest), and the duplicate-replay oracle below shows that late
+  and duplicate messages are answered exactly as the whole state would.
 
 A tracemalloc guard bounds the bytes the modules behind these, the DAG and
 the digests retain per committed transaction per replica.
 """
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -27,6 +33,8 @@ import subprocess
 import sys
 import tracemalloc
 
+from unittest import mock
+
 import pytest
 
 import repro
@@ -35,11 +43,13 @@ from repro.consensus.messages import PaxosAccepted, PbftCommit, PbftPrepare
 from repro.consensus.paxos import PaxosEngine
 from repro.consensus.pbft import PbftEngine
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
+from repro.core.messages import ClientRequest
 from repro.ledger.chain import LinearLedger
 from repro.recovery.wal import WalRecord
 from repro.scenarios import registry
 from repro.scenarios.runner import materialize
-from tests.conftest import cross_transfer, internal_transfer
+from repro.sim.network import Network
+from tests.conftest import cross_transfer, internal_transfer, settled_2pc_state
 
 
 def _tallies(engine):
@@ -186,18 +196,109 @@ class TestDecidedSlotsKeepNoTallies:
     ids=["grouped", "per-transaction"],
 )
 def test_settled_2pc_states_keep_no_timer(name, overrides):
-    """A coordinator, participant or group state that has ended holds no
-    timer: its cancelled ``Timer`` and event go with it."""
+    """With nothing pending, no coordinator, participant or group state is
+    left to hold a timer — each went at its decision — and none of the
+    compact records kept in their place (one per decided transaction per
+    replica) holds a timer, an event or a closure."""
     run = _finished(name, **overrides)
-    settled = []
+    assert run.summary.pending == 0
+    assert settled_2pc_state(run.deployment) == {"states": 0, "groups": 0, "holding": 0}
+    records = sum(
+        len(component._coord) + len(component._part)
+        for node in run.deployment.nodes.values()
+        for component in node.components
+        if isinstance(component, CoordinatorCrossDomainProtocol)
+    )
+    assert records > 50
+
+
+# ---------------------------------------------------------------------------
+# Duplicate-replay oracle
+# ---------------------------------------------------------------------------
+
+
+def _keep_settled_state(table, key, record):
+    """``CoordinatorCrossDomainProtocol._retire`` switched off: a decided
+    state stays whole in its table, as it did before it was retired."""
+
+
+def _replayed(name, seed, overrides, retire):
+    """Run ``name``, then hand every component each 2PC message it processed
+    and each payload it was decided, again, in the order it first got them.
+
+    Returns what the run and the replay left behind: the result, the trace,
+    every send the replay (and the simulated second it is given to settle)
+    caused, and each replica's outcome of every transaction it knows."""
+    processed = []
+    handle = CoordinatorCrossDomainProtocol.handle_message
+    decide = CoordinatorCrossDomainProtocol.on_decide
+
+    def handle_message(component, payload, sender):
+        if not isinstance(payload, ClientRequest):
+            processed.append((component, handle, (payload, sender)))
+        return handle(component, payload, sender)
+
+    def on_decide(component, slot, payload):
+        processed.append((component, decide, (slot, payload)))
+        return decide(component, slot, payload)
+
+    sends = []
+    send = Network.send
+
+    def spy(network, sender, recipient, payload, *args, **kwargs):
+        sends.append((sender, recipient, payload))
+        return send(network, sender, recipient, payload, *args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        if not retire:
+            stack.enter_context(
+                mock.patch.object(
+                    CoordinatorCrossDomainProtocol, "_retire", staticmethod(_keep_settled_state)
+                )
+            )
+        with mock.patch.object(
+            CoordinatorCrossDomainProtocol, "handle_message", handle_message
+        ), mock.patch.object(CoordinatorCrossDomainProtocol, "on_decide", on_decide):
+            run = materialize(registry.get(name).with_overrides(**overrides), seed)
+            result = run.run()
+        first = run.trace.to_json()
+        with mock.patch.object(Network, "send", spy):
+            for component, method, args in processed:
+                method(component, *args)
+            simulator = run.deployment.simulator
+            simulator.run(until_ms=simulator.now + 1_000.0)
+    outcomes, ledgers = {}, {}
     for node in run.deployment.nodes.values():
         for component in node.components:
             if isinstance(component, CoordinatorCrossDomainProtocol):
-                settled += [s for s in component._coord.values() if not s.in_flight]
-                settled += [s for s in component._part.values() if not s.in_flight]
-                settled += [g for g in component._groups.values() if g.commit_submitted]
-    assert len(settled) > 50
-    assert [s for s in settled if s.timer is not None] == []
+                tids = {*component._coord, *component._part, *component._aborted_tids}
+                outcomes[node.address] = {tid: component.outcome_of(tid) for tid in tids}
+        if node.ledger is not None:
+            ledgers[node.address] = node.ledger.committed_order()
+    replay = (run.trace.to_json(), sends, outcomes, ledgers)
+    return result, first, replay, len(processed)
+
+
+@pytest.mark.parametrize(
+    "name, seed, overrides",
+    [
+        ("xbatch-sweep-g008", 1, {"num_transactions": 96}),
+        ("fig07a", 1, {"num_transactions": 48, "num_clients": 8}),
+        ("lease-rejoin", 4, {}),
+    ],
+    ids=["grouped", "per-transaction", "lease-rejoin"],
+)
+def test_replayed_messages_are_answered_as_by_the_whole_state(name, seed, overrides):
+    """Duplicate-replay oracle: every 2PC message and decided payload each
+    component processed is re-delivered after the run, once with decided
+    state retired (as shipped) and once with it kept whole.  Both runs, and
+    both replays, must send the same messages, trace the same events and
+    leave every replica with the same outcomes."""
+    result, first, replay, processed = _replayed(name, seed, overrides, retire=True)
+    _, sends, outcomes, _ = replay
+    assert processed > 300 and sends
+    assert any(TransactionStatus.COMMITTED in table.values() for table in outcomes.values())
+    assert (result, first, replay) == _replayed(name, seed, overrides, retire=False)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +332,7 @@ out = {
     "copies": (copy.copy(record), copy.deepcopy(record)),
     "replaced": (
         dataclasses.replace(entry, status=TransactionStatus.ABORTED),
-        dataclasses.replace(record, position=9),
+        dataclasses.replace(record, block_hash=b"moved"),
         dataclasses.replace(sequence),
     ),
     "canonical": entry.canonical_bytes(),
@@ -275,7 +376,7 @@ def test_slotted_records_survive_pickle_copy_and_replace_in_another_process():
         assert aborted.status is TransactionStatus.ABORTED and aborted.tid == entry.tid
         assert aborted._canonical is None  # replace() starts the cache cold
         assert aborted.canonical_bytes() == entry.canonical_bytes()
-        assert moved.position == 9 and moved.entry == entry
+        assert moved.block_hash == b"moved" and moved.entry == entry
         assert same_sequence == sequence
         assert out["canonical"] == entry.canonical_bytes()
         assert out["rebuilt"] == sequence and hash(out["rebuilt"]) == hash(sequence)

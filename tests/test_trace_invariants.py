@@ -165,14 +165,12 @@ class TestCheckerCatchesSeededViolations:
             client=forged_tx.client,
         )
         records[0] = type(record)(
-            position=record.position,
             entry=type(record.entry)(
                 transaction=forged_tx,
                 sequence=record.entry.sequence,
                 status=record.entry.status,
                 commit_time_ms=record.entry.commit_time_ms,
             ),
-            previous_hash=record.previous_hash,
             block_hash=record.block_hash,
         )
         report = InvariantChecker(run.deployment).check()

@@ -22,7 +22,7 @@ import json
 import pytest
 
 from repro.common.config import DeploymentConfig
-from repro.common.types import ClientId, CrossDomainProtocol, DomainId
+from repro.common.types import ClientId, CrossDomainProtocol, DomainId, TransactionStatus
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
 from repro.core.messages import (
     CoordinatorPrepareOrder,
@@ -265,10 +265,8 @@ def test_mixed_group_one_member_aborts_while_siblings_commit(monkeypatch):
         replica = next(
             c for c in node.components if isinstance(c, CoordinatorCrossDomainProtocol)
         )
-        survivor_state = replica._coord[survivor.tid]
-        victim_state = replica._coord[victim.tid]
-        assert survivor_state.committed and not survivor_state.aborted
-        assert victim_state.aborted and not victim_state.committed
+        assert replica.outcome_of(survivor.tid) is TransactionStatus.COMMITTED
+        assert replica.outcome_of(victim.tid) is TransactionStatus.ABORTED
     commit_events = deployment.trace.events("handoff:group-commit")
     assert commit_events and commit_events[0].get("tids") == (survivor.tid.name,)
     abort_events = deployment.trace.events("handoff:abort")
