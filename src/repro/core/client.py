@@ -16,6 +16,7 @@ this models the device actually having moved.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import MetricsCollector
@@ -54,8 +55,14 @@ class EdgeDeviceClient:
         self._timers = timers
         self._queue: List[Transaction] = list(transactions)
         self._start_delay_ms = start_delay_ms
-        self._think_time_ms = max(0.0, think_time_ms)
-        self._rng = simulator.rng.stream(f"client:{client_id.name}")
+        # A small randomised think time before each request desynchronises
+        # the closed-loop clients, as independent devices would be: one
+        # draw per transaction, made here in issue order.
+        think = 2.0 * max(0.0, think_time_ms)
+        self._think_times: Optional["array[float]"] = None
+        if think > 0:
+            rng = simulator.rng.fresh(f"client:{client_id.name}")
+            self._think_times = array("d", (rng.uniform(0.0, think) for _ in self._queue))
 
         self._home_leaf = hierarchy.domain(client_id.home)
         self._local_domain = hierarchy.parent_height1_of_leaf(client_id.home)
@@ -125,10 +132,8 @@ class EdgeDeviceClient:
             self._done = True
             self._current_region = self._home_leaf.region
             return
-        if self._think_time_ms > 0:
-            # A small randomised think time between requests desynchronises
-            # the closed-loop clients, as independent devices would be.
-            delay = self._rng.uniform(0.0, 2.0 * self._think_time_ms)
+        if self._think_times is not None:
+            delay = self._think_times[self._index]
             self._simulator.schedule(delay, lambda: self._issue_current(True))
         else:
             self._issue_current(first_attempt=True)

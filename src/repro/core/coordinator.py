@@ -62,6 +62,7 @@ through the same handler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.types import DomainId, TransactionId, TransactionKind, TransactionStatus
@@ -135,7 +136,8 @@ class _InFlightTable:
 
     A state is added when an attempt opens (a second ``add`` keeps its place)
     and discarded when that attempt commits or aborts; discarding an absent
-    state is a no-op."""
+    state is a no-op.  An emptied table starts afresh: a dict emptied by
+    deletions would keep its peak capacity."""
 
     def __init__(self) -> None:
         self._next_ordinal = 0
@@ -156,6 +158,7 @@ class _InFlightTable:
         self._entries[tid] = (ordinal, pairs)
         for pair in pairs:
             self._by_pair.setdefault(pair, {})[ordinal] = state
+            self._indexed(pair, ordinal, state, 1)
 
     def discard(self, state: Any) -> None:
         entry = self._entries.pop(state.transaction.tid, None)
@@ -165,8 +168,14 @@ class _InFlightTable:
         for pair in pairs:
             bucket = self._by_pair[pair]
             del bucket[ordinal]
+            self._indexed(pair, ordinal, state, -1)
             if not bucket:
                 del self._by_pair[pair]
+        if not self._entries:
+            self.__init__()
+
+    def _indexed(self, pair: _Pair, ordinal: int, state: Any, change: int) -> None:
+        """``state`` entered (``change`` 1) or left (-1) ``pair``'s bucket."""
 
     def overlapping(self, transaction: Transaction) -> List[Any]:
         """Live states sharing >= 2 domains with ``transaction``, insertion order."""
@@ -175,6 +184,50 @@ class _InFlightTable:
             return list(buckets[0].values())
         merged = {ordinal: state for bucket in buckets for ordinal, state in bucket.items()}
         return [merged[ordinal] for ordinal in sorted(merged)]
+
+
+class _ParticipantTable(_InFlightTable):
+    """The participant role's table, which answers its two questions without
+    visiting states: per pair, a heap of the live states' (participant
+    sequence, ordinal), whose entries of discarded states are popped as they
+    surface, and how many live states each coordinator domain drives.  A
+    re-voted state is discarded and re-added (``_record_prepared``), since
+    nothing reads this table's insertion order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sequences: Dict[_Pair, List[Tuple[int, int]]] = {}
+        self._drivers: Dict[_Pair, Dict[DomainId, int]] = {}
+
+    def _indexed(self, pair: _Pair, ordinal: int, state: Any, change: int) -> None:
+        if not self._by_pair[pair]:
+            del self._drivers[pair], self._sequences[pair]
+            return
+        drivers = self._drivers.setdefault(pair, {})
+        drivers[state.coordinator_domain] = drivers.get(state.coordinator_domain, 0) + change
+        if change > 0:
+            heap = self._sequences.setdefault(pair, [])
+            heappush(heap, (state.participant_sequence, ordinal))
+
+    def precedes(self, state: _ParticipantState) -> bool:
+        """A live state sharing >= 2 domains with ``state`` was ordered at a
+        lower participant sequence."""
+        for pair in domain_pairs(state.transaction):
+            bucket, heap = self._by_pair.get(pair), self._sequences.get(pair)
+            while heap and heap[0][1] not in bucket:
+                heappop(heap)
+            if heap and heap[0][0] < state.participant_sequence:
+                return True
+        return False
+
+    def driven_elsewhere(self, transaction: Transaction, coordinator: Optional[DomainId]) -> bool:
+        """A live state sharing >= 2 domains with ``transaction`` is driven by
+        a coordinator domain other than ``coordinator`` (any, for ``None``)."""
+        for pair in domain_pairs(transaction):
+            bucket = self._by_pair.get(pair)
+            if bucket and len(bucket) > self._drivers[pair].get(coordinator, 0):
+                return True
+        return False
 
 
 @dataclass
@@ -385,7 +438,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         # until it is decided here; then a committed one's vote stays, and an
         # aborted one is answered by ``_aborted_tids``.
         self._part: Dict[TransactionId, Union[_ParticipantState, _Vote]] = {}
-        self._part_live = _InFlightTable()
+        self._part_live = _ParticipantTable()
         #: Submitted, not yet decided prepare orders: tid -> (transaction,
         #: coordinator sequence of the attempt).
         self._part_pending: Dict[TransactionId, Tuple[Transaction, int]] = {}
@@ -1245,9 +1298,8 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         coordinator itself already serialises conflicting requests, and the
         commit-application guard keeps the apply order consistent.
         """
-        for state in self._part_live.overlapping(transaction):
-            if coordinator_domain is None or state.coordinator_domain != coordinator_domain:
-                return True
+        if self._part_live.driven_elsewhere(transaction, coordinator_domain):
+            return True
         for pending, _ in self._part_pending.values():
             if _overlaps_in_two(pending, transaction):
                 return True
@@ -1297,7 +1349,9 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
             self._part[tid] = state
         if state.committed or state.aborted:
             return None
-        state.vote = vote
+        if state.vote is not vote:
+            self._part_live.discard(state)  # re-voted: re-keyed in the table
+            state.vote = vote
         self._part_live.add(state)
         return state
 
@@ -1691,10 +1745,7 @@ class CoordinatorCrossDomainProtocol(ProtocolComponent):
         This preserves the consistency property (Lemma 4.3) even when commit
         messages from the coordinator are delivered out of order.
         """
-        return any(
-            other.participant_sequence < state.participant_sequence
-            for other in self._part_live.overlapping(state.transaction)
-        )
+        return self._part_live.precedes(state)
 
     def _apply_commit(
         self,

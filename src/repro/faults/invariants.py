@@ -80,6 +80,11 @@ meaningful:
     checked only when the fault plan leaves each domain within its fault
     tolerance (``expect_liveness`` overrides the auto decision).
 
+The trace passes keep only what can still violate: a pass keeps the first
+value per key, and a set exists only for a key that has shown two; voters
+are a bitmask, a batch is judged once its instant has passed, and a domain's
+replicas are replayed once per distinct committed ledger.
+
 ``check()`` returns an :class:`InvariantReport`; ``assert_ok()`` raises
 :class:`~repro.errors.InvariantViolationError` listing every violation.
 """
@@ -88,7 +93,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.types import TransactionStatus
 from repro.errors import ChainIntegrityError, InvariantViolationError
@@ -98,6 +104,54 @@ __all__ = ["InvariantViolation", "InvariantReport", "InvariantChecker"]
 
 #: Trace kinds that count as consensus votes for the decide-quorum check.
 _VOTE_KINDS = ("commit-vote", "accept-vote")
+
+
+def _judge_batch(
+    number: int, event: Any, batch_tids: Tuple[str, ...], positions: "array[int]",
+    appended_order: List[str], found: List[Tuple[int, "InvariantViolation"]],
+) -> None:
+    """Add batch ``number``'s violation, if any, to ``found``: its claimed
+    appends must be contiguous in their node's stream, in batch order."""
+    if not positions:
+        return  # nothing appended at decide time (aborted as a unit)
+    batch = f"batch {(event.digest or '')[:12]} (slot {event.slot})"
+    # Positions grow along the stream: contiguous iff they span their count.
+    if positions[-1] - positions[0] != len(positions) - 1:
+        detail = f"appends of {batch} interleave with other appends at positions "
+        detail += str(positions.tolist())
+    else:
+        appended = set(appended_order)
+        expected_order = [tid for tid in batch_tids if tid in appended]
+        if appended_order == expected_order:
+            return
+        detail = f"{batch} appended out of batch order: {appended_order} != {expected_order}"
+    detail = f"{event.node}: {detail}"
+    found.append((number, InvariantViolation("batch-atomicity", detail, domain=event.domain)))
+
+
+class _FirstSeen:
+    """The first value seen per key (``first``), and a set of every value
+    (``more``) only for a key that has shown a second one."""
+
+    __slots__ = ("first", "more")
+
+    def __init__(self) -> None:
+        self.first: Dict[Any, Any] = {}
+        self.more: Dict[Any, Set[Any]] = {}
+
+    def add(self, key: Any, value: Any) -> None:
+        seen = self.first.setdefault(key, value)
+        if seen != value:
+            if key in self.more:
+                self.more[key].add(value)
+            else:
+                self.more[key] = {seen, value}  # filled in the order seen
+
+    def values(self, key: Any) -> Set[Any]:
+        """Every value ``key`` has shown, in a set filled in the order seen."""
+        if key in self.more:
+            return self.more[key]
+        return {self.first[key]} if key in self.first else set()
 
 
 @dataclass(frozen=True)
@@ -459,61 +513,62 @@ class InvariantChecker:
     def _check_decides(self) -> List[InvariantViolation]:
         violations = []
         assert self.trace is not None
-        digests: Dict[Tuple[str, int], Set[str]] = {}
-        votes: Dict[Tuple[str, int, str], Set[str]] = {}
+        decided = _FirstSeen()  # (domain, slot) -> decided digest(s)
+        # The voters of each (domain, slot, digest) as a bitmask over the
+        # domain's voter names, numbered as they first vote.
+        voters: Dict[Tuple[str, int, str], int] = {}
+        bits: Dict[str, Dict[str, int]] = {}
         for event in self.trace:
-            if event.domain is None or event.slot is None:
+            if event.domain is None or event.slot is None or event.digest is None:
                 continue
-            if event.kind == "decide" and event.digest is not None:
-                digests.setdefault((event.domain, event.slot), set()).add(event.digest)
-            elif event.kind in _VOTE_KINDS and event.digest is not None:
+            if event.kind == "decide":
+                decided.add((event.domain, event.slot), event.digest)
+            elif event.kind in _VOTE_KINDS:
+                numbered = bits.setdefault(event.domain, {})
+                node = event.node or "?"
+                bit = numbered.get(node)
+                if bit is None:
+                    bit = numbered[node] = 1 << len(numbered)
                 key = (event.domain, event.slot, event.digest)
-                votes.setdefault(key, set()).add(event.node or "?")
-        for (domain_name, slot), decided in sorted(digests.items()):
-            if len(decided) > 1:
+                voters[key] = voters.get(key, 0) | bit
+        for domain_name, slot in sorted(decided.first):
+            digests = decided.values((domain_name, slot))
+            if len(digests) > 1:
                 violations.append(
                     InvariantViolation(
                         invariant="conflicting-decide",
                         domain=domain_name,
                         detail=(
-                            f"slot {slot} decided with {len(decided)} different "
-                            f"payloads: {sorted(d[:12] for d in decided)}"
+                            f"slot {slot} decided with {len(digests)} different "
+                            f"payloads: {sorted(d[:12] for d in digests)}"
                         ),
                     )
                 )
-            quorum = self._real_quorum(domain_name)
-            if quorum is None:
+            domain = self._server_domains.get(domain_name)
+            if domain is None:
                 continue
-            for digest_hex in decided:
-                cast = votes.get((domain_name, slot, digest_hex), set())
-                if len(cast) < quorum:
+            quorum = domain.quorum
+            for digest_hex in digests:
+                cast = voters.get((domain_name, slot, digest_hex), 0).bit_count()
+                if cast < quorum:
                     violations.append(
                         InvariantViolation(
                             invariant="decide-quorum",
                             domain=domain_name,
                             detail=(
                                 f"slot {slot} (digest {digest_hex[:12]}) decided "
-                                f"with only {len(cast)} cast vote(s); the real "
+                                f"with only {cast} cast vote(s); the real "
                                 f"quorum is {quorum}"
                             ),
                         )
                     )
         return violations
 
-    def _real_quorum(self, domain_name: str) -> Optional[int]:
-        domain = self._domain_by_name(domain_name)
-        if domain is None:
-            return None
-        return domain.quorum
-
-    def _domain_by_name(self, domain_name: str) -> Optional[Any]:
-        return self._server_domains.get(domain_name)
-
     def _check_certificates(self) -> List[InvariantViolation]:
         violations = []
         assert self.trace is not None
         for event in self.trace.events("certify"):
-            domain = self._domain_by_name(event.domain) if event.domain else None
+            domain = self._server_domains.get(event.domain) if event.domain else None
             if domain is None:
                 violations.append(
                     InvariantViolation(
@@ -576,76 +631,64 @@ class InvariantChecker:
         assert self.trace is not None
         if not any(event.kind == "batch-decide" for event in self.trace):
             return violations  # unbatched ordering: nothing to index
-        # One pass in trace order.  Each append is claimed by the earliest
-        # batch decided before it at its node and instant that lists its
-        # tid: a batch's decide-time appends share its instant, so an append
-        # looks up only its own instant's batches, as ``(tids, positions,
-        # appended tids)``: the batch's tids, then the claimed appends'
-        # positions in their node's append stream and their tids.
-        batches: List[Any] = []
-        claimed: List[Tuple["array[int]", List[str]]] = []
-        at_instant: Dict[
-            Tuple[str, float], List[Tuple[Tuple[str, ...], "array[int]", List[str]]]
-        ] = {}
+        found = self._batch_violations(settle=True)
+        if found is None:  # a node's clock stepped back: judge at the end instead
+            found = self._batch_violations(settle=False)
+        return [violation for _, violation in sorted(found, key=itemgetter(0))]
+
+    def _batch_violations(
+        self, settle: bool
+    ) -> Optional[List[Tuple[int, InvariantViolation]]]:
+        """The batch-atomicity violations as ``(batch number, violation)``.
+
+        One pass in trace order.  Each append is claimed by the earliest
+        batch decided before it at its node and instant that lists its tid: a
+        batch's decide-time appends share its instant, so an append looks up
+        only its own instant's batches.  With ``settle``, a node's batches are
+        judged and let go as soon as the node records a later instant, so only
+        each node's open instant is held; that needs each node's events in
+        time order, and ``None`` says they were not (a simulated run's are).
+        """
+        found: List[Tuple[int, InvariantViolation]] = []
+        # (node, instant) -> its batches, as (number, event, tids, the claimed
+        # appends' positions in the node's append stream, their tids).
+        open_at: Dict[Tuple[str, float], List[Tuple[Any, ...]]] = {}
+        instant: Dict[str, float] = {}
         stream_length: Dict[str, int] = {}
+        decided = 0
         for event in self.trace:
-            kind = event.kind
-            if kind == "batch-decide":
-                node = event.node
-                batch_tids = event.get("tids", ())
-                if node is not None and any(batch_tids):
-                    claim: Tuple["array[int]", List[str]] = (array("q"), [])
-                    key = (node, event.at_ms)
-                    at_instant.setdefault(key, []).append((batch_tids, *claim))
-                    batches.append(event)
-                    claimed.append(claim)
+            kind, node, at = event.kind, event.node, event.at_ms
+            if node is None or (kind != "append" and kind != "batch-decide"):
                 continue
-            node = event.node
-            if kind != "append" or node is None:
+            if settle:
+                last = instant.setdefault(node, at)
+                if at != last:
+                    if at < last:
+                        return None
+                    instant[node] = at
+                    for batch in open_at.pop((node, last), ()):
+                        _judge_batch(*batch, found)
+            if kind == "batch-decide":
+                batch_tids = event.get("tids", ())
+                if any(batch_tids):
+                    batch = (decided, event, batch_tids, array("q"), [])
+                    open_at.setdefault((node, at), []).append(batch)
+                    decided += 1
                 continue
             index = stream_length.get(node, 0)
             stream_length[node] = index + 1
             tid = event.tid
             if not tid:
                 continue
-            for batch_tids, positions, tids in at_instant.get((node, event.at_ms), ()):
+            for _, _, batch_tids, positions, tids in open_at.get((node, at), ()):
                 if tid in batch_tids:
                     positions.append(index)
                     tids.append(tid)
                     break
-        for event, (positions, appended_order) in zip(batches, claimed):
-            if not positions:
-                continue  # nothing appended at decide time (aborted as a unit)
-            # Positions grow along the stream: contiguous iff they span their count.
-            if positions[-1] - positions[0] != len(positions) - 1:
-                violations.append(
-                    InvariantViolation(
-                        invariant="batch-atomicity",
-                        domain=event.domain,
-                        detail=(
-                            f"{event.node}: appends of batch "
-                            f"{(event.digest or '')[:12]} (slot {event.slot}) "
-                            f"interleave with other appends at positions "
-                            f"{positions.tolist()}"
-                        ),
-                    )
-                )
-                continue
-            appended = set(appended_order)
-            expected_order = [tid for tid in event.get("tids", ()) if tid in appended]
-            if appended_order != expected_order:
-                violations.append(
-                    InvariantViolation(
-                        invariant="batch-atomicity",
-                        domain=event.domain,
-                        detail=(
-                            f"{event.node}: batch {(event.digest or '')[:12]} "
-                            f"(slot {event.slot}) appended out of batch order: "
-                            f"{appended_order} != {expected_order}"
-                        ),
-                    )
-                )
-        return violations
+        for batches in open_at.values():
+            for batch in batches:
+                _judge_batch(*batch, found)
+        return found
 
     def _check_group_atomicity(self) -> List[InvariantViolation]:
         """Grouped 2PC exchanges commit exactly the fully-prepared members.
@@ -826,13 +869,23 @@ class InvariantChecker:
                         committed = True
             if open_spec and not committed:
                 dangling.add(node)
-        violations += self._check_speculative_state_replay(dangling)
+        violations += self._replay_violations(
+            "speculation-safety",
+            "final state differs from a serial in-order replay of its committed "
+            "ledger entries",
+            lambda address: address not in dangling,
+        )
         return violations
 
-    def _check_speculative_state_replay(
-        self, skip_nodes: Set[str]
+    def _replay_violations(
+        self, invariant: str, differs: str, replays: Callable[[str], bool]
     ) -> List[InvariantViolation]:
-        """Final replica state == serial in-order replay of its committed log."""
+        """A violation for each height-1 replica ``replays(address)`` names
+        whose state differs from a serial replay of its committed ledger
+        entries, in ledger order, on a freshly initialized store.  Replicas
+        of a domain mostly hold one committed sequence: there is one replay
+        per distinct (domain, shard count, committed transactions).
+        """
         from repro.ledger.state import StateStore
 
         violations: List[InvariantViolation] = []
@@ -840,29 +893,32 @@ class InvariantChecker:
         if application is None:
             return violations
         for domain in self.hierarchy.height1_domains():
+            replayed: List[Tuple[int, List[Any], Dict[str, Any]]] = []
             for node in self.deployment.nodes_of(domain.id):
-                if node.ledger is None or node.state is None:
+                if node.ledger is None or node.state is None or not replays(node.address):
                     continue
-                if node.address in skip_nodes:
-                    continue
-                fresh = StateStore(
-                    name=f"replay:{node.address}", shards=node.state.shard_count
-                )
-                application.initialize_domain(domain, fresh)
-                for record in node.ledger:
-                    if record.entry.status is not TransactionStatus.COMMITTED:
-                        continue
-                    application.execute(record.entry.transaction, fresh, domain.id)
-                if fresh.snapshot() != node.state.snapshot():
+                shards = node.state.shard_count
+                committed = [
+                    record.entry.transaction
+                    for record in node.ledger
+                    if record.entry.status is TransactionStatus.COMMITTED
+                ]
+                for known_shards, known, snapshot in replayed:
+                    if known_shards == shards and known == committed:
+                        break
+                else:
+                    fresh = StateStore(name=f"replay:{domain.id.name}", shards=shards)
+                    application.initialize_domain(domain, fresh)
+                    for transaction in committed:
+                        application.execute(transaction, fresh, domain.id)
+                    snapshot = fresh.snapshot()
+                    replayed.append((shards, committed, snapshot))
+                if snapshot != node.state.snapshot():
                     violations.append(
                         InvariantViolation(
-                            invariant="speculation-safety",
+                            invariant=invariant,
                             domain=domain.id.name,
-                            detail=(
-                                f"{node.address}: final state differs from a "
-                                "serial in-order replay of its committed "
-                                "ledger entries"
-                            ),
+                            detail=f"{node.address}: {differs}",
                         )
                     )
         return violations
@@ -960,7 +1016,9 @@ class InvariantChecker:
         }
         if not wiped:
             return violations
-        votes: Dict[Tuple[str, str, int, int], Set[str]] = {}
+        # (node, kind, view) -> slot -> digest(s): the slot's own int is the
+        # key, so a vote costs a dict entry and no key tuple.
+        votes: Dict[Tuple[str, str, int], _FirstSeen] = {}
         for event in self.trace:
             if (
                 event.kind in ("prepare-vote", "commit-vote", "accept-vote")
@@ -969,20 +1027,27 @@ class InvariantChecker:
                 and event.slot is not None
                 and event.view is not None
             ):
-                key = (event.node, event.kind, event.slot, event.view)
-                votes.setdefault(key, set()).add(event.digest)
-        for (node, kind, slot, view), digests in sorted(votes.items()):
-            if len(digests) > 1:
-                violations.append(
-                    InvariantViolation(
-                        invariant="recovery-safety",
-                        detail=(
-                            f"{node} cast {kind} for {len(digests)} different "
-                            f"payloads in slot {slot} view {view}: "
-                            f"{sorted(d[:12] for d in digests)}"
-                        ),
-                    )
+                key = (event.node, event.kind, event.view)
+                per_slot = votes.get(key)
+                if per_slot is None:
+                    per_slot = votes[key] = _FirstSeen()
+                per_slot.add(event.slot, event.digest)
+        conflicts = sorted(
+            ((node, kind, slot, view), digests)
+            for (node, kind, view), per_slot in votes.items()
+            for slot, digests in per_slot.more.items()
+        )
+        for (node, kind, slot, view), digests in conflicts:
+            violations.append(
+                InvariantViolation(
+                    invariant="recovery-safety",
+                    detail=(
+                        f"{node} cast {kind} for {len(digests)} different "
+                        f"payloads in slot {slot} view {view}: "
+                        f"{sorted(d[:12] for d in digests)}"
+                    ),
                 )
+            )
         return violations
 
     def _check_recovered_state_replay(self) -> List[InvariantViolation]:
@@ -992,9 +1057,6 @@ class InvariantChecker:
         with no later wipe) are held to this — a replica that ends the run
         wiped or mid-recovery legitimately lags.
         """
-        from repro.ledger.state import StateStore
-
-        violations: List[InvariantViolation] = []
         assert self.trace is not None
         # Each node's latest wipe or rejoin, in trace order.
         latest: Dict[str, str] = {}
@@ -1002,37 +1064,12 @@ class InvariantChecker:
             if event.node and event.kind in ("recovery:rejoin", "fault:wipe"):
                 latest[event.node] = event.kind
         targets = {node for node, kind in latest.items() if kind == "recovery:rejoin"}
-        application = getattr(self.deployment, "application", None)
-        if application is None or not targets:
-            return violations
-        for domain in self.hierarchy.height1_domains():
-            for node in self.deployment.nodes_of(domain.id):
-                if node.address not in targets:
-                    continue
-                if node.ledger is None or node.state is None:
-                    continue
-                fresh = StateStore(
-                    name=f"recovery-replay:{node.address}",
-                    shards=node.state.shard_count,
-                )
-                application.initialize_domain(domain, fresh)
-                for record in node.ledger:
-                    if record.entry.status is not TransactionStatus.COMMITTED:
-                        continue
-                    application.execute(record.entry.transaction, fresh, domain.id)
-                if fresh.snapshot() != node.state.snapshot():
-                    violations.append(
-                        InvariantViolation(
-                            invariant="recovery-safety",
-                            domain=domain.id.name,
-                            detail=(
-                                f"{node.address}: post-recovery state differs "
-                                "from a serial replay of its committed ledger "
-                                "entries"
-                            ),
-                        )
-                    )
-        return violations
+        return self._replay_violations(
+            "recovery-safety",
+            "post-recovery state differs from a serial replay of its committed "
+            "ledger entries",
+            targets.__contains__,
+        )
 
     # ------------------------------------------------------------------ control plane (phase 2)
 
@@ -1053,18 +1090,16 @@ class InvariantChecker:
         violations: List[InvariantViolation] = []
         assert self.trace is not None
 
-        prepared_slots: Dict[Tuple[str, str], Set[Optional[int]]] = {}
+        prepared_slots = _FirstSeen()  # (node, tid) -> slot(s)
         for event in self.trace.events("handoff:prepared"):
             if event.node is None or event.tid is None:
                 continue
-            prepared_slots.setdefault((event.node, event.tid), set()).add(event.slot)
-        group_slots: Dict[Tuple[str, Any], Set[Optional[int]]] = {}
+            prepared_slots.add((event.node, event.tid), event.slot)
+        group_slots = _FirstSeen()  # (node, gid) -> slot(s)
         for event in self.trace.events("handoff:group-prepared"):
             if event.node is None:
                 continue
-            group_slots.setdefault((event.node, event.get("gid")), set()).add(
-                event.slot
-            )
+            group_slots.add((event.node, event.get("gid")), event.slot)
 
         def _blame(event: Any, detail: str) -> None:
             violations.append(
@@ -1095,14 +1130,14 @@ class InvariantChecker:
             if action != "adopt":
                 continue
             slot = event.slot
-            if slot not in prepared_slots.get((event.node, event.tid), set()):
+            if slot not in prepared_slots.values(key):
                 _blame(
                     event,
                     f"adopted into slot {slot} but no individual "
                     "handoff:prepared vote was sent at that slot",
                 )
             gid = event.get("gid")
-            slots = group_slots.get((event.node, gid))
+            slots = group_slots.values((event.node, gid))
             if slots and slots != {slot}:
                 _blame(
                     event,

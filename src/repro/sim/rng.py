@@ -29,14 +29,16 @@ class RngRegistry:
 
     def stream(self, name: str) -> random.Random:
         """Return the stream called ``name``, creating it on first use."""
-        existing = self._streams.get(name)
-        if existing is not None:
-            return existing
-        material = f"saguaro-rng:{self._root_seed}:{name}".encode()
-        seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-        stream = random.Random(seed)
-        self._streams[name] = stream
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = self.fresh(name)
         return stream
+
+    def fresh(self, name: str) -> random.Random:
+        """A new stream called ``name``, at its start and not kept: for a
+        name that is asked for once (:meth:`stream` keeps what it makes)."""
+        material = f"saguaro-rng:{self._root_seed}:{name}".encode()
+        return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
 
     def spawn(self, name: str) -> "RngRegistry":
         """Derive a child registry (e.g. one per experiment repetition)."""

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
@@ -39,6 +40,7 @@ from repro.core.mobile import MobileConsensusProtocol
 from repro.core.node import SaguaroNode
 from repro.core.optimistic import OptimisticCrossDomainProtocol
 from repro.core.system import SaguaroDeployment
+from repro.faults.invariants import InvariantChecker
 from repro.ledger.transaction import Transaction
 from repro.recovery import state_root_of
 from repro.scenarios import Scenario, materialize
@@ -137,6 +139,20 @@ def make_deployment(
 
 def height1_ids(deployment: SaguaroDeployment) -> List[DomainId]:
     return [d.id for d in deployment.hierarchy.height1_domains()]
+
+
+def check_peak(run, checker_class=InvariantChecker):
+    """``(report, bytes)``: ``checker_class``'s ``check()`` of an executed
+    scenario run, and tracemalloc's peak during it over its starting level."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        checker = checker_class(run.deployment, trace=run.trace)
+        report = checker.check(expect_liveness=run.expect_liveness())
+        return report, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def run_until_done(deployment: SaguaroDeployment, extra_ms: float = 200.0) -> None:

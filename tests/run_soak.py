@@ -13,7 +13,9 @@ gates on deterministic counts only:
   between the two lengths, so they grow with the run, never faster.
 
 It prints host seconds per transaction at both lengths and does not gate on
-them (a shared runner's clock says little).  Not part of tier-1 — the file
+them (a shared runner's clock says little), and the tracemalloc peak of the
+invariant check over its starting level (``tests/test_checker_memory.py``
+gates that on a short churn run).  Not part of tier-1 — the file
 name keeps it out of collection; CI's ``soak`` job runs it by path::
 
     PYTHONPATH=src python -m pytest tests/run_soak.py -q -s
@@ -26,7 +28,7 @@ import pytest
 
 from repro.core.coordinator import CoordinatorCrossDomainProtocol
 from repro.scenarios import materialize, registry
-from tests.conftest import settled_2pc_state, stuck_cross_domain_state
+from tests.conftest import check_peak, settled_2pc_state, stuck_cross_domain_state
 
 LENGTHS = (1_200, 9_600)
 
@@ -71,10 +73,13 @@ def _soak(transactions):
     assert stuck == dict.fromkeys(stuck, 0)
     assert settled_2pc_state(run.deployment) == {"states": 0, "groups": 0, "holding": 0}
     per_transaction = record_bytes(run.deployment) / summary.committed
+    report, peak = check_peak(run)
+    assert report.ok
     print(
         f"\n{transactions} transactions: host_run_s per transaction "
         f"{elapsed / transactions * 1e3:.3f} ms, outcome records "
-        f"{per_transaction:.1f} B per committed transaction"
+        f"{per_transaction:.1f} B per committed transaction, check peak "
+        f"{peak / 1024:.0f} KiB"
     )
     return per_transaction
 

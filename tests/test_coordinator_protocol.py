@@ -6,12 +6,15 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from bench.workloads import BY_NAME
 from repro.common.types import ClientId, DomainId, FailureModel, TransactionStatus
 from repro.core.coordinator import (
     CoordinatorCrossDomainProtocol,
     _InFlightTable,
     _overlaps_in_two,
     _ParticipantState,
+    _ParticipantTable,
+    _Vote,
 )
 from repro.core.messages import (
     CoordinatorAbortOrder,
@@ -22,7 +25,7 @@ from repro.core.messages import (
     CrossPrepare,
     ParticipantPrepareOrder,
 )
-from repro.scenarios import ScenarioRunner, registry
+from repro.scenarios import ScenarioRunner, materialize, registry
 from tests.conftest import (
     cross_transfer,
     internal_transfer,
@@ -258,6 +261,108 @@ class TestInFlightTable:
                 assert [s.transaction.tid for s in table.overlapping(transaction)] == [
                     s.transaction.tid for s in naive
                 ]
+
+    @given(st.data())
+    def test_participant_questions_equal_the_scans(self, data):
+        """``precedes`` and ``driven_elsewhere`` answer what the scans of the
+        live states did, under adds, commits and re-votes (a re-vote is a
+        discard and an add, as ``_record_prepared`` makes it)."""
+        table = _ParticipantTable()
+        live = []
+
+        def vote():
+            return _Vote(data.draw(st.sampled_from((D21, D22))), 1, data.draw(st.integers(1, 9)))
+
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            step = data.draw(st.sampled_from(("add", "add", "retire", "re-vote")))
+            if step == "retire" and live:
+                table.discard(live.pop(data.draw(st.integers(0, len(live) - 1))))
+            elif step == "re-vote" and live:
+                state = data.draw(st.sampled_from(live))
+                table.discard(state)
+                state.vote = vote()
+                table.add(state)
+            else:
+                domains = data.draw(
+                    st.lists(st.sampled_from(self.DOMAINS), min_size=2, max_size=4, unique=True)
+                )
+                state = _ParticipantState(transaction=cross_transfer(domains), vote=vote())
+                table.add(state)
+                live.append(state)
+            for probe in live:
+                overlapping = [
+                    s for s in live if _overlaps_in_two(s.transaction, probe.transaction)
+                ]
+                assert table.precedes(probe) == any(
+                    s.participant_sequence < probe.participant_sequence for s in overlapping
+                )
+                for coordinator in (D21, D22, None):
+                    assert table.driven_elsewhere(probe.transaction, coordinator) == any(
+                        coordinator is None or s.coordinator_domain != coordinator
+                        for s in overlapping
+                    )
+        for state in list(live):
+            table.discard(state)
+        assert not table._entries and not table._by_pair
+        assert not table._sequences and not table._drivers
+
+    @pytest.mark.parametrize(
+        "workload, transactions",
+        [("wan-cross-grouped", 400), ("wan-control-adaptive", 240), ("wan-contention-lease", None)],
+    )
+    def test_participant_questions_equal_the_scans_on_every_call(
+        self, monkeypatch, workload, transactions
+    ):
+        """On whole runs, every answer equals the scan it replaced: the scans
+        of the live states that ``overlapping`` lists."""
+        calls = Counter()
+        precedes, driven_elsewhere = _ParticipantTable.precedes, _ParticipantTable.driven_elsewhere
+
+        def checked_precedes(table, state):
+            answer = precedes(table, state)
+            assert answer == any(
+                other.participant_sequence < state.participant_sequence
+                for other in table.overlapping(state.transaction)
+            )
+            calls["precedes", answer] += 1
+            return answer
+
+        def checked_driven_elsewhere(table, transaction, coordinator_domain):
+            answer = driven_elsewhere(table, transaction, coordinator_domain)
+            assert answer == any(
+                coordinator_domain is None or other.coordinator_domain != coordinator_domain
+                for other in table.overlapping(transaction)
+            )
+            calls["driven_elsewhere", answer] += 1
+            return answer
+
+        monkeypatch.setattr(_ParticipantTable, "precedes", checked_precedes)
+        monkeypatch.setattr(_ParticipantTable, "driven_elsewhere", checked_driven_elsewhere)
+        spec = BY_NAME[workload]
+        run = materialize(spec.scenario(transactions), spec.seed)
+        run.run()
+        assert run.summary.pending == 0
+        assert calls["precedes", False] and calls["driven_elsewhere", False], calls
+        if workload == "wan-contention-lease":  # contended: every answer comes up
+            assert len(calls) == 4, calls
+
+    def test_a_re_voted_state_is_re_keyed(self, coordinator_deployment):
+        """A live state whose transaction is ordered again (a later attempt
+        decided before the first is resolved) takes its new participant
+        sequence in the table: an overlapping state ordered in between no
+        longer waits for it, and is waited for."""
+        component = _coordinator_component(coordinator_deployment, D11)
+        first = cross_transfer((D11, D12), client=_client(D01))
+        between = cross_transfer((D12, D11), client=_client(D02))
+        for slot, transaction, attempt in ((5, first, 1), (7, between, 1), (9, first, 2)):
+            order = ParticipantPrepareOrder(
+                transaction=transaction, coordinator_domain=D21, coordinator_sequence=attempt
+            )
+            component.on_decide(slot, order)
+        re_voted, middle = component._part[first.tid], component._part[between.tid]
+        assert (re_voted.participant_sequence, middle.participant_sequence) == (9, 7)
+        assert not component._must_defer_commit(middle)
+        assert component._must_defer_commit(re_voted)
 
     def test_conflict_questions_touch_only_live_entries(self, coordinator_deployment):
         """2,000 committed and 3 in-flight transactions on one domain pair:

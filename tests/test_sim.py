@@ -359,6 +359,13 @@ class TestRngRegistry:
         registry = RngRegistry(1)
         assert registry.stream("x") is registry.stream("x")
 
+    def test_a_fresh_stream_is_the_named_stream_and_is_not_kept(self):
+        registry = RngRegistry(42)
+        fresh, kept = registry.fresh("client:c1"), RngRegistry(42).stream("client:c1")
+        assert [fresh.random() for _ in range(5)] == [kept.random() for _ in range(5)]
+        assert registry.fresh("client:c1") is not registry.fresh("client:c1")
+        assert not registry._streams
+
     def test_spawned_registry_differs_from_parent(self):
         parent = RngRegistry(7)
         child = parent.spawn("rep-1")
